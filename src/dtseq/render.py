@@ -2,10 +2,15 @@
 
 Synthesis is deliberately plain.  Each event is an oscillator at its
 resolved frequency, shaped by a linear attack/release envelope, summed
-into a mono float64 mix; rendering the same events with the same settings
-is bit-reproducible.  The "additive-4" waveform stacks partials at 2f, 3f
-and 4f (amplitudes 1/2, 1/3, 1/4) on the fundamental so that rational
-interval consonance is audible.
+into a mono float64 mix in event order; rendering the same events with
+the same settings is bit-reproducible.  Every oscillator starts at phase
+0, so one wave per distinct frequency, as long as that frequency's
+longest event, serves every event at it as a prefix: exact rational
+pitches repeat, and synthesis costs one oscillator per distinct pitch
+rather than per event.  The "additive-4" waveform stacks partials at 2f,
+3f and 4f (amplitudes 1/2, 1/3, 1/4) on the fundamental so that rational
+interval consonance is audible; partials at or above the Nyquist
+frequency are left out rather than aliased.
 """
 
 from __future__ import annotations
@@ -50,11 +55,16 @@ class AudioBuffer:
     samples: np.ndarray
 
 
-def _oscillator(phase: np.ndarray, waveform: str) -> np.ndarray:
+def _oscillator(frequency_hz: float, n: int, settings: RenderSettings) -> np.ndarray:
+    """``n`` samples of the waveform at ``frequency_hz``, from phase 0."""
+    sr = settings.sample_rate
+    t = np.arange(n, dtype=np.float64) / sr
+    phase = 2.0 * np.pi * frequency_hz * t
     out = np.sin(phase)
-    if waveform == "additive-4":
+    if settings.waveform == "additive-4":
         for k in (2, 3, 4):
-            out += np.sin(k * phase) / k
+            if k * frequency_hz < sr / 2:
+                out += np.sin(k * phase) / k
     return out
 
 
@@ -67,13 +77,21 @@ def synthesize(events: Sequence[ResolvedEvent],
     attack + release get both scaled proportionally to fit, so there is
     never an envelope discontinuity.  After summation the mix is scaled
     down to ``master_gain`` peak only if it exceeds it.
+
+    One oscillator is built per distinct frequency, at the first event
+    that sounds it and as long as its longest event; every event at that
+    frequency takes a prefix of it, and it is dropped after the last
+    one.  Events are added to the mix in the order given, so the result
+    equals rendering each event's oscillator on its own.
     """
     settings = settings or RenderSettings()
     sr = settings.sample_rate
 
     spans: list[tuple[int, int, int, int, ResolvedEvent]] = []
+    # frequency -> (longest event in samples, index of its last event)
+    plan: dict[float, tuple[int, int]] = {}
     total = 0
-    for ev in events:
+    for i, ev in enumerate(events):
         attack, release = settings.attack_sec, settings.release_sec
         if attack + release > ev.duration_sec > 0:
             squeeze = ev.duration_sec / (attack + release)
@@ -84,23 +102,37 @@ def synthesize(events: Sequence[ResolvedEvent],
         n_attack = min(round(attack * sr), n_note)
         n_release = round(release * sr)
         spans.append((first, n_note, n_attack, n_release, ev))
-        total = max(total, first + n_note + n_release)
+        n = n_note + n_release
+        total = max(total, first + n)
+        if n:
+            longest = plan.get(ev.frequency_hz, (0, i))[0]
+            plan[ev.frequency_hz] = (max(longest, n), i)
 
     mix = np.zeros(total, dtype=np.float64)
-    for first, n_note, n_attack, n_release, ev in spans:
+    waves: dict[float, np.ndarray] = {}
+    for i, (first, n_note, n_attack, n_release, ev) in enumerate(spans):
         n = n_note + n_release
         if n == 0:
             continue
-        t = np.arange(n, dtype=np.float64) / sr
-        signal = _oscillator(2.0 * np.pi * ev.frequency_hz * t, settings.waveform)
-        envelope = np.ones(n)
+        freq = ev.frequency_hz
+        longest, last = plan[freq]
+        wave = waves.get(freq)
+        if wave is None:
+            wave = waves[freq] = _oscillator(freq, longest, settings)
+        if i == last:
+            del waves[freq]
+        signal = wave[:n]
+        gain = ev.velocity / 127.0
+        chunk = gain * signal
         if n_attack:
-            envelope[:n_attack] = np.arange(n_attack) / n_attack
+            ramp = np.arange(n_attack) / n_attack
+            chunk[:n_attack] = (gain * ramp) * signal[:n_attack]
         if n_release:
-            envelope[n_note:] = 1.0 - np.arange(1, n_release + 1) / n_release
-        mix[first:first + n] += (ev.velocity / 127.0) * envelope * signal
+            ramp = 1.0 - np.arange(1, n_release + 1) / n_release
+            chunk[n_note:] = (gain * ramp) * signal[n_note:]
+        mix[first:first + n] += chunk
 
-    peak = float(np.max(np.abs(mix))) if total else 0.0
+    peak = max(float(mix.max()), -float(mix.min())) if total else 0.0
     if peak > settings.master_gain:
         mix *= settings.master_gain / peak
     return AudioBuffer(sr, mix)
@@ -112,7 +144,11 @@ def write_wav(buffer: AudioBuffer, path) -> None:
     Samples are rounded from value * 32767 and clamped to the int16 range,
     so identical buffers produce bit-identical files.
     """
-    quantized = np.clip(np.rint(buffer.samples * 32767.0), -32768, 32767).astype("<i2")
+    scaled = buffer.samples * 32767.0
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    quantized = scaled.astype("<i2")
+    del scaled  # free the float copy before the frames are copied out
     with open(path, "wb") as fh:
         with wave.open(fh, "wb") as wav:
             wav.setnchannels(1)

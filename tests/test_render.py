@@ -37,6 +37,55 @@ def steady_segment(buffer, settings, duration):
     return buffer.samples[a:b]
 
 
+def per_event_synthesize(events, settings):
+    """Reference mix: a fresh oscillator and envelope for every event."""
+    sr = settings.sample_rate
+    spans = []
+    total = 0
+    for ev in events:
+        attack, release = settings.attack_sec, settings.release_sec
+        if attack + release > ev.duration_sec > 0:
+            squeeze = ev.duration_sec / (attack + release)
+            attack *= squeeze
+            release *= squeeze
+        first = round(ev.start_sec * sr)
+        n_note = round(ev.duration_sec * sr)
+        n_attack = min(round(attack * sr), n_note)
+        n_release = round(release * sr)
+        spans.append((first, n_note, n_attack, n_release, ev))
+        total = max(total, first + n_note + n_release)
+
+    mix = np.zeros(total, dtype=np.float64)
+    for first, n_note, n_attack, n_release, ev in spans:
+        n = n_note + n_release
+        if n == 0:
+            continue
+        phase = 2.0 * np.pi * ev.frequency_hz * (np.arange(n, dtype=np.float64) / sr)
+        signal = np.sin(phase)
+        if settings.waveform == "additive-4":
+            for k in (2, 3, 4):
+                signal += np.sin(k * phase) / k
+        envelope = np.ones(n)
+        if n_attack:
+            envelope[:n_attack] = np.arange(n_attack) / n_attack
+        if n_release:
+            envelope[n_note:] = 1.0 - np.arange(1, n_release + 1) / n_release
+        mix[first:first + n] += (ev.velocity / 127.0) * envelope * signal
+
+    peak = float(np.max(np.abs(mix))) if total else 0.0
+    if peak > settings.master_gain:
+        mix *= settings.master_gain / peak
+    return mix
+
+
+def random_events(seed, count, freqs):
+    rng = np.random.default_rng(seed)
+    return [event(float(rng.choice(freqs)), start=float(rng.uniform(0, 2.0)),
+                  dur=float(rng.choice([0.0, 0.004, 0.03, 0.25, 0.7])),
+                  vel=int(rng.integers(1, 128)))
+            for _ in range(count)]
+
+
 class TestSynthesize:
     def test_sine_zero_crossings(self):
         settings = RenderSettings()
@@ -129,6 +178,64 @@ class TestSynthesize:
             RenderSettings(attack_sec=-1.0)
 
 
+class TestSynthesizeMatchesPerEventMix:
+    """One oscillator per distinct frequency must not change a sample."""
+
+    # every partial stays below 4 kHz, so the reference needs no band limit
+    CASES = {
+        # the longest event at 440 Hz is the second one, not the first
+        "longest-not-first": [event(440.0, 0.0, 0.2), event(440.0, 0.1, 1.0),
+                              event(440.0, 0.5, 0.3, vel=64)],
+        "overlapping": [event(440.0, 0.0, 0.5), event(660.0, 0.25, 0.5, vel=90),
+                        event(440.0, 0.3, 0.4, vel=30), event(550.0, 0.3, 0.1)],
+        "zero-length": [event(440.0, 0.0, 0.0), event(440.0, 0.1, 0.2),
+                        event(330.0, 0.2, 0.0), event(440.0, 0.4, 0.0)],
+        "squeezed": [event(440.0, 0.0, 0.01), event(440.0, 0.02, 0.03),
+                     event(880.0, 0.05, 0.001), event(440.0, 0.1, 0.5)],
+        "random": random_events(1, 60, [220.0, 275.0, 330.0, 440.0, 495.0]),
+        "random-unique": random_events(7, 40, np.linspace(200.0, 900.0, 37)),
+    }
+
+    @pytest.mark.parametrize("waveform", ["sine", "additive-4"])
+    @pytest.mark.parametrize("release", [0.05, 0.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_per_event_reference(self, case, release, waveform):
+        settings = RenderSettings(sample_rate=8000, waveform=waveform,
+                                  release_sec=release)
+        events = self.CASES[case]
+        got = synthesize(events, settings).samples
+        assert np.array_equal(got, per_event_synthesize(events, settings))
+
+    @pytest.mark.parametrize("waveform", ["sine", "additive-4"])
+    def test_reference_score_at_44100(self, waveform):
+        settings = RenderSettings(waveform=waveform)
+        events = resolve_composition(parse(REFERENCE_SCORE))
+        got = synthesize(events, settings).samples
+        assert np.array_equal(got, per_event_synthesize(events, settings))
+
+
+class TestBandLimit:
+    @pytest.mark.parametrize("freq,kept", [(6000.0, []), (4000.0, [8000.0])])
+    def test_additive_partials_above_nyquist_do_not_alias(self, freq, kept):
+        sr = 22050
+        settings = RenderSettings(sample_rate=sr, waveform="additive-4")
+        buf = synthesize([event(freq)], settings)
+        steady = steady_segment(buf, settings, 1.0)
+        size = 16384
+        spectrum = np.abs(np.fft.rfft(steady[:size] * np.hanning(size)))
+
+        def level(hz):
+            return float(spectrum[round(hz * size / sr)])
+
+        fundamental = level(freq)
+        assert abs(dft_peak_hz(steady, sr, size) - freq) <= sr / size
+        for hz in kept:
+            assert level(hz) > 0.1 * fundamental
+        for k in (2, 3, 4):
+            if k * freq >= sr / 2:
+                assert level(abs(sr - k * freq)) < 1e-4 * fundamental
+
+
 class TestWriteWav:
     def test_header_layout_and_size(self, tmp_path):
         path = tmp_path / "one_second.wav"
@@ -156,6 +263,22 @@ class TestWriteWav:
         with wave.open(str(path)) as wav:
             frames = np.frombuffer(wav.readframes(3), dtype="<i2")
         assert list(frames) == [32767, -32767, 0]
+
+    def test_quantizer_matches_clip_of_rint(self, tmp_path):
+        from dtseq import AudioBuffer
+        halves = np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 32766.5, -32767.5]) / 32767.0
+        samples = np.concatenate([
+            [1.0, -1.0, 0.0, 1.0000001, -1.0000001, 1.5, -2.0, 1e6, -1e6],
+            halves,
+            np.random.default_rng(3).uniform(-1.2, 1.2, 1000),
+        ])
+        assert np.count_nonzero(np.abs(np.modf(samples * 32767.0)[0]) == 0.5) >= 8
+        expected = np.clip(np.rint(samples * 32767.0), -32768, 32767).astype("<i2")
+        path = tmp_path / "quantized.wav"
+        write_wav(AudioBuffer(8000, samples), path)
+        with wave.open(str(path)) as wav:
+            frames = wav.readframes(len(samples))
+        assert frames == expected.tobytes()
 
     def test_bit_identical_across_runs(self, tmp_path):
         events = resolve_composition(parse(REFERENCE_SCORE))
