@@ -25,15 +25,17 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _style(kind: str) -> str:
-    if os.environ.get("DTS_COLOR", "1") == "0" or not sys.stderr.isatty():
-        return kind
-    color = "33" if kind == "warning" else "31"
-    return f"\x1b[{color}m{kind}\x1b[0m"
-
-
-def _diag(path: str, line: int, col: int, kind: str, message: str) -> None:
-    print(f"{path}:{line}:{col}: {_style(kind)}: {message}", file=sys.stderr)
+def _write_diagnostics(path: str, diagnostics) -> None:
+    """Write ``(line, col, kind, message)`` diagnostics to stderr as
+    ``path:line:col: kind: message`` lines, in one write."""
+    color = os.environ.get("DTS_COLOR", "1") != "0" and sys.stderr.isatty()
+    lines = []
+    for line, col, kind, message in diagnostics:
+        if color:
+            kind = f"\x1b[{'33' if kind == 'warning' else '31'}m{kind}\x1b[0m"
+        lines.append(f"{path}:{line}:{col}: {kind}: {message}\n")
+    if lines:
+        sys.stderr.write("".join(lines))
 
 
 def _load(path: str) -> tuple[Composition | None, int]:
@@ -50,18 +52,18 @@ def _load(path: str) -> tuple[Composition | None, int]:
 
     result = parse(data)
     if isinstance(result, list):
-        for err in result:
-            _diag(path, err.position.line, err.position.column, err.kind, err.message)
+        _write_diagnostics(path, [(e.position.line, e.position.column, e.kind, e.message)
+                                  for e in result])
         return None, EXIT_INVALID
 
-    status = EXIT_OK
-    for v in validate_composition(result):
-        if v.severity == ERROR:
-            _diag(path, 0, 0, v.kind, f"{v.path}: {v.message}")
-            status = EXIT_INVALID
-        else:
-            _diag(path, 0, 0, "warning", f"{v.kind}: {v.path}: {v.message}")
-    return (result if status == EXIT_OK else None), status
+    report = validate_composition(result)
+    _write_diagnostics(path, [
+        (0, 0, v.kind, f"{v.path}: {v.message}") if v.severity == ERROR
+        else (0, 0, "warning", f"{v.kind}: {v.path}: {v.message}")
+        for v in report])
+    if any(v.severity == ERROR for v in report):
+        return None, EXIT_INVALID
+    return result, EXIT_OK
 
 
 def cmd_validate(args) -> int:

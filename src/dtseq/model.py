@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -239,7 +240,8 @@ class Violation:
     """One problem found by validation.
 
     Kinds: ``bad-reference``, ``duplicate-name``, ``range``, ``order``,
-    ``overlap``, ``gap``, ``span``, ``level-gap``; plus the
+    ``overlap``, ``gap``, ``span``, ``level-gap``, ``overflow`` (a
+    frequency too large for a float); plus the
     ``boundary-crossing`` warning (a note sustaining across a transposition
     boundary keeps its onset pitch, which may or may not be intended).
     """
@@ -254,8 +256,9 @@ def validate_composition(composition: Composition) -> list[Violation]:
     """Check every cross-object rule and report all problems found.
 
     Violations are data, not exceptions; a composition is playable when the
-    report contains no ``severity == ERROR`` entries.  Pure function:
-    validating the same composition twice yields identical reports.
+    report contains no ``severity == ERROR`` entries.  Frequencies beyond
+    the float range are looked for once no other error is found.  Pure
+    function: validating the same composition twice yields identical reports.
     """
     report: list[Violation] = []
     add = report.append
@@ -334,28 +337,74 @@ def validate_composition(composition: Composition) -> list[Violation]:
                               f"expected level {pos + 1} at position {pos}, "
                               f"got level {harmony.level}"))
 
+        # A spanning timeline's starts strictly increase from 0, so the
+        # first boundary after the onset is one bisect away.
+        timelines = [(h.name, h._starts) for h in bound if spanning_ok.get(h.name)]
         for i, note in enumerate(inst.score.notes):
-            npath = f"{path} note {i}"
+            onset, end = note.interval.start, note.interval.end
             if scale is not None and note.key_index >= len(scale):
-                add(Violation("range", npath,
+                add(Violation("range", f"{path} note {i}",
                               f"key index {note.key_index} outside scale "
                               f"{scale.name!r} of {len(scale)} keys"))
-            if note.interval.end > length:
-                add(Violation("range", npath,
-                              f"interval [{note.interval.start}, {note.interval.end}) "
+            if end > length:
+                add(Violation("range", f"{path} note {i}",
+                              f"interval [{onset}, {end}) "
                               f"exceeds composition length {length}"))
                 continue
-            for harmony in bound:
-                if not spanning_ok.get(harmony.name):
-                    continue
-                for tone in harmony.tones[1:]:
-                    boundary = tone.interval.start
-                    if note.interval.start < boundary < note.interval.end:
-                        add(Violation(
-                            "boundary-crossing", npath,
-                            f"note sustains across the {harmony.name} boundary at "
-                            f"tick {boundary}; it keeps its onset pitch",
-                            severity=WARNING))
-                        break
+            for name, starts in timelines:
+                j = bisect_right(starts, onset)
+                if j < len(starts) and starts[j] < end:
+                    add(Violation(
+                        "boundary-crossing", f"{path} note {i}",
+                        f"note sustains across the {name} boundary at "
+                        f"tick {starts[j]}; it keeps its onset pitch",
+                        severity=WARNING))
 
+    if not any(v.severity == ERROR for v in report):
+        report.extend(_overflows(composition))
     return report
+
+
+def _fits_float(x: Fraction) -> bool:
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def _overflows(composition: Composition) -> list[Violation]:
+    """``overflow`` errors for resolved frequencies beyond the float range.
+
+    Needs a composition with no other error.  An instrument is walked only
+    when the bound ``base * largest key * product of each bound harmony's
+    largest used tone key`` does not fit a float: then every note, and
+    every key at the region of largest shift (``resolve --table``), is
+    checked exactly.
+    """
+    from .resolve import _regions  # resolve imports this module
+
+    base = Fraction(composition.base_frequency_hz)
+    found: list[Violation] = []
+    for inst in composition.instruments:
+        keys = composition.scales[inst.scale_name].keys
+        bound = base * max(keys)
+        for name in inst.harmony_names:
+            harmony = composition.harmonies[name]
+            hkeys = composition.scales[harmony.scale_name].keys
+            bound *= max(hkeys[k] for k in {t.key_index for t in harmony.tones})
+        if _fits_float(bound):
+            continue
+        path = f"instrument {inst.name}"
+        starts, shifts = _regions(composition, inst)
+        for i, note in enumerate(inst.score.notes):
+            shift = shifts[bisect_right(starts, note.interval.start) - 1]
+            if not _fits_float(base * keys[note.key_index] * shift):
+                found.append(Violation("overflow", f"{path} note {i}",
+                                       "resolved frequency is beyond the float range"))
+        top = max(s for lo, s in zip(starts, shifts) if lo < composition.length_ticks)
+        for k, key in enumerate(keys):
+            if not _fits_float(base * key * top):
+                found.append(Violation("overflow", f"{path} key {k}",
+                                       "frequency table entry is beyond the float range"))
+    return found

@@ -11,17 +11,21 @@ rather than per event.  The "additive-4" waveform stacks partials at 2f,
 3f and 4f (amplitudes 1/2, 1/3, 1/4) on the fundamental so that rational
 interval consonance is audible; partials at or above the Nyquist
 frequency are left out rather than aliased.
+
+numpy is imported on the first synthesis or WAV write, not with the
+module, so commands that never render do not load it.
 """
 
 from __future__ import annotations
 
 import wave
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .resolve import ResolvedEvent
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WAVEFORMS = ("sine", "additive-4")
 
@@ -57,6 +61,8 @@ class AudioBuffer:
 
 def _oscillator(frequency_hz: float, n: int, settings: RenderSettings) -> np.ndarray:
     """``n`` samples of the waveform at ``frequency_hz``, from phase 0."""
+    import numpy as np
+
     sr = settings.sample_rate
     t = np.arange(n, dtype=np.float64) / sr
     phase = 2.0 * np.pi * frequency_hz * t
@@ -84,6 +90,8 @@ def synthesize(events: Sequence[ResolvedEvent],
     one.  Events are added to the mix in the order given, so the result
     equals rendering each event's oscillator on its own.
     """
+    import numpy as np
+
     settings = settings or RenderSettings()
     sr = settings.sample_rate
 
@@ -144,17 +152,22 @@ def write_wav(buffer: AudioBuffer, path) -> None:
     Samples are rounded from value * 32767 and clamped to the int16 range,
     so identical buffers produce bit-identical files.
     """
-    scaled = buffer.samples * 32767.0
-    np.rint(scaled, out=scaled)
-    np.clip(scaled, -32768, 32767, out=scaled)
-    quantized = scaled.astype("<i2")
-    del scaled  # free the float copy before the frames are copied out
+    import numpy as np
+
+    samples = buffer.samples
+    quantized = np.empty(len(samples), dtype="<i2")
+    step = 1 << 16  # in blocks, so there is never a float copy of the whole mix
+    for lo in range(0, len(samples), step):
+        scaled = samples[lo:lo + step] * 32767.0
+        np.rint(scaled, out=scaled)
+        np.clip(scaled, -32768, 32767, out=scaled)
+        quantized[lo:lo + step] = scaled
     with open(path, "wb") as fh:
         with wave.open(fh, "wb") as wav:
             wav.setnchannels(1)
             wav.setsampwidth(2)
             wav.setframerate(buffer.sample_rate)
-            wav.writeframes(quantized.tobytes())
+            wav.writeframes(quantized)
 
 
 def export_events(events: Iterable[ResolvedEvent]) -> str:

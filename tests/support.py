@@ -204,3 +204,58 @@ def scaled_tone_composition(composition: Composition, harmony_name: str,
         harmonies=new_harmonies,
         instruments=composition.instruments,
     )
+
+
+def broken_composition(rng: random.Random, composition: Composition) -> Composition:
+    """A copy of ``composition`` with one to three random defects.
+
+    Defects: a harmony timeline with a moved, dropped, stretched or
+    reordered tone or an out-of-scale tone key; a harmony, scale or
+    binding that names nothing; a note past the end or outside its scale.
+    """
+    harmonies = dict(composition.harmonies)
+    instruments = list(composition.instruments)
+    length = composition.length_ticks
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(5)
+        if kind <= 1 and harmonies:
+            name = rng.choice(sorted(harmonies))
+            h = harmonies[name]
+            tones = list(h.tones)
+            i = rng.randrange(len(tones))
+            key, span = tones[i].key_index, tones[i].interval
+            op = rng.randrange(6)
+            if op == 0:
+                span = TimeInterval(max(0, span.start + rng.randint(-40, 40)), span.duration)
+            elif op == 1:
+                span = TimeInterval(span.start, span.duration + rng.randint(1, 40))
+            elif op == 2:
+                key = len(composition.scales[h.scale_name]) + rng.randrange(3)
+            tones[i] = TranspositionTone(key, span)
+            if op == 3 and len(tones) > 1:
+                del tones[i]
+            elif op == 4:
+                rng.shuffle(tones)
+            scale_name = "nosuch" if op == 5 else h.scale_name
+            harmonies[name] = HarmonicSequence(h.name, h.level, scale_name, tones)
+        elif kind == 2 and harmonies:
+            del harmonies[rng.choice(sorted(harmonies))]
+        elif instruments:
+            j = rng.randrange(len(instruments))
+            inst = instruments[j]
+            scale_name, names, notes = inst.scale_name, list(inst.harmony_names), list(inst.score)
+            op = rng.randrange(3) if kind == 3 else 3
+            if op == 0:
+                scale_name = "nosuch"
+            elif op == 1:
+                names.insert(rng.randint(0, len(names)), "nosuch")
+            elif op == 2 and names:
+                del names[rng.randrange(len(names))]
+            else:
+                start = rng.randrange(length + 20)
+                key = rng.randrange(8)
+                notes.append(Note(key, TimeInterval(start, rng.randint(1, 60))))
+            instruments[j] = Instrument(inst.name, scale_name, names, notes)
+    return Composition(
+        composition.base_frequency_hz, composition.ticks_per_beat,
+        composition.tempo_bpm, length, composition.scales, harmonies, instruments)

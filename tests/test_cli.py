@@ -1,3 +1,6 @@
+import io
+import sys
+
 import pytest
 
 from dtseq.cli import main
@@ -66,6 +69,63 @@ class TestValidate:
         assert main(["validate", str(path)]) == 0
         err = capsys.readouterr().err
         assert "warning" in err and "boundary-crossing" in err
+
+
+    def test_diagnostics_are_colored_on_a_terminal(self, tmp_path, monkeypatch):
+        path = tmp_path / "warn.dts"
+        path.write_text(
+            "base 440\nppq 480\ntempo 120\nlength 960\n"
+            "scale t 1/1 3/2\n"
+            "harmony H level 1 scale t\n  tone 0 @ 0 +480\n  tone 1 @ 480 +480\nend\n"
+            "instrument i scale t harmonies H\n  note 0 @ 240 +480\n  note 5 @ 0 +10\nend\n")
+
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        for color in ("1", "0"):
+            monkeypatch.setenv("DTS_COLOR", color)
+            monkeypatch.setattr("sys.stderr", Terminal())
+            assert main(["validate", str(path)]) == 1
+            err = sys.stderr.getvalue()
+            error, warning = ("\x1b[31mrange\x1b[0m", "\x1b[33mwarning\x1b[0m") \
+                if color == "1" else ("range", "warning")
+            assert err == (
+                f"{path}:0:0: {error}: instrument i note 0: key index 5 outside scale "
+                f"'t' of 2 keys\n"
+                f"{path}:0:0: {warning}: boundary-crossing: instrument i note 1: note "
+                f"sustains across the H boundary at tick 480; it keeps its onset pitch\n")
+
+
+HUGE_RATIO = """\
+base 440
+ppq 480
+tempo 120
+length 960
+
+scale t 1/1 1%s/1
+
+instrument lead scale t
+  note 1 @ 0 +480
+end
+""" % ("0" * 320)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("args", [
+        ["validate"], ["resolve"], ["resolve", "--table"], ["render", "--out", "x.wav"]])
+    def test_frequency_beyond_float_range_exits_1(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "huge.dts"
+        path.write_text(HUGE_RATIO)
+        assert main([args[0], str(path), *args[1:]]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"{path}:0:0: overflow: instrument lead note 0: resolved "
+                           f"frequency is beyond the float range\n"
+                           f"{path}:0:0: overflow: instrument lead key 1: frequency "
+                           f"table entry is beyond the float range\n")
+        assert not (tmp_path / "x.wav").exists()
 
 
 class TestResolve:

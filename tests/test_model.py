@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +16,8 @@ from dtseq import (
     TranspositionTone,
     validate_composition,
 )
-from dtseq.model import ERROR, WARNING
+from dtseq.model import ERROR, WARNING, Violation
+from support import broken_composition, random_composition
 
 
 def tone(key, start, duration):
@@ -179,6 +183,103 @@ class TestValidation:
     def test_validation_is_idempotent(self):
         comp = harmony_comp([tone(0, 0, 480), tone(1, 400, 560)])
         assert validate_composition(comp) == validate_composition(comp)
+
+
+def scan_boundary_crossings(composition):
+    """Reference for the boundary-crossing warnings: for each note that
+    ends within the piece, scan the later tones of every bound harmony
+    with a spanning timeline and warn at the first start strictly inside
+    the note."""
+    length = composition.length_ticks
+
+    def spanning(harmony):
+        tones = harmony.tones
+        return (bool(tones) and tones[0].interval.start == 0
+                and tones[-1].interval.end == length
+                and all(b.interval.start == a.interval.end
+                        for a, b in zip(tones, tones[1:])))
+
+    found = []
+    for inst in composition.instruments:
+        bound = [composition.harmonies[name] for name in inst.harmony_names
+                 if name in composition.harmonies]
+        for i, note in enumerate(inst.score.notes):
+            if note.interval.end > length:
+                continue
+            for harmony in bound:
+                if not spanning(harmony):
+                    continue
+                for t in harmony.tones[1:]:
+                    boundary = t.interval.start
+                    if note.interval.start < boundary < note.interval.end:
+                        found.append(Violation(
+                            "boundary-crossing", f"instrument {inst.name} note {i}",
+                            f"note sustains across the {harmony.name} boundary at "
+                            f"tick {boundary}; it keeps its onset pitch",
+                            severity=WARNING))
+                        break
+    return found
+
+
+class TestBoundaryCrossingEquivalence:
+    def test_matches_scan_on_random_and_broken_compositions(self):
+        rng = random.Random(404)
+        warned = broken = 0
+        for n in range(240):
+            comp = random_composition(rng, max_ticks=2000, max_notes=25,
+                                      min_instruments=1, min_harmonic_levels=1)
+            if n % 2:
+                comp = broken_composition(rng, comp)
+            report = validate_composition(comp)
+            expected = scan_boundary_crossings(comp)
+            assert [v for v in report if v.kind == "boundary-crossing"] == expected
+            warned += bool(expected)
+            broken += bool(errors(report))
+        assert warned > 60 and broken > 60
+
+
+def overflow_comp(inst_keys, notes, tone_keys=("1/1", "3/2")):
+    return Composition(
+        440.0, 480, 120.0, 960,
+        scales=[Scale("inst", inst_keys), Scale("t", tone_keys)],
+        harmonies=[HarmonicSequence("H", 1, "t", [tone(0, 0, 480), tone(1, 480, 480)])],
+        instruments=[Instrument("lead", "inst", ["H"], notes)],
+    )
+
+
+class TestOverflow:
+    HUGE = Fraction(10**307)
+
+    def test_note_beyond_float_range_is_an_error(self):
+        comp = overflow_comp([1, self.HUGE], [Note(0, TimeInterval(0, 480)),
+                                              Note(1, TimeInterval(0, 480)),
+                                              Note(1, TimeInterval(480, 480))])
+        report = validate_composition(comp)
+        assert [(v.kind, v.path) for v in errors(report)] == [
+            ("overflow", "instrument lead note 1"),
+            ("overflow", "instrument lead note 2"),
+            ("overflow", "instrument lead key 1")]
+
+    def test_shift_alone_can_overflow(self):
+        # 440 * 3e305 fits a float; times the 3/2 of the second tone it does not
+        comp = overflow_comp([1, Fraction(3 * 10**305)], [Note(1, TimeInterval(0, 480)),
+                                                      Note(1, TimeInterval(480, 480))])
+        assert [v.path for v in errors(validate_composition(comp))] == [
+            "instrument lead note 1", "instrument lead key 1"]
+
+    def test_unused_key_is_reported_for_the_table(self):
+        comp = overflow_comp([1, self.HUGE], [Note(0, TimeInterval(0, 960))])
+        assert [v.path for v in errors(validate_composition(comp))] == [
+            "instrument lead key 1"]
+
+    def test_large_frequencies_within_range_are_clean(self):
+        comp = overflow_comp([1, Fraction(10**300)], [Note(1, TimeInterval(480, 480))])
+        assert validate_composition(comp) == []
+
+    def test_only_checked_once_other_errors_are_gone(self):
+        comp = overflow_comp([1, self.HUGE], [Note(1, TimeInterval(0, 480)),
+                                              Note(5, TimeInterval(0, 480))])
+        assert [v.kind for v in errors(validate_composition(comp))] == ["range"]
 
 
 intervals = st.builds(TimeInterval, st.integers(0, 50), st.integers(1, 30))

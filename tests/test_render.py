@@ -270,7 +270,7 @@ class TestWriteWav:
         samples = np.concatenate([
             [1.0, -1.0, 0.0, 1.0000001, -1.0000001, 1.5, -2.0, 1e6, -1e6],
             halves,
-            np.random.default_rng(3).uniform(-1.2, 1.2, 1000),
+            np.random.default_rng(3).uniform(-1.2, 1.2, 150_000),  # several blocks
         ])
         assert np.count_nonzero(np.abs(np.modf(samples * 32767.0)[0]) == 0.5) >= 8
         expected = np.clip(np.rint(samples * 32767.0), -32768, 32767).astype("<i2")

@@ -10,7 +10,10 @@ from dtseq import (
     InstrumentScore,
     Note,
     ResolutionError,
+    ResolvedEvent,
     Scale,
+    TableRegion,
+    TableRow,
     TimeInterval,
     TranspositionTone,
     frequency_table,
@@ -22,6 +25,7 @@ from dtseq import (
 from support import (
     REFERENCE_SCORE,
     all_level_factors,
+    broken_composition,
     oracle_note_factor,
     random_composition,
     scaled_tone_composition,
@@ -269,3 +273,166 @@ class TestFrequencyTable:
         regions = frequency_table(comp, "lead")
         assert len(regions) == 2
         assert all(len(r.rows) == 8 for r in regions)
+
+
+# References: resolution one note and one level at a time, and the table
+# recomputed region by region, as the resolver did before region shifts.
+
+def reference_resolve_note(composition, instrument, note):
+    onset = note.interval.start
+    scale = composition.scales.get(instrument.scale_name)
+    if scale is None:
+        raise ResolutionError(
+            f"instrument {instrument.name!r}: unknown scale {instrument.scale_name!r}",
+            instrument=instrument.name, level=0)
+    if note.key_index >= len(scale):
+        raise ResolutionError(
+            f"instrument {instrument.name!r}: key index {note.key_index} outside "
+            f"scale {scale.name!r} of {len(scale)} keys",
+            instrument=instrument.name, level=0)
+    factor = scale.keys[note.key_index]
+    for level, harmony_name in enumerate(instrument.harmony_names, start=1):
+        harmony = composition.harmonies.get(harmony_name)
+        if harmony is None:
+            raise ResolutionError(
+                f"instrument {instrument.name!r} level {level}: "
+                f"unknown harmony {harmony_name!r}",
+                instrument=instrument.name, level=level)
+        hscale = composition.scales.get(harmony.scale_name)
+        if hscale is None:
+            raise ResolutionError(
+                f"instrument {instrument.name!r} level {level}: harmony "
+                f"{harmony_name!r} uses unknown scale {harmony.scale_name!r}",
+                instrument=instrument.name, level=level)
+        try:
+            tone = harmony.tone_at(onset)
+        except ValueError as exc:
+            raise ResolutionError(
+                f"instrument {instrument.name!r} level {level}: {exc}",
+                instrument=instrument.name, level=level) from exc
+        if tone.key_index >= len(hscale):
+            raise ResolutionError(
+                f"instrument {instrument.name!r} level {level}: tone key index "
+                f"{tone.key_index} outside scale {hscale.name!r}",
+                instrument=instrument.name, level=level)
+        factor *= hscale.keys[tone.key_index]
+    return ResolvedEvent(
+        instrument=instrument.name,
+        factor=factor,
+        frequency_hz=float(Fraction(composition.base_frequency_hz) * factor),
+        start_sec=composition.seconds(onset),
+        duration_sec=composition.seconds(note.interval.duration),
+        velocity=note.velocity,
+    )
+
+
+def per_note_resolve(composition, resolve_one):
+    events = []
+    for inst in composition.instruments:
+        for i, note in enumerate(inst.score.normalized().notes):
+            try:
+                events.append(resolve_one(composition, inst, note))
+            except ResolutionError as exc:
+                raise ResolutionError(
+                    f"note {i} of {exc}", instrument=exc.instrument,
+                    level=exc.level) from exc
+    events.sort(key=lambda e: (e.start_sec, e.instrument, e.frequency_hz, e.velocity))
+    return events
+
+
+def per_region_table(composition, instrument_name):
+    inst = composition.instrument(instrument_name)
+    scale = composition.scales[inst.scale_name]
+    harmonies = [composition.harmonies[name] for name in inst.harmony_names]
+    bounds = {0, composition.length_ticks}
+    for harmony in harmonies:
+        for t in harmony.tones:
+            bounds.add(t.interval.start)
+            bounds.add(t.interval.end)
+    ticks = sorted(b for b in bounds if 0 <= b <= composition.length_ticks)
+    base = Fraction(composition.base_frequency_hz)
+    regions = []
+    for lo, hi in zip(ticks, ticks[1:]):
+        shift = Fraction(1)
+        for harmony in harmonies:
+            hscale = composition.scales[harmony.scale_name]
+            shift *= hscale.keys[harmony.tone_at(lo).key_index]
+        rows = tuple(TableRow(i, key * shift, float(base * key * shift))
+                     for i, key in enumerate(scale.keys))
+        regions.append(TableRegion(lo, hi, rows))
+    return regions
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the message and level of the
+    ResolutionError it raises."""
+    try:
+        return fn(*args)
+    except ResolutionError as exc:
+        return ("error", str(exc), exc.instrument, exc.level)
+
+
+class TestRegionShiftEquivalence:
+    def compositions(self, seed, count=120):
+        rng = random.Random(seed)
+        for n in range(count):
+            comp = random_composition(rng, max_ticks=1500, max_notes=20,
+                                      max_harmonic_levels=3, min_instruments=1)
+            yield (broken_composition(rng, comp) if n % 2 else comp), bool(n % 2)
+
+    def test_resolve_composition_equals_per_note_resolution(self):
+        errors = 0
+        for comp, _ in self.compositions(61):
+            expected = outcome(per_note_resolve, comp, reference_resolve_note)
+            assert outcome(resolve_composition, comp) == expected
+            assert outcome(per_note_resolve, comp, resolve_note) == expected
+            errors += isinstance(expected, tuple)
+        assert errors > 30
+
+    def test_resolve_note_equals_reference_on_every_note(self):
+        for comp, _ in self.compositions(62, 60):
+            for inst in comp.instruments:
+                for note in inst.score.notes:
+                    assert (outcome(resolve_note, comp, inst, note)
+                            == outcome(reference_resolve_note, comp, inst, note))
+
+    def test_frequency_table_equals_per_region_recompute(self):
+        tabled = 0
+        for comp, broken in self.compositions(63):
+            for inst in comp.instruments:
+                try:
+                    expected = per_region_table(comp, inst.name)
+                except (KeyError, IndexError, ValueError):
+                    assert broken
+                    continue
+                assert frequency_table(comp, inst.name) == expected
+                tabled += broken
+        assert tabled > 30
+
+    def test_equal_shifts_share_rows(self):
+        comp = Composition(
+            440.0, 480, 120.0, 960,
+            scales=[Scale("inst", ["1/1", "5/4"]), Scale("t", ["1/1", "3/2"])],
+            harmonies=[HarmonicSequence("H1", 1, "t", [
+                TranspositionTone(k, TimeInterval(i * 240, 240))
+                for i, k in enumerate([0, 1, 0, 1])])],
+            instruments=[Instrument("i", "inst", ["H1"], [])])
+        regions = frequency_table(comp, "i")
+        assert regions[0].rows is regions[2].rows
+        assert regions[1].rows is regions[3].rows
+        assert regions[0].rows != regions[1].rows
+
+    def test_note_in_timeline_gap_raises(self):
+        comp = Composition(
+            440.0, 480, 120.0, 960,
+            scales=[Scale("inst", ["1/1"]), Scale("t", ["3/2"])],
+            harmonies=[HarmonicSequence("H1", 1, "t", [
+                TranspositionTone(0, TimeInterval(0, 400)),
+                TranspositionTone(0, TimeInterval(500, 460))])],
+            instruments=[Instrument("i", "inst", ["H1"],
+                                    [Note(0, TimeInterval(0, 100)),
+                                     Note(0, TimeInterval(450, 10))])])
+        with pytest.raises(ResolutionError) as exc:
+            resolve_composition(comp)
+        assert exc.value.level == 1
+        assert str(exc.value).startswith("note 1 of instrument 'i' level 1:")
