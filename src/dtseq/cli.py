@@ -3,7 +3,8 @@
 Diagnostics go to stderr as ``file:line:col: kind: message`` (validation
 findings carry no source position and use 0:0); data goes to stdout so
 output can be piped.  Exit codes: 0 success, 1 parse or validation
-errors, 2 usage errors, 3 I/O failures.  Set DTS_COLOR=0 to disable the
+errors (or a render too long for a WAV file), 2 usage errors (including
+a bad ``--rate``), 3 I/O failures.  Set DTS_COLOR=0 to disable the
 coloring of diagnostics on a terminal.
 """
 
@@ -45,7 +46,8 @@ def _load(path: str) -> tuple[Composition | None, int]:
     far.  Boundary-crossing warnings are printed but do not fail.
     """
     try:
-        data = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         print(f"dtseq: {exc}", file=sys.stderr)
         return None, EXIT_IO
@@ -90,12 +92,20 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_render(args) -> int:
+    try:
+        settings = RenderSettings(sample_rate=args.rate, waveform=args.waveform)
+    except ValueError as exc:
+        print(f"dtseq: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     composition, status = _load(args.path)
     if composition is None:
         return status
     events = resolve_composition(composition)
-    settings = RenderSettings(sample_rate=args.rate, waveform=args.waveform)
-    buffer = synthesize(events, settings)
+    try:
+        buffer = synthesize(events, settings)
+    except ValueError as exc:  # the render is too long for a WAV file
+        _write_diagnostics(args.path, [(0, 0, "range", str(exc))])
+        return EXIT_INVALID
     try:
         write_wav(buffer, args.out)
     except OSError as exc:

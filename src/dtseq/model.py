@@ -2,9 +2,10 @@
 
 Time is measured in integer ticks and every interval is half-open,
 ``[start, start + duration)``, so contiguity and overlap checks are exact
-integer comparisons.  All types are immutable values after construction;
-structural problems that span objects (dangling names, broken timelines)
-are reported by :func:`validate_composition` rather than raised.
+integer comparisons.  All types are immutable values after construction,
+scores with their notes in canonical order; structural problems that span
+objects (dangling names, broken timelines) are reported by
+:func:`validate_composition` rather than raised.
 """
 
 from __future__ import annotations
@@ -76,23 +77,22 @@ class TranspositionTone:
 
 @dataclass(frozen=True)
 class InstrumentScore:
-    """The note timeline of one instrument.  Overlaps (chords) are allowed."""
+    """The note timeline of one instrument.  Overlaps (chords) are allowed.
+
+    Canonical from construction: exact duplicates dropped, then sorted by
+    (start, key_index, duration, velocity), so equal note sets compare
+    equal and every layer numbers the notes alike."""
 
     notes: tuple[Note, ...]
 
     def __init__(self, notes: Iterable[Note] = ()):
-        object.__setattr__(self, "notes", tuple(notes))
+        ordered = sorted(dict.fromkeys(notes), key=lambda n: (
+            n.interval.start, n.key_index, n.interval.duration, n.velocity))
+        object.__setattr__(self, "notes", tuple(ordered))
 
     def normalized(self) -> "InstrumentScore":
-        """Canonical form: exact duplicates dropped, then sorted by
-        (start, key_index) with duration and velocity as tie-breakers.
-        Notes sharing a key and interval but differing in velocity are
-        distinct and both kept; after deduplication the sort key is unique
-        per note, so the result does not depend on input order."""
-        unique = dict.fromkeys(self.notes)
-        ordered = sorted(unique, key=lambda n: (n.interval.start, n.key_index,
-                                                n.interval.duration, n.velocity))
-        return InstrumentScore(ordered)
+        """The score itself, which is canonical from construction."""
+        return self
 
     def __len__(self) -> int:
         return len(self.notes)

@@ -31,6 +31,11 @@ WAVEFORMS = ("sine", "additive-4")
 
 EVENT_HEADER = "instrument\tfactor\tfrequency_hz\tstart_sec\tduration_sec\tvelocity"
 
+# A 16-bit mono WAV header stores the byte rate, 2 * rate, and the RIFF
+# size, 36 + 2 * samples, as unsigned 32-bit fields.
+MAX_SAMPLE_RATE = 2**31 - 1
+MAX_SAMPLES = (2**32 - 37) // 2
+
 
 @dataclass(frozen=True)
 class RenderSettings:
@@ -41,8 +46,10 @@ class RenderSettings:
     master_gain: float = 0.8
 
     def __post_init__(self):
-        if not isinstance(self.sample_rate, int) or self.sample_rate < 1:
-            raise ValueError(f"sample rate must be a positive integer: {self.sample_rate!r}")
+        if (not isinstance(self.sample_rate, int)
+                or not 1 <= self.sample_rate <= MAX_SAMPLE_RATE):
+            raise ValueError(f"sample rate must be an integer in [1, {MAX_SAMPLE_RATE}]: "
+                             f"{self.sample_rate!r}")
         if self.waveform not in WAVEFORMS:
             raise ValueError(f"unknown waveform {self.waveform!r}; choose from {WAVEFORMS}")
         if self.attack_sec < 0 or self.release_sec < 0:
@@ -82,7 +89,8 @@ def synthesize(events: Sequence[ResolvedEvent],
     linear release extending past its nominal end.  Notes shorter than
     attack + release get both scaled proportionally to fit, so there is
     never an envelope discontinuity.  After summation the mix is scaled
-    down to ``master_gain`` peak only if it exceeds it.
+    down to ``master_gain`` peak only if it exceeds it.  Raises ValueError,
+    before allocating, when the mix is longer than a WAV file can hold.
 
     One oscillator is built per distinct frequency, at the first event
     that sounds it and as long as its longest event; every event at that
@@ -115,6 +123,9 @@ def synthesize(events: Sequence[ResolvedEvent],
         if n:
             longest = plan.get(ev.frequency_hz, (0, i))[0]
             plan[ev.frequency_hz] = (max(longest, n), i)
+    if total > MAX_SAMPLES:
+        raise ValueError(f"render needs {total} samples; a WAV file holds at most "
+                         f"{MAX_SAMPLES}")
 
     mix = np.zeros(total, dtype=np.float64)
     waves: dict[float, np.ndarray] = {}

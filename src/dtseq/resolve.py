@@ -135,19 +135,18 @@ def resolve_note(composition: Composition, instrument: Instrument,
 def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
     """Resolve every note of every instrument into one flat event list.
 
-    Scores are normalized first, so the result does not depend on input
-    note order.  Events are returned sorted by (start, instrument name,
-    frequency, velocity) for deterministic output.  Notes with equal keys
-    and region shifts share one factor and one float conversion.
+    Notes are read in their canonical score order, so neither the result
+    nor an error's note number depends on input order.  Events are sorted
+    by (start, instrument name, frequency, velocity).  Notes with equal
+    keys and region shifts share one factor and one float conversion.
     """
     base = Fraction(composition.base_frequency_hz)
     seconds = composition.seconds
     events: list[ResolvedEvent] = []
     for inst in composition.instruments:
-        notes = inst.score.normalized().notes
         starts, shifts = _regions(composition, inst)
         pitches: dict[tuple[int, Fraction], tuple[Fraction, float]] = {}
-        for i, note in enumerate(notes):
+        for i, note in enumerate(inst.score.notes):
             onset = note.interval.start
             shift = shifts[bisect_right(starts, onset) - 1]
             pitch = pitches.get((note.key_index, shift))

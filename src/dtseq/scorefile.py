@@ -24,8 +24,8 @@ Key references are 0-based indices into the named scale.  ``parse`` never
 raises on malformed input: it returns either a Composition or the complete
 list of errors found, recovering at line granularity so one bad line does
 not hide later ones.  ``serialize`` emits a canonical form (fixed section
-order, entities sorted by name, notes and tones in normalized order,
-ratios reduced) and is a fixpoint under re-parsing.
+order, entities sorted by name, tones sorted by start, notes in score
+order, ratios reduced) and is a fixpoint under re-parsing.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ class _InstrumentDraft:
 def parse(text: str | bytes) -> Composition | list[ParseError]:
     """Parse score text into a Composition, or return every error found.
 
-    The result is canonical: instruments sorted by name, scores
-    normalized, tones sorted by start.  Semantic checks that need the
-    whole composition (key ranges, timeline coverage) are left to
+    The result is canonical: instruments sorted by name, tones sorted by
+    start, notes in score order.  Semantic checks that need the whole
+    composition (key ranges, timeline coverage) are left to
     ``validate_composition``; a file can parse cleanly and still fail
     validation.
     """
@@ -430,7 +430,7 @@ class _Parser:
         ]
         instruments = [
             Instrument(d.name, d.scale_name, [h for h, _ in d.harmony_refs],
-                       InstrumentScore(d.notes).normalized())
+                       InstrumentScore(d.notes))
             for d in sorted(self.instruments.values(), key=lambda d: d.name)
         ]
         return Composition(
@@ -448,9 +448,9 @@ def serialize(composition: Composition) -> str:
     """Render a composition in canonical text form.
 
     Sections appear in fixed order (header, scales, harmonies,
-    instruments), entities sorted by name, notes and tones in normalized
-    order, every ratio reduced.  Serializing the parse of the output
-    reproduces it byte for byte.
+    instruments), entities sorted by name, tones sorted by start, notes
+    in score order, every ratio reduced.  Serializing the parse of the
+    output reproduces it byte for byte.
     """
     lines = [
         f"base {composition.base_frequency_hz!r}",
@@ -481,7 +481,7 @@ def serialize(composition: Composition) -> str:
         if inst.harmony_names:
             header += " harmonies " + " ".join(inst.harmony_names)
         lines.append(header)
-        for note in inst.score.normalized().notes:
+        for note in inst.score.notes:
             lines.append(f"  note {note.key_index} @ {note.interval.start} "
                          f"+{note.interval.duration} vel {note.velocity}")
         lines.append("end")

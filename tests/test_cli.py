@@ -190,6 +190,25 @@ class TestRender:
     def test_invalid_source_exit_1(self, bad_path, tmp_path):
         assert main(["render", bad_path, "--out", str(tmp_path / "x.wav")]) == 1
 
+    @pytest.mark.parametrize("rate", ["0", "-3"])
+    def test_bad_rate_exit_2_before_reading_the_score(self, ref_path, tmp_path, capsys, rate):
+        out = tmp_path / "x.wav"
+        for path in (ref_path, str(tmp_path / "missing.dts")):
+            assert main(["render", path, "--out", str(out), "--rate", rate]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("dtseq: sample rate") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_render_too_long_for_a_wav_exit_1(self, tmp_path, capsys):
+        # about 1.9e12 samples: refused before anything is allocated
+        path = tmp_path / "slow.dts"
+        path.write_text(REFERENCE_SCORE.replace("\ntempo     120 ", "\ntempo     0.000001 "))
+        out = tmp_path / "x.wav"
+        assert main(["render", str(path), "--out", str(out), "--rate", "8000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}:0:0: range: render needs ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestScales:
     def test_listing_contents(self, capsys):

@@ -11,9 +11,13 @@ from dtseq import (
     Instrument,
     InstrumentScore,
     Note,
+    ResolutionError,
     Scale,
     TimeInterval,
     TranspositionTone,
+    parse,
+    resolve_composition,
+    serialize,
     validate_composition,
 )
 from dtseq.model import ERROR, WARNING, Violation
@@ -316,6 +320,49 @@ class TestNormalizeScore:
         rng.shuffle(shuffled)
         assert (InstrumentScore(shuffled).normalized()
                 == InstrumentScore(note_list).normalized())
+
+
+class TestCanonicalScore:
+    """Scores are canonical at construction, so every layer agrees on them."""
+
+    def test_equal_note_sets_compare_equal(self):
+        a = Note(2, TimeInterval(480, 240))
+        b = Note(0, TimeInterval(0, 480))
+        assert InstrumentScore([a, b]) == InstrumentScore([b, a])
+        assert InstrumentScore([a, b]).notes == (b, a)
+
+    def test_normalized_returns_the_score_itself(self):
+        score = InstrumentScore([Note(1, TimeInterval(9, 1)), Note(0, TimeInterval(0, 1))])
+        assert score.normalized() is score
+
+    def test_layers_name_the_same_note(self):
+        comp = Composition(
+            440.0, 480, 120.0, 960, scales=[Scale("s", ["1/1", "3/2"])],
+            instruments=[Instrument("i", "s", [], [Note(0, TimeInterval(480, 480)),
+                                                   Note(5, TimeInterval(0, 480))])])
+        paths = [v.path for v in errors(validate_composition(comp))]
+        assert paths == ["instrument i note 0"]
+        assert [v.path for v in errors(validate_composition(parse(serialize(comp))))] == paths
+        with pytest.raises(ResolutionError, match=r"^note 0 of instrument 'i'"):
+            resolve_composition(comp)
+
+    def test_overflow_names_the_same_note(self):
+        comp = overflow_comp([1, TestOverflow.HUGE], [Note(1, TimeInterval(480, 480)),
+                                                      Note(0, TimeInterval(0, 480))])
+        assert [v.path for v in errors(validate_composition(comp))] == [
+            "instrument lead note 1", "instrument lead key 1"]
+
+    def test_duplicate_note_is_one_note(self):
+        scale = Scale("s", ["1/1", "3/2"])
+        for key, ranged in ((5, 1), (1, 0)):
+            n = Note(key, TimeInterval(0, 480))
+            comp = Composition(440.0, 480, 120.0, 960, scales=[scale],
+                               instruments=[Instrument("i", "s", [], [n, n])])
+            assert len(comp.instruments[0].score) == 1
+            report = errors(validate_composition(comp))
+            assert [v.kind for v in report] == ["range"] * ranged
+            if not ranged:
+                assert len(resolve_composition(comp)) == 1
 
 
 class TestComposition:

@@ -13,6 +13,7 @@ from dtseq import (
     synthesize,
     write_wav,
 )
+from dtseq.render import MAX_SAMPLES
 from support import REFERENCE_SCORE
 
 
@@ -161,6 +162,13 @@ class TestSynthesize:
         assert len(sine.samples) == len(add4.samples)
         assert not np.array_equal(sine.samples, add4.samples)
 
+    def test_longer_than_a_wav_file_raises_before_allocating(self):
+        with pytest.raises(ValueError, match="samples"):
+            synthesize([event(start=1e9, dur=0.1)])
+        one_hz = RenderSettings(sample_rate=1, attack_sec=0.0, release_sec=0.0)
+        with pytest.raises(ValueError, match=f"needs {MAX_SAMPLES + 1} samples"):
+            synthesize([event(start=float(MAX_SAMPLES), dur=1.0)], one_hz)
+
     def test_deterministic(self):
         events = resolve_composition(parse(REFERENCE_SCORE))
         a = synthesize(events)
@@ -174,6 +182,9 @@ class TestSynthesize:
             RenderSettings(master_gain=0.0)
         with pytest.raises(ValueError):
             RenderSettings(sample_rate=0)
+        with pytest.raises(ValueError):  # 2 * rate overflows the WAV byte-rate field
+            RenderSettings(sample_rate=2**31)
+        assert RenderSettings(sample_rate=2**31 - 1).sample_rate == 2**31 - 1
         with pytest.raises(ValueError):
             RenderSettings(attack_sec=-1.0)
 
