@@ -4,8 +4,10 @@ Diagnostics go to stderr as ``file:line:col: kind: message`` (validation
 findings carry no source position and use 0:0); data goes to stdout so
 output can be piped.  Exit codes: 0 success, 1 parse or validation
 errors (or a render too long for a WAV file), 2 usage errors (including
-a bad ``--rate``), 3 I/O failures.  Set DTS_COLOR=0 to disable the
-coloring of diagnostics on a terminal.
+a bad ``--rate``), 3 I/O failures.  A render that leaves notes at or
+above half the rate silent says so in one ``band-limit`` warning and
+still exits 0.  Set DTS_COLOR=0 to disable the coloring of diagnostics
+on a terminal.
 """
 
 from __future__ import annotations
@@ -106,6 +108,11 @@ def cmd_render(args) -> int:
     except ValueError as exc:  # the render is too long for a WAV file
         _write_diagnostics(args.path, [(0, 0, "range", str(exc))])
         return EXIT_INVALID
+    if buffer.silent_events:
+        _write_diagnostics(args.path, [(0, 0, "warning", (
+            f"band-limit: {buffer.silent_events} of {len(events)} events, at "
+            f"{buffer.silent_frequencies} distinct frequencies, sound at or above "
+            f"{settings.sample_rate / 2:g} Hz, half the sample rate, and are left silent"))])
     try:
         write_wav(buffer, args.out)
     except OSError as exc:

@@ -9,8 +9,23 @@ longest event, serves every event at it as a prefix: exact rational
 pitches repeat, and synthesis costs one oscillator per distinct pitch
 rather than per event.  The "additive-4" waveform stacks partials at 2f,
 3f and 4f (amplitudes 1/2, 1/3, 1/4) on the fundamental so that rational
-interval consonance is audible; partials at or above the Nyquist
-frequency are left out rather than aliased.
+interval consonance is audible.
+
+One band limit holds for every partial, the fundamental included: a
+partial at or above the Nyquist frequency, half the sample rate, is left
+out rather than aliased, and an event whose own frequency is there is
+left silent.  Its span still counts in the length of the mix, and
+``AudioBuffer`` reports how many events and distinct frequencies were
+silenced.  A score's validity therefore does not depend on the rate, and
+no oscillator is ever built for a frequency above 2**30 Hz.
+
+The oscillator is a block phasor.  With ``w = 2πf / sr`` and blocks of
+``B`` samples, ``sin(w(bB + k)) = sin(wbB)·cos(wk) + cos(wbB)·sin(wk)``:
+a table of block-start angles and a table of in-block angles, about
+``2B + 2n/B`` sines and cosines, give all ``n`` samples by one outer
+product.  The additive partials come from the same tables through
+multiple-angle identities.  The wave stays within 1e-9 of ``np.sin`` of
+``2πf·(i / sr)`` for a quarter of a million samples.
 
 numpy is imported on the first synthesis or WAV write, not with the
 module, so commands that never render do not load it.
@@ -36,6 +51,10 @@ EVENT_HEADER = "instrument\tfactor\tfrequency_hz\tstart_sec\tduration_sec\tveloc
 MAX_SAMPLE_RATE = 2**31 - 1
 MAX_SAMPLES = (2**32 - 37) // 2
 
+# Samples per row of the oscillator's block grid: an n-sample wave costs
+# at most 2 * _BLOCK + 2 * ceil(n / _BLOCK) sines and cosines.
+_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class RenderSettings:
@@ -60,25 +79,65 @@ class RenderSettings:
 
 @dataclass(eq=False)
 class AudioBuffer:
-    """Mono float64 samples in [-1, 1] after mastering."""
+    """Mono float64 samples in [-1, 1] after mastering.
+
+    ``silent_events`` events, at ``silent_frequencies`` distinct
+    frequencies, sounded at or above half the sample rate and were left
+    out of the mix; their spans still count in its length.
+    """
 
     sample_rate: int
     samples: np.ndarray
+    silent_events: int = 0
+    silent_frequencies: int = 0
 
 
 def _oscillator(frequency_hz: float, n: int, settings: RenderSettings) -> np.ndarray:
-    """``n`` samples of the waveform at ``frequency_hz``, from phase 0."""
+    """``n`` samples of the waveform at ``frequency_hz``, from phase 0.
+
+    Built by the block phasor the module docstring describes, with both
+    angle tables computed as ``2π·f·(i / sr)``, as a direct ``np.sin``
+    would.  No sample depends on another, so no error builds up along the
+    note.  The caller keeps ``frequency_hz`` below ``sr / 2``.
+    """
     import numpy as np
 
     sr = settings.sample_rate
-    t = np.arange(n, dtype=np.float64) / sr
-    phase = 2.0 * np.pi * frequency_hz * t
-    out = np.sin(phase)
-    if settings.waveform == "additive-4":
-        for k in (2, 3, 4):
-            if k * frequency_hz < sr / 2:
-                out += np.sin(k * phase) / k
-    return out
+    step = 2.0 * np.pi * frequency_hz
+    blocks = -(-n // _BLOCK)
+    inner = step * (np.arange(min(n, _BLOCK), dtype=np.float64) / sr)
+    outer = step * (np.arange(0, blocks * _BLOCK, _BLOCK, dtype=np.float64) / sr)
+    sin_k, cos_k = np.sin(inner), np.cos(inner)
+    sin_b, cos_b = np.sin(outer)[:, None], np.cos(outer)[:, None]
+
+    s = sin_b * cos_k
+    s += cos_b * sin_k
+    if settings.waveform == "sine" or 2 * frequency_hz >= sr / 2:
+        return s.reshape(-1)[:n]
+    # additive-4: partial k is left out when k·f is at or above sr / 2.
+    # The sum goes into s, the first full-length array allocated, so the
+    # wave that outlives this call lies below the freed temporaries in the
+    # heap (summing into a later array raised peak RSS up to 6%).
+    third = 3 * frequency_hz < sr / 2
+    c = cos_b * cos_k
+    c -= sin_b * sin_k
+    s2 = s * c
+    s2 *= 2.0                                 # sin 2t = 2sc
+    if third:
+        c2 = s * s
+        c2 *= -2.0
+        c2 += 1.0                             # cos 2t = 1 - 2s²
+        c *= s2
+        c += c2 * s                           # sin 3t = sin 2t·c + cos 2t·s
+        c /= 3.0
+    s2 /= 2.0
+    s += s2
+    if third:
+        s += c
+        if 4 * frequency_hz < sr / 2:
+            s2 *= c2                          # sin 4t / 4 = (sin 2t / 2)·cos 2t
+            s += s2
+    return s.reshape(-1)[:n]
 
 
 def synthesize(events: Sequence[ResolvedEvent],
@@ -97,6 +156,9 @@ def synthesize(events: Sequence[ResolvedEvent],
     frequency takes a prefix of it, and it is dropped after the last
     one.  Events are added to the mix in the order given, so the result
     equals rendering each event's oscillator on its own.
+
+    Events at or above half the sample rate add nothing to the mix; the
+    buffer counts them and their distinct frequencies.
     """
     import numpy as np
 
@@ -104,10 +166,11 @@ def synthesize(events: Sequence[ResolvedEvent],
     sr = settings.sample_rate
 
     spans: list[tuple[int, int, int, int, ResolvedEvent]] = []
-    # frequency -> (longest event in samples, index of its last event)
+    # frequency -> (longest event in samples, index in spans of its last event)
     plan: dict[float, tuple[int, int]] = {}
+    silent: dict[float, int] = {}  # frequency at or above sr / 2 -> its events
     total = 0
-    for i, ev in enumerate(events):
+    for ev in events:
         attack, release = settings.attack_sec, settings.release_sec
         if attack + release > ev.duration_sec > 0:
             squeeze = ev.duration_sec / (attack + release)
@@ -117,12 +180,14 @@ def synthesize(events: Sequence[ResolvedEvent],
         n_note = round(ev.duration_sec * sr)
         n_attack = min(round(attack * sr), n_note)
         n_release = round(release * sr)
-        spans.append((first, n_note, n_attack, n_release, ev))
         n = n_note + n_release
         total = max(total, first + n)
-        if n:
-            longest = plan.get(ev.frequency_hz, (0, i))[0]
-            plan[ev.frequency_hz] = (max(longest, n), i)
+        freq = ev.frequency_hz
+        if freq >= sr / 2:
+            silent[freq] = silent.get(freq, 0) + 1
+        elif n:
+            plan[freq] = (max(plan.get(freq, (0,))[0], n), len(spans))
+            spans.append((first, n_note, n_attack, n_release, ev))
     if total > MAX_SAMPLES:
         raise ValueError(f"render needs {total} samples; a WAV file holds at most "
                          f"{MAX_SAMPLES}")
@@ -131,8 +196,6 @@ def synthesize(events: Sequence[ResolvedEvent],
     waves: dict[float, np.ndarray] = {}
     for i, (first, n_note, n_attack, n_release, ev) in enumerate(spans):
         n = n_note + n_release
-        if n == 0:
-            continue
         freq = ev.frequency_hz
         longest, last = plan[freq]
         wave = waves.get(freq)
@@ -154,7 +217,7 @@ def synthesize(events: Sequence[ResolvedEvent],
     peak = max(float(mix.max()), -float(mix.min())) if total else 0.0
     if peak > settings.master_gain:
         mix *= settings.master_gain / peak
-    return AudioBuffer(sr, mix)
+    return AudioBuffer(sr, mix, sum(silent.values()), len(silent))
 
 
 def write_wav(buffer: AudioBuffer, path) -> None:

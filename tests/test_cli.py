@@ -1,6 +1,9 @@
 import io
 import sys
+import warnings
+import wave
 
+import numpy as np
 import pytest
 
 from dtseq.cli import main
@@ -111,6 +114,23 @@ end
 """ % ("0" * 320)
 
 
+BAND_LIMIT = """\
+base 440
+ppq 1
+tempo 60
+length 4
+scale s 1/1 150/1
+scale huge 1/1 1%s/1
+instrument a scale s
+  note 0 @ 0 +4
+  note 1 @ 2 +1
+end
+instrument b scale huge
+  note 1 @ 1 +2
+end
+""" % ("0" * 305)
+
+
 class TestOverflow:
     @pytest.mark.parametrize("args", [
         ["validate"], ["resolve"], ["resolve", "--table"], ["render", "--out", "x.wav"]])
@@ -208,6 +228,32 @@ class TestRender:
         err = capsys.readouterr().err
         assert err.startswith(f"{path}:0:0: range: render needs ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_out_of_band_events_warn_once_and_leave_the_rest_sounding(self, tmp_path,
+                                                                       capsys):
+        # 440 Hz sounds throughout; a 66 kHz note and a 4.4e307 Hz note (2π·f
+        # is beyond the float range) overlap it and sit above 4 kHz, sr / 2
+        path = tmp_path / "band.dts"
+        path.write_text(BAND_LIMIT)
+        out = tmp_path / "band.wav"
+        assert main(["validate", str(path)]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["render", str(path), "--out", str(out), "--rate", "8000"]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.out == "rendered 3 events, 32400 samples\n"
+        assert captured.err == (
+            f"{path}:0:0: warning: band-limit: 2 of 3 events, at 2 distinct frequencies, "
+            f"sound at or above 4000 Hz, half the sample rate, and are left silent\n")
+        with wave.open(str(out)) as wav:
+            samples = np.frombuffer(wav.readframes(wav.getnframes()), dtype="<i2")
+        assert len(samples) == 32400
+        for second in range(4):  # the 440 Hz note is heard, unaliased, all along
+            span = samples[second * 8000:(second + 1) * 8000].astype(float)
+            assert np.abs(span).max() > 20000
+            spectrum = np.abs(np.fft.rfft(span))
+            assert np.argmax(spectrum) == 440  # 1 Hz bins
 
 
 class TestScales:

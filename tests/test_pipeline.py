@@ -2,8 +2,8 @@
 
 Hypothesis writes small ``.dts`` texts, many of them broken (dangling
 references, gaps and overlaps, keys outside their scale, ratios beyond the
-float range, duplicate notes, corrupted lines), and runs each through the
-``dtseq`` command in-process.  Tempo, ppq and length are bounded so that
+float range or near its top, duplicate notes, corrupted lines), and runs
+each through the ``dtseq`` command in-process.  Tempo, ppq and length are bounded so that
 no render exceeds about 10**5 samples at 1000 Hz.
 """
 
@@ -11,13 +11,15 @@ import io
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtseq.cli import main
 
 HUGE = "1" + "0" * 320 + "/1"
-RATIOS = ["1/1", "9/8", "5/4", "4/3", "3/2", "5/3", "7/4", "15/8", "2/1", HUGE]
+# finite, but 2π·f is not once a base or a tone multiplies them
+FINITE_HUGE = [f"1{'0' * e}/1" for e in range(300, 308)]
+RATIOS = ["1/1", "9/8", "5/4", "4/3", "3/2", "5/3", "7/4", "15/8", "2/1", HUGE, *FINITE_HUGE]
 JUNK = ["end", "note 0 @ 0", "tone 1 @ 0 +1", "scale", "@ +", "instrument x scale s"]
 
 
@@ -65,8 +67,24 @@ def score_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# A note at 4.4e307 Hz validates, as it fits a float, but 2π·f does not;
+# random texts that sound such a note are rare, so one is always run.
+IN_RANGE_BUT_NOT_2PI_F = f"""\
+base 440
+ppq 1
+tempo 60
+length 2
+scale s 1/1 {FINITE_HUGE[5]}
+instrument a scale s
+  note 0 @ 0 +2
+  note 1 @ 0 +1
+end
+"""
+
+
 @settings(max_examples=150, deadline=None)
 @given(text=score_texts())
+@example(text=IN_RANGE_BUT_NOT_2PI_F)
 def test_validated_scores_resolve_and_render(tmp_path_factory, text):
     directory = tmp_path_factory.getbasetemp() / "pipeline"
     directory.mkdir(exist_ok=True)

@@ -13,7 +13,7 @@ from dtseq import (
     synthesize,
     write_wav,
 )
-from dtseq.render import MAX_SAMPLES
+from dtseq.render import _BLOCK, MAX_SAMPLES, _oscillator
 from support import REFERENCE_SCORE
 
 
@@ -39,7 +39,11 @@ def steady_segment(buffer, settings, duration):
 
 
 def per_event_synthesize(events, settings):
-    """Reference mix: a fresh oscillator and envelope for every event."""
+    """Reference mix: a fresh oscillator and envelope for every event.
+
+    It shares the kernel with ``synthesize``, so the two must agree bit for
+    bit; ``TestOscillator`` checks the kernel against ``np.sin`` on its own.
+    """
     sr = settings.sample_rate
     spans = []
     total = 0
@@ -61,11 +65,7 @@ def per_event_synthesize(events, settings):
         n = n_note + n_release
         if n == 0:
             continue
-        phase = 2.0 * np.pi * ev.frequency_hz * (np.arange(n, dtype=np.float64) / sr)
-        signal = np.sin(phase)
-        if settings.waveform == "additive-4":
-            for k in (2, 3, 4):
-                signal += np.sin(k * phase) / k
+        signal = _oscillator(ev.frequency_hz, n, settings)
         envelope = np.ones(n)
         if n_attack:
             envelope[:n_attack] = np.arange(n_attack) / n_attack
@@ -225,6 +225,50 @@ class TestSynthesizeMatchesPerEventMix:
         assert np.array_equal(got, per_event_synthesize(events, settings))
 
 
+def direct_wave(freq, n, settings):
+    """The waveform from one ``np.sin`` per partial, kept below ``sr / 2``."""
+    sr = settings.sample_rate
+    phase = 2.0 * np.pi * freq * (np.arange(n, dtype=np.float64) / sr)
+    wave = np.sin(phase)
+    if settings.waveform == "additive-4":
+        for k in (2, 3, 4):
+            if k * freq < sr / 2:
+                wave += np.sin(k * phase) / k
+    return wave
+
+
+class TestOscillator:
+    """The block phasor against a direct ``np.sin`` of every partial."""
+
+    @pytest.mark.parametrize("waveform", ["sine", "additive-4"])
+    @pytest.mark.parametrize("sr", [8000, 44100])
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000, 2**18])
+    def test_matches_direct_sines(self, n, sr, waveform):
+        settings = RenderSettings(sample_rate=sr, waveform=waveform)
+        rng = np.random.default_rng([n, sr])
+        freqs = [*rng.uniform(0.0, sr / 2, 4), 0.999999 * sr / 2, sr / 8 * 0.999]
+        for freq in freqs:
+            got = _oscillator(freq, n, settings)
+            expected = direct_wave(freq, n, settings)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - expected), initial=0.0) <= 1e-9, freq
+            # at full scale (the largest additive-4 peak is below 25/12),
+            # quantisation moves no sample by more than one step
+            scale = 32767.0 * 12 / 25
+            assert np.max(np.abs(np.rint(got * scale) - np.rint(expected * scale)),
+                          initial=0.0) <= 1
+
+    def test_no_drift_along_a_long_note(self):
+        settings = RenderSettings(sample_rate=44100)
+        n = 2**20
+        got = _oscillator(1234.5, n, settings)
+        # the block-start samples are sines of exactly the reference's angles
+        starts = np.arange(0, n, _BLOCK)
+        expected = np.sin(2.0 * np.pi * 1234.5 * (starts / 44100))
+        assert np.array_equal(got[starts], expected)
+        assert np.max(np.abs(got - direct_wave(1234.5, n, settings))) <= 2e-9
+
+
 class TestBandLimit:
     @pytest.mark.parametrize("freq,kept", [(6000.0, []), (4000.0, [8000.0])])
     def test_additive_partials_above_nyquist_do_not_alias(self, freq, kept):
@@ -245,6 +289,29 @@ class TestBandLimit:
         for k in (2, 3, 4):
             if k * freq >= sr / 2:
                 assert level(abs(sr - k * freq)) < 1e-4 * fundamental
+
+    def test_fundamental_above_nyquist_is_silent_not_aliased(self):
+        sr = 8000
+        settings = RenderSettings(sample_rate=sr)
+        buf = synthesize([event(6000.0), event(1000.0, vel=64)], settings)
+        steady = steady_segment(buf, settings, 1.0)
+        size = 4096
+        spectrum = np.abs(np.fft.rfft(steady[:size] * np.hanning(size)))
+        # a 6 kHz sine sampled at 8 kHz would alias to 2 kHz
+        assert spectrum[round(2000 * size / sr)] < 1e-6 * spectrum[round(1000 * size / sr)]
+
+    def test_silent_events_are_counted_and_keep_their_span(self):
+        settings = RenderSettings(sample_rate=8000, release_sec=0.0)
+        events = [event(6000.0), event(4000.0, start=0.5, dur=2.0), event(6000.0, start=1.0),
+                  event(3999.0, dur=0.5), event(float("inf"), dur=0.0)]
+        buf = synthesize(events, settings)
+        assert (buf.silent_events, buf.silent_frequencies) == (4, 3)
+        assert len(buf.samples) == round(2.5 * 8000)
+        # the in-band note alone, padded to 2.5 s by an empty event there
+        alone = [event(3999.0, dur=0.5), event(1.0, start=2.5, dur=0.0)]
+        assert np.array_equal(buf.samples, synthesize(alone, settings).samples)
+        in_band = synthesize([event(3999.0)], settings)
+        assert (in_band.silent_events, in_band.silent_frequencies) == (0, 0)
 
 
 class TestWriteWav:
