@@ -10,6 +10,7 @@ objects (dangling names, broken timelines) are reported by
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,7 +242,7 @@ class Violation:
 
     Kinds: ``bad-reference``, ``duplicate-name``, ``range``, ``order``,
     ``overlap``, ``gap``, ``span``, ``level-gap``, ``overflow`` (a
-    frequency too large for a float); plus the
+    frequency, or the length in seconds, too large for a float); plus the
     ``boundary-crossing`` warning (a note sustaining across a transposition
     boundary keeps its onset pitch, which may or may not be intended).
     """
@@ -256,9 +257,10 @@ def validate_composition(composition: Composition) -> list[Violation]:
     """Check every cross-object rule and report all problems found.
 
     Violations are data, not exceptions; a composition is playable when the
-    report contains no ``severity == ERROR`` entries.  Frequencies beyond
-    the float range are looked for once no other error is found.  Pure
-    function: validating the same composition twice yields identical reports.
+    report contains no ``severity == ERROR`` entries.  Frequencies, and a
+    length in seconds, beyond the float range are looked for once no other
+    error is found.  Pure function: validating the same composition twice
+    yields identical reports.
     """
     report: list[Violation] = []
     add = report.append
@@ -374,18 +376,29 @@ def _fits_float(x: Fraction) -> bool:
 
 
 def _overflows(composition: Composition) -> list[Violation]:
-    """``overflow`` errors for resolved frequencies beyond the float range.
+    """``overflow`` errors for a time grid or resolved frequencies beyond
+    the float range.
 
-    Needs a composition with no other error.  An instrument is walked only
-    when the bound ``base * largest key * product of each bound harmony's
-    largest used tone key`` does not fit a float: then every note, and
-    every key at the region of largest shift (``resolve --table``), is
-    checked exactly.
+    Needs a composition with no other error.  Every note ends within the
+    length, so a length whose seconds are a finite float bounds every
+    event's start and duration.  An instrument is walked only when the
+    bound ``base * largest key * product of each bound harmony's largest
+    used tone key`` does not fit a float: then every note, and every key
+    at the region of largest shift (``resolve --table``), is checked
+    exactly.
     """
     from .resolve import _regions  # resolve imports this module
 
-    base = Fraction(composition.base_frequency_hz)
     found: list[Violation] = []
+    try:
+        finite = math.isfinite(composition.seconds(composition.length_ticks))
+    except OverflowError:  # ppq or length too large to convert to a float
+        finite = False
+    if not finite:
+        found.append(Violation("overflow", "length",
+                               "ticks * 60 / (tempo * ppq) is beyond the float range"))
+
+    base = Fraction(composition.base_frequency_hz)
     for inst in composition.instruments:
         keys = composition.scales[inst.scale_name].keys
         bound = base * max(keys)

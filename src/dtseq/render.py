@@ -33,6 +33,7 @@ module, so commands that never render do not load it.
 
 from __future__ import annotations
 
+import math
 import wave
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -149,7 +150,8 @@ def synthesize(events: Sequence[ResolvedEvent],
     attack + release get both scaled proportionally to fit, so there is
     never an envelope discontinuity.  After summation the mix is scaled
     down to ``master_gain`` peak only if it exceeds it.  Raises ValueError,
-    before allocating, when the mix is longer than a WAV file can hold.
+    before allocating, when the mix is longer than a WAV file can hold,
+    sample positions beyond the float range included.
 
     One oscillator is built per distinct frequency, at the first event
     that sounds it and as long as its longest event; every event at that
@@ -176,6 +178,10 @@ def synthesize(events: Sequence[ResolvedEvent],
             squeeze = ev.duration_sec / (attack + release)
             attack *= squeeze
             release *= squeeze
+        end = (ev.start_sec + ev.duration_sec) * sr
+        if not math.isfinite(end):  # round() would raise; no WAV file holds it
+            raise ValueError(f"render needs {end} samples; a WAV file holds at most "
+                             f"{MAX_SAMPLES}")
         first = round(ev.start_sec * sr)
         n_note = round(ev.duration_sec * sr)
         n_attack = min(round(attack * sr), n_note)

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
+    DEFAULT_VELOCITY,
     Composition,
     HarmonicSequence,
     Instrument,
@@ -53,8 +54,11 @@ PARSE_ERROR_KINDS = (
 
 _HEADER_FIELDS = ("base", "ppq", "tempo", "length")
 _TOP_DIRECTIVES = {"base", "ppq", "tempo", "length", "scale", "harmony", "instrument"}
+# the event line each block holds besides 'end'
+_EVENT_WORD = {"harmony": "tone", "instrument": "note"}
 
 # '@' and '+' are their own tokens; everything else splits on whitespace.
+# A token is a (text, 1-based column) tuple.
 _TOKEN_RE = re.compile(r"@|\+|[^\s@+]+")
 _RATIO_RE = re.compile(r"(\d+)(?:/(\d+))?\Z")
 
@@ -70,30 +74,6 @@ class ParseError:
     position: SourcePosition
     kind: str
     message: str
-
-
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    column: int
-
-
-@dataclass
-class _HarmonyDraft:
-    name: str
-    level: int
-    scale_name: str
-    scale_pos: tuple[int, int]
-    tones: list[TranspositionTone] = field(default_factory=list)
-
-
-@dataclass
-class _InstrumentDraft:
-    name: str
-    scale_name: str
-    scale_pos: tuple[int, int]
-    harmony_refs: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
-    notes: list[Note] = field(default_factory=list)
 
 
 def parse(text: str | bytes) -> Composition | list[ParseError]:
@@ -119,11 +99,15 @@ class _Parser:
         self.errors: list[ParseError] = []
         self.header: dict[str, float | int] = {}
         self.scales: dict[str, Scale] = {}
-        self.harmonies: dict[str, _HarmonyDraft] = {}
-        self.instruments: dict[str, _InstrumentDraft] = {}
-        # (kind, draft-or-None, opening line); None drafts swallow block
-        # lines after a broken or duplicate block header.
-        self.block: tuple[str, object, int] | None = None
+        # Drafts by name, each led by its scale reference and its position:
+        # harmony -> (scale, (line, col), level, tones);
+        # instrument -> (scale, (line, col), [(harmony, (line, col))], notes).
+        self.harmonies: dict[str, tuple] = {}
+        self.instruments: dict[str, tuple] = {}
+        # (kind, name, list its lines append to, opening line) of the open
+        # block; after a broken or duplicate header the list is None and
+        # the name '?', so its lines are checked and dropped.
+        self.block: tuple[str, str, list | None, int] | None = None
 
     def error(self, line: int, column: int, kind: str, message: str) -> None:
         self.errors.append(ParseError(SourcePosition(line, column), kind, message))
@@ -133,276 +117,251 @@ class _Parser:
     def run(self, text: str) -> None:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             code = raw.split("#", 1)[0]
-            tokens = [_Token(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(code)]
+            tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(code)]
             if tokens:
                 self.dispatch(lineno, tokens)
         if self.block is not None:
-            kind, draft, opened = self.block
-            name = getattr(draft, "name", "?")
+            kind, name, _, opened = self.block
             self.error(opened, 1, "syntax", f"{kind} {name!r} is missing its 'end' line")
-            self.block = None
         self.finalize()
 
-    def dispatch(self, ln: int, toks: list[_Token]) -> None:
-        head = toks[0]
+    def dispatch(self, ln: int, toks: list[tuple[str, int]]) -> None:
+        head, column = toks[0]
         if self.block is not None:
-            bkind, draft, opened = self.block
-            if head.text == "end":
+            kind, name, items, _ = self.block
+            if head == "end":
                 if len(toks) > 1:
-                    self.error(ln, toks[1].column, "syntax", "unexpected tokens after 'end'")
+                    self.error(ln, toks[1][1], "syntax", "unexpected tokens after 'end'")
                 self.block = None
                 return
-            if bkind == "harmony" and head.text == "tone":
-                self.tone_line(ln, toks, draft)
+            if head == _EVENT_WORD[kind]:
+                self.event_line(ln, toks, items)
                 return
-            if bkind == "instrument" and head.text == "note":
-                self.note_line(ln, toks, draft)
-                return
-            if head.text in _TOP_DIRECTIVES:
-                name = getattr(draft, "name", "?")
-                self.error(ln, head.column, "syntax",
-                           f"missing 'end' for {bkind} {name!r} before {head.text!r}")
+            if head in _TOP_DIRECTIVES:
+                self.error(ln, column, "syntax",
+                           f"missing 'end' for {kind} {name!r} before {head!r}")
                 self.block = None
                 # fall through: handle this line at top level
             else:
-                expected = "tone" if bkind == "harmony" else "note"
-                self.error(ln, head.column, "syntax",
-                           f"expected {expected!r} or 'end' inside {bkind} block, "
-                           f"got {head.text!r}")
+                self.error(ln, column, "syntax",
+                           f"expected {_EVENT_WORD[kind]!r} or 'end' inside {kind} block, "
+                           f"got {head!r}")
                 return
 
-        if head.text in _HEADER_FIELDS:
+        if head in _HEADER_FIELDS:
             self.header_line(ln, toks)
-        elif head.text == "scale":
+        elif head == "scale":
             self.scale_line(ln, toks)
-        elif head.text == "harmony":
-            self.harmony_line(ln, toks)
-        elif head.text == "instrument":
-            self.instrument_line(ln, toks)
-        elif head.text in ("tone", "note", "end"):
-            self.error(ln, head.column, "syntax", f"{head.text!r} outside a block")
+        elif head == "harmony":
+            self.block = ("harmony", *self.harmony_line(ln, toks), ln)
+        elif head == "instrument":
+            self.block = ("instrument", *self.instrument_line(ln, toks), ln)
+        elif head in ("tone", "note", "end"):
+            self.error(ln, column, "syntax", f"{head!r} outside a block")
         else:
-            self.error(ln, head.column, "unknown-directive",
-                       f"unknown directive {head.text!r}")
+            self.error(ln, column, "unknown-directive", f"unknown directive {head!r}")
 
     # Directive handlers
 
-    def header_line(self, ln: int, toks: list[_Token]) -> None:
-        name = toks[0].text
+    def header_line(self, ln: int, toks: list[tuple[str, int]]) -> None:
+        name, column = toks[0]
         if len(toks) != 2:
-            self.error(ln, toks[0].column, "syntax", f"expected '{name} VALUE'")
+            self.error(ln, column, "syntax", f"expected '{name} VALUE'")
             return
         if name in self.header:
-            self.error(ln, toks[0].column, "duplicate-name", f"duplicate {name!r} directive")
+            self.error(ln, column, "duplicate-name", f"duplicate {name!r} directive")
             return
-        tok = toks[1]
         if name in ("ppq", "length"):
-            value = self.int_field(ln, tok, minimum=1)
+            value = self.int_field(ln, toks[1], minimum=1)
         else:
-            value = self.float_field(ln, tok)
+            value = self.float_field(ln, toks[1])
         if value is not None:
             self.header[name] = value
 
-    def int_field(self, ln: int, tok: _Token, minimum: int) -> int | None:
+    def int_field(self, ln: int, tok: tuple[str, int], minimum: int) -> int | None:
+        text, column = tok
         try:
-            value = int(tok.text)
+            value = int(text)
         except ValueError:
-            if "/" in tok.text:
+            if "/" in text:
                 # a ratio where a 0-based index or tick count belongs
-                self.error(ln, tok.column, "bad-ratio",
-                           f"{tok.text!r} is not an integer; keys and ticks are "
+                self.error(ln, column, "bad-ratio",
+                           f"{text!r} is not an integer; keys and ticks are "
                            f"plain indices, not ratios")
             else:
-                self.error(ln, tok.column, "syntax",
-                           f"expected an integer, got {tok.text!r}")
+                self.error(ln, column, "syntax", f"expected an integer, got {text!r}")
             return None
         if value < minimum:
-            self.error(ln, tok.column, "range", f"value {value} must be >= {minimum}")
+            self.error(ln, column, "range", f"value {value} must be >= {minimum}")
             return None
         return value
 
-    def float_field(self, ln: int, tok: _Token) -> float | None:
+    def float_field(self, ln: int, tok: tuple[str, int]) -> float | None:
+        text, column = tok
         try:
-            value = float(tok.text)
+            value = float(text)
         except ValueError:
-            self.error(ln, tok.column, "syntax", f"expected a number, got {tok.text!r}")
+            self.error(ln, column, "syntax", f"expected a number, got {text!r}")
             return None
         if not math.isfinite(value) or value <= 0:
-            self.error(ln, tok.column, "range", f"value {tok.text} must be positive and finite")
+            self.error(ln, column, "range", f"value {text} must be positive and finite")
             return None
         return value
 
-    def name_field(self, ln: int, toks: list[_Token], index: int,
-                   what: str) -> _Token | None:
+    def name_field(self, ln: int, toks: list[tuple[str, int]], index: int,
+                   what: str) -> tuple[str, int] | None:
         if index >= len(toks):
-            self.error(ln, toks[0].column, "syntax", f"missing {what}")
+            self.error(ln, toks[0][1], "syntax", f"missing {what}")
             return None
-        tok = toks[index]
-        if not IDENTIFIER_RE.match(tok.text):
-            self.error(ln, tok.column, "syntax", f"invalid {what}: {tok.text!r}")
+        text, column = toks[index]
+        if not IDENTIFIER_RE.match(text):
+            self.error(ln, column, "syntax", f"invalid {what}: {text!r}")
             return None
-        return tok
+        return toks[index]
 
-    def keyword(self, ln: int, toks: list[_Token], index: int, word: str) -> bool:
-        if index < len(toks) and toks[index].text == word:
+    def keyword(self, ln: int, toks: list[tuple[str, int]], index: int, word: str) -> bool:
+        # every caller has checked that toks[index] exists
+        got, column = toks[index]
+        if got == word:
             return True
-        col = toks[index].column if index < len(toks) else toks[-1].column
-        got = toks[index].text if index < len(toks) else "end of line"
-        self.error(ln, col, "syntax", f"expected {word!r}, got {got!r}")
+        self.error(ln, column, "syntax", f"expected {word!r}, got {got!r}")
         return False
 
-    def ratio_field(self, ln: int, tok: _Token) -> Fraction | None:
-        m = _RATIO_RE.match(tok.text)
+    def ratio_field(self, ln: int, tok: tuple[str, int]) -> Fraction | None:
+        text, column = tok
+        m = _RATIO_RE.match(text)
         if not m:
-            self.error(ln, tok.column, "bad-ratio", f"malformed ratio {tok.text!r}")
+            self.error(ln, column, "bad-ratio", f"malformed ratio {text!r}")
             return None
         try:
             num = int(m.group(1))
             den = int(m.group(2)) if m.group(2) else 1
         except ValueError:  # exceeds the int-string digit limit
-            self.error(ln, tok.column, "bad-ratio", "ratio parts too long")
+            self.error(ln, column, "bad-ratio", "ratio parts too long")
             return None
         if num == 0 or den == 0:
-            self.error(ln, tok.column, "bad-ratio",
-                       f"ratio {tok.text} has a zero part; ratios must be positive")
+            self.error(ln, column, "bad-ratio",
+                       f"ratio {text} has a zero part; ratios must be positive")
             return None
         return Fraction(num, den)
 
-    def scale_line(self, ln: int, toks: list[_Token]) -> None:
+    def scale_line(self, ln: int, toks: list[tuple[str, int]]) -> None:
         name_tok = self.name_field(ln, toks, 1, "scale name")
         if name_tok is None:
             return
-        keys: list[Fraction] = []
+        keys: dict[Fraction, None] = {}  # ordered, with O(1) duplicate checks
         for tok in toks[2:]:
             key = self.ratio_field(ln, tok)
             if key is None:
                 continue
             if key in keys:
-                self.error(ln, tok.column, "bad-ratio",
+                self.error(ln, tok[1], "bad-ratio",
                            f"duplicate key {key.numerator}/{key.denominator} in scale")
                 continue
-            keys.append(key)
+            keys[key] = None
         if not keys:
-            self.error(ln, toks[0].column, "syntax", "scale needs at least one key")
-            keys = [Fraction(1)]
-        if name_tok.text in self.scales:
-            self.error(ln, name_tok.column, "duplicate-name",
-                       f"scale {name_tok.text!r} already defined")
+            self.error(ln, toks[0][1], "syntax", "scale needs at least one key")
+            keys = {Fraction(1): None}
+        name, column = name_tok
+        if name in self.scales:
+            self.error(ln, column, "duplicate-name", f"scale {name!r} already defined")
             return
-        self.scales[name_tok.text] = Scale(name_tok.text, keys)
+        self.scales[name] = Scale(name, list(keys))
 
-    def harmony_line(self, ln: int, toks: list[_Token]) -> None:
-        draft = None
+    def harmony_line(self, ln: int, toks: list[tuple[str, int]]) -> tuple[str, list | None]:
+        """The open block's name and tone list; ('?', None) when broken."""
         if len(toks) < 6:
-            self.error(ln, toks[-1].column, "syntax",
+            self.error(ln, toks[-1][1], "syntax",
                        "expected 'harmony NAME level N scale SCALE'")
-            self.block = ("harmony", draft, ln)
-            return
+            return "?", None
         name_tok = self.name_field(ln, toks, 1, "harmony name")
         if (name_tok is not None
                 and self.keyword(ln, toks, 2, "level")
                 and (level := self.int_field(ln, toks[3], minimum=1)) is not None
                 and self.keyword(ln, toks, 4, "scale")
                 and (scale_tok := self.name_field(ln, toks, 5, "scale name")) is not None):
+            name, column = name_tok
             if len(toks) > 6:
-                self.error(ln, toks[6].column, "syntax", "unexpected tokens after harmony header")
-            elif name_tok.text in self.harmonies:
-                self.error(ln, name_tok.column, "duplicate-name",
-                           f"harmony {name_tok.text!r} already defined")
+                self.error(ln, toks[6][1], "syntax", "unexpected tokens after harmony header")
+            elif name in self.harmonies:
+                self.error(ln, column, "duplicate-name", f"harmony {name!r} already defined")
             else:
-                draft = _HarmonyDraft(name_tok.text, level, scale_tok.text,
-                                      (ln, scale_tok.column))
-                self.harmonies[draft.name] = draft
-        self.block = ("harmony", draft, ln)
+                tones: list[TranspositionTone] = []
+                self.harmonies[name] = (scale_tok[0], (ln, scale_tok[1]), level, tones)
+                return name, tones
+        return "?", None
 
-    def instrument_line(self, ln: int, toks: list[_Token]) -> None:
-        draft = None
+    def instrument_line(self, ln: int, toks: list[tuple[str, int]]) -> tuple[str, list | None]:
+        """The open block's name and note list; ('?', None) when broken."""
         if len(toks) < 4:
-            self.error(ln, toks[-1].column, "syntax",
+            self.error(ln, toks[-1][1], "syntax",
                        "expected 'instrument NAME scale SCALE [harmonies H1 ...]'")
-            self.block = ("instrument", draft, ln)
-            return
+            return "?", None
         name_tok = self.name_field(ln, toks, 1, "instrument name")
         if (name_tok is not None
                 and self.keyword(ln, toks, 2, "scale")
                 and (scale_tok := self.name_field(ln, toks, 3, "scale name")) is not None):
+            ok = len(toks) == 4 or self.keyword(ln, toks, 4, "harmonies")
+            if ok and len(toks) == 5:
+                self.error(ln, toks[4][1], "syntax",
+                           "'harmonies' needs at least one harmony name")
+                ok = False
             refs: list[tuple[str, tuple[int, int]]] = []
-            ok = True
-            if len(toks) > 4:
-                if self.keyword(ln, toks, 4, "harmonies"):
-                    if len(toks) == 5:
-                        self.error(ln, toks[4].column, "syntax",
-                                   "'harmonies' needs at least one harmony name")
-                        ok = False
-                    for tok in toks[5:]:
-                        if IDENTIFIER_RE.match(tok.text):
-                            refs.append((tok.text, (ln, tok.column)))
-                        else:
-                            self.error(ln, tok.column, "syntax",
-                                       f"invalid harmony name: {tok.text!r}")
-                            ok = False
+            for text, column in toks[5:] if ok else ():
+                if IDENTIFIER_RE.match(text):
+                    refs.append((text, (ln, column)))
                 else:
+                    self.error(ln, column, "syntax", f"invalid harmony name: {text!r}")
                     ok = False
             if ok:
-                if name_tok.text in self.instruments:
-                    self.error(ln, name_tok.column, "duplicate-name",
-                               f"instrument {name_tok.text!r} already defined")
+                name, column = name_tok
+                if name in self.instruments:
+                    self.error(ln, column, "duplicate-name",
+                               f"instrument {name!r} already defined")
                 else:
-                    draft = _InstrumentDraft(name_tok.text, scale_tok.text,
-                                             (ln, scale_tok.column), refs)
-                    self.instruments[draft.name] = draft
-        self.block = ("instrument", draft, ln)
+                    notes: list[Note] = []
+                    self.instruments[name] = (scale_tok[0], (ln, scale_tok[1]), refs, notes)
+                    return name, notes
+        return "?", None
 
-    def event_fields(self, ln: int, toks: list[_Token]) -> tuple[int, int, int] | None:
-        """Parse the shared 'KEY @ START + DURATION' shape; None on any error."""
+    def event_line(self, ln: int, toks: list[tuple[str, int]], items: list | None) -> None:
+        """A 'tone' or 'note' line, 'KEY @ START +DURATION': a tone takes
+        nothing after it, a note an optional 'vel V'.  The event goes to
+        ``items`` unless the line has an error or ``items`` is None."""
+        word = toks[0][0]
         if len(toks) < 6:
-            self.error(ln, toks[-1].column, "syntax",
-                       f"expected '{toks[0].text} KEY @ START +DURATION'")
-            return None
+            self.error(ln, toks[-1][1], "syntax", f"expected '{word} KEY @ START +DURATION'")
+            return
         key = self.int_field(ln, toks[1], minimum=0)
         if not self.keyword(ln, toks, 2, "@"):
-            return None
+            return
         start = self.int_field(ln, toks[3], minimum=0)
         if not self.keyword(ln, toks, 4, "+"):
-            return None
+            return
         duration = self.int_field(ln, toks[5], minimum=1)
         if key is None or start is None or duration is None:
-            return None
-        return key, start, duration
-
-    def tone_line(self, ln: int, toks: list[_Token], draft) -> None:
-        fields = self.event_fields(ln, toks)
-        if fields is None:
             return
+        velocity = DEFAULT_VELOCITY
         if len(toks) > 6:
-            self.error(ln, toks[6].column, "syntax", "unexpected tokens after tone")
-            return
-        key, start, duration = fields
-        if draft is not None:
-            draft.tones.append(TranspositionTone(key, TimeInterval(start, duration)))
-
-    def note_line(self, ln: int, toks: list[_Token], draft) -> None:
-        fields = self.event_fields(ln, toks)
-        if fields is None:
-            return
-        velocity = 96
-        if len(toks) > 6:
+            if word == "tone":
+                self.error(ln, toks[6][1], "syntax", "unexpected tokens after tone")
+                return
             if not self.keyword(ln, toks, 6, "vel"):
                 return
             if len(toks) != 8:
-                col = toks[7].column if len(toks) > 7 else toks[6].column
-                self.error(ln, col, "syntax", "expected 'vel VALUE' and nothing after")
+                column = toks[7][1] if len(toks) > 7 else toks[6][1]
+                self.error(ln, column, "syntax", "expected 'vel VALUE' and nothing after")
                 return
-            vel = self.int_field(ln, toks[7], minimum=1)
-            if vel is None:
+            velocity = self.int_field(ln, toks[7], minimum=1)
+            if velocity is None:
                 return
-            if vel > 127:
-                self.error(ln, toks[7].column, "range", f"velocity {vel} must be in [1, 127]")
+            if velocity > 127:
+                self.error(ln, toks[7][1], "range", f"velocity {velocity} must be in [1, 127]")
                 return
-            velocity = vel
-        key, start, duration = fields
-        if draft is not None:
-            draft.notes.append(Note(key, TimeInterval(start, duration), velocity))
+        if items is not None:
+            interval = TimeInterval(start, duration)
+            items.append(TranspositionTone(key, interval) if word == "tone"
+                         else Note(key, interval, velocity))
 
     # Whole-file checks and assembly
 
@@ -410,28 +369,23 @@ class _Parser:
         for name in _HEADER_FIELDS:
             if name not in self.header:
                 self.error(1, 1, "syntax", f"missing {name!r} directive")
-        for draft in self.harmonies.values():
-            if draft.scale_name not in self.scales:
-                ln, col = draft.scale_pos
-                self.error(ln, col, "bad-reference", f"unknown scale {draft.scale_name!r}")
-        for draft in self.instruments.values():
-            if draft.scale_name not in self.scales:
-                ln, col = draft.scale_pos
-                self.error(ln, col, "bad-reference", f"unknown scale {draft.scale_name!r}")
-            for hname, (ln, col) in draft.harmony_refs:
-                if hname not in self.harmonies:
-                    self.error(ln, col, "bad-reference", f"unknown harmony {hname!r}")
+        for scale, (ln, col), *_ in (*self.harmonies.values(), *self.instruments.values()):
+            if scale not in self.scales:
+                self.error(ln, col, "bad-reference", f"unknown scale {scale!r}")
+        for _, _, refs, _ in self.instruments.values():
+            for name, (ln, col) in refs:
+                if name not in self.harmonies:
+                    self.error(ln, col, "bad-reference", f"unknown harmony {name!r}")
 
     def build(self) -> Composition:
         harmonies = [
-            HarmonicSequence(d.name, d.level, d.scale_name,
-                             sorted(d.tones, key=lambda t: t.interval.start))
-            for d in self.harmonies.values()
+            HarmonicSequence(name, level, scale,
+                             sorted(tones, key=lambda t: t.interval.start))
+            for name, (scale, _, level, tones) in self.harmonies.items()
         ]
         instruments = [
-            Instrument(d.name, d.scale_name, [h for h, _ in d.harmony_refs],
-                       InstrumentScore(d.notes))
-            for d in sorted(self.instruments.values(), key=lambda d: d.name)
+            Instrument(name, scale, [h for h, _ in refs], InstrumentScore(notes))
+            for name, (scale, _, refs, notes) in sorted(self.instruments.items())
         ]
         return Composition(
             base_frequency_hz=float(self.header["base"]),

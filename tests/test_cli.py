@@ -131,21 +131,57 @@ end
 """ % ("0" * 305)
 
 
+TIME_GRID = """\
+base 440
+ppq {ppq}
+tempo {tempo}
+length {length}
+scale s 1/1 3/2
+harmony H level 1 scale s
+  tone 0 @ 0 +{length}
+end
+instrument a scale s harmonies H
+  note 1 @ 0 +1
+end
+"""
+BIG = "1" + "0" * 400
+GRID_OVERFLOW = ["overflow: length: ticks * 60 / (tempo * ppq) is beyond the float range"]
+
+
 class TestOverflow:
     @pytest.mark.parametrize("args", [
         ["validate"], ["resolve"], ["resolve", "--table"], ["render", "--out", "x.wav"]])
-    def test_frequency_beyond_float_range_exits_1(self, tmp_path, capsys, monkeypatch, args):
+    @pytest.mark.parametrize("text,diagnostics", [
+        (HUGE_RATIO, ["overflow: instrument lead note 0: resolved frequency is beyond "
+                      "the float range",
+                      "overflow: instrument lead key 1: frequency table entry is beyond "
+                      "the float range"]),
+        (TIME_GRID.format(ppq=1, tempo="1e-307", length=2), GRID_OVERFLOW),
+        (TIME_GRID.format(ppq=BIG, tempo=60, length=2), GRID_OVERFLOW),
+        (TIME_GRID.format(ppq=1, tempo=60, length=BIG), GRID_OVERFLOW),
+    ], ids=["frequency", "tempo", "ppq", "length"])
+    def test_beyond_float_range_exits_1(self, tmp_path, capsys, monkeypatch, args,
+                                        text, diagnostics):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "huge.dts"
-        path.write_text(HUGE_RATIO)
+        path.write_text(text)
         assert main([args[0], str(path), *args[1:]]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == (f"{path}:0:0: overflow: instrument lead note 0: resolved "
-                           f"frequency is beyond the float range\n"
-                           f"{path}:0:0: overflow: instrument lead key 1: frequency "
-                           f"table entry is beyond the float range\n")
+        assert out.err == "".join(f"{path}:0:0: {d}\n" for d in diagnostics)
         assert not (tmp_path / "x.wav").exists()
+
+    def test_sample_position_beyond_float_range_exit_1(self, tmp_path, capsys):
+        # 6e304 s validates and resolves, but times 44100 Hz is inf
+        path = tmp_path / "grid.dts"
+        path.write_text(TIME_GRID.format(ppq=1, tempo="1e-303", length=2))
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "x.wav"
+        assert main(["render", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"{path}:0:0: range: render needs inf samples; a WAV file holds "
+                       f"at most 2147483629\n")
+        assert not out.exists()
 
 
 class TestResolve:

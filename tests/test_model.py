@@ -280,6 +280,19 @@ class TestOverflow:
         comp = overflow_comp([1, Fraction(10**300)], [Note(1, TimeInterval(480, 480))])
         assert validate_composition(comp) == []
 
+    @pytest.mark.parametrize("ppq,tempo,length", [
+        (480, 1e-307, 960),       # seconds() is inf
+        (10**400, 120.0, 960),    # tempo * ppq does not convert to a float
+        (480, 120.0, 10**400),    # nor does length * 60
+    ], ids=["tempo", "ppq", "length"])
+    def test_time_grid_beyond_float_range_is_an_error(self, ppq, tempo, length):
+        comp = Composition(
+            440.0, ppq, tempo, length, scales=[Scale("t", ["1/1", "3/2"])],
+            harmonies=[HarmonicSequence("H", 1, "t", [tone(0, 0, length)])],
+            instruments=[Instrument("lead", "t", ["H"], [Note(1, TimeInterval(0, 480))])])
+        assert [(v.kind, v.path) for v in validate_composition(comp)] == [
+            ("overflow", "length")]
+
     def test_only_checked_once_other_errors_are_gone(self):
         comp = overflow_comp([1, self.HUGE], [Note(1, TimeInterval(0, 480)),
                                               Note(5, TimeInterval(0, 480))])

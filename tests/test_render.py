@@ -168,6 +168,9 @@ class TestSynthesize:
         one_hz = RenderSettings(sample_rate=1, attack_sec=0.0, release_sec=0.0)
         with pytest.raises(ValueError, match=f"needs {MAX_SAMPLES + 1} samples"):
             synthesize([event(start=float(MAX_SAMPLES), dur=1.0)], one_hz)
+        # finite seconds whose sample position is not: refused, not rounded
+        with pytest.raises(ValueError, match="needs inf samples"):
+            synthesize([event(start=6e304, dur=1.0)])
 
     def test_deterministic(self):
         events = resolve_composition(parse(REFERENCE_SCORE))
