@@ -409,13 +409,13 @@ def _overflows(composition: Composition) -> list[Violation]:
         if _fits_float(bound):
             continue
         path = f"instrument {inst.name}"
-        starts, shifts = _regions(composition, inst)
+        starts, ids, shifts = _regions(composition, inst)
         for i, note in enumerate(inst.score.notes):
-            shift = shifts[bisect_right(starts, note.interval.start) - 1]
+            shift = shifts[ids[bisect_right(starts, note.interval.start) - 1]]
             if not _fits_float(base * keys[note.key_index] * shift):
                 found.append(Violation("overflow", f"{path} note {i}",
                                        "resolved frequency is beyond the float range"))
-        top = max(s for lo, s in zip(starts, shifts) if lo < composition.length_ticks)
+        top = max(shifts[i] for lo, i in zip(starts, ids) if lo < composition.length_ticks)
         for k, key in enumerate(keys):
             if not _fits_float(base * key * top):
                 found.append(Violation("overflow", f"{path} key {k}",

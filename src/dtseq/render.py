@@ -72,8 +72,8 @@ class RenderSettings:
                              f"{self.sample_rate!r}")
         if self.waveform not in WAVEFORMS:
             raise ValueError(f"unknown waveform {self.waveform!r}; choose from {WAVEFORMS}")
-        if self.attack_sec < 0 or self.release_sec < 0:
-            raise ValueError("attack and release must be non-negative")
+        if not (0 <= self.attack_sec < math.inf and 0 <= self.release_sec < math.inf):
+            raise ValueError("attack and release must be non-negative and finite")
         if not 0 < self.master_gain <= 1:
             raise ValueError(f"master gain must be in (0, 1]: {self.master_gain!r}")
 
@@ -178,13 +178,13 @@ def synthesize(events: Sequence[ResolvedEvent],
             squeeze = ev.duration_sec / (attack + release)
             attack *= squeeze
             release *= squeeze
-        end = (ev.start_sec + ev.duration_sec) * sr
+        end = (ev.start_sec + ev.duration_sec + release) * sr
         if not math.isfinite(end):  # round() would raise; no WAV file holds it
             raise ValueError(f"render needs {end} samples; a WAV file holds at most "
                              f"{MAX_SAMPLES}")
         first = round(ev.start_sec * sr)
         n_note = round(ev.duration_sec * sr)
-        n_attack = min(round(attack * sr), n_note)
+        n_attack = round(min(attack * sr, n_note))
         n_release = round(release * sr)
         n = n_note + n_release
         total = max(total, first + n)

@@ -15,7 +15,6 @@ region list per instrument, so resolving a note is a bisect and a multiply.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,32 +85,48 @@ def _active_tones(composition: Composition, instrument: Instrument,
     return active
 
 
-def _regions(composition: Composition,
-             instrument: Instrument) -> tuple[list[int], list[Fraction | None]]:
+def _regions(composition: Composition, instrument: Instrument
+             ) -> tuple[list[int], list[int | None], list[Fraction]]:
     """Region starts of ``instrument`` (0, the length and every bound tone's
-    start and end; the last region never ends) and the exact shift of each,
-    memoised by active tone keys.  The shift is None where some level has
-    no tone; :func:`_active_tones` at any tick of the region raises why.
+    start and end; the last region never ends), each region's index into
+    the distinct exact shifts, and those shifts.  The index is None where
+    some level has no tone; :func:`_active_tones` at any tick of the region
+    raises why.
+
+    Each bound level's tone starts, tones and scale keys are looked up
+    once, and products are memoised by their tuple of key indices, so a new
+    tuple of active keys costs one exact multiply.
     """
     bounds = {0, composition.length_ticks}
+    levels = []  # (tone starts, tones, scale keys) of each bound level
     for name in instrument.harmony_names:
         harmony = composition.harmonies.get(name)
-        for tone in harmony.tones if harmony else ():
-            bounds.update((tone.interval.start, tone.interval.end))
+        hscale = composition.scales.get(harmony.scale_name) if harmony else None
+        if harmony:
+            bounds.update(harmony._starts, [tone.interval.end for tone in harmony.tones])
+        # a level whose harmony or scale is unknown sounds no tone anywhere
+        levels.append(([], (), ()) if hscale is None
+                      else (harmony._starts, harmony.tones, hscale.keys))
     starts = sorted(bounds)
-    by_keys: dict[tuple[int, ...], Fraction] = {}
-    shifts: list[Fraction | None] = []
+    products: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}  # by key-index prefix
+    index_of: dict[tuple[int, ...], int] = {}  # active tone keys -> shift index
+    shifts: dict[Fraction, int] = {}           # distinct shift -> its index
+    ids: list[int | None] = []
     for tick in starts:
-        try:
-            active = _active_tones(composition, instrument, tick)
-        except ResolutionError:
-            shifts.append(None)
-            continue
-        keys = tuple(k for _, k in active)
-        if keys not in by_keys:
-            by_keys[keys] = math.prod((ks[k] for ks, k in active), start=Fraction(1))
-        shifts.append(by_keys[keys])
-    return starts, shifts
+        keys: tuple[int, ...] = ()
+        for tone_starts, tones, scale_keys in levels:  # as HarmonicSequence.tone_at
+            i = bisect_right(tone_starts, tick) - 1
+            if i < 0 or not tones[i].interval.contains(tick) or tones[i].key_index >= len(scale_keys):
+                ids.append(None)
+                break
+            keys += (tones[i].key_index,)
+            if keys not in products:
+                products[keys] = products[keys[:-1]] * scale_keys[keys[-1]]
+        else:
+            if keys not in index_of:
+                index_of[keys] = shifts.setdefault(products[keys], len(shifts))
+            ids.append(index_of[keys])
+    return starts, ids, list(shifts)
 
 
 def resolve_note(composition: Composition, instrument: Instrument,
@@ -144,22 +159,22 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
     seconds = composition.seconds
     events: list[ResolvedEvent] = []
     for inst in composition.instruments:
-        starts, shifts = _regions(composition, inst)
-        pitches: dict[tuple[int, Fraction], tuple[Fraction, float]] = {}
+        starts, ids, shifts = _regions(composition, inst)
+        pitches: dict[tuple[int, int], tuple[Fraction, float]] = {}
         for i, note in enumerate(inst.score.notes):
             onset = note.interval.start
-            shift = shifts[bisect_right(starts, onset) - 1]
-            pitch = pitches.get((note.key_index, shift))
+            sid = ids[bisect_right(starts, onset) - 1]
+            pitch = pitches.get((note.key_index, sid))
             if pitch is None:  # first note at this key and shift: check it
                 try:
                     factor = _scale_key(composition, inst, note)
-                    if shift is None:
+                    if sid is None:
                         _active_tones(composition, inst, onset)  # raises
                 except ResolutionError as exc:
                     raise ResolutionError(f"note {i} of {exc}", instrument=exc.instrument,
                                           level=exc.level) from exc
-                factor *= shift
-                pitch = pitches[note.key_index, shift] = (factor, float(base * factor))
+                factor *= shifts[sid]
+                pitch = pitches[note.key_index, sid] = (factor, float(base * factor))
             events.append(ResolvedEvent(inst.name, *pitch, seconds(onset),
                                         seconds(note.interval.duration), note.velocity))
     events.sort(key=lambda e: (e.start_sec, e.instrument, e.frequency_hz, e.velocity))
@@ -196,16 +211,17 @@ def frequency_table(composition: Composition, instrument_name: str) -> list[Tabl
     inst = composition.instrument(instrument_name)
     keys = composition.scales[inst.scale_name].keys
     base = Fraction(composition.base_frequency_hz)
-    starts, shifts = _regions(composition, inst)
-    rows_of: dict[Fraction, tuple[TableRow, ...]] = {}
+    starts, ids, shifts = _regions(composition, inst)
+    rows_of: dict[int, tuple[TableRow, ...]] = {}
     regions: list[TableRegion] = []
-    for lo, hi, shift in zip(starts, starts[1:], shifts):
+    for lo, hi, sid in zip(starts, starts[1:], ids):
         if lo >= composition.length_ticks:
             break
-        if shift is None:
+        if sid is None:
             _active_tones(composition, inst, lo)  # raises
-        if shift not in rows_of:
-            rows_of[shift] = tuple(TableRow(i, factor, float(base * factor))
-                                   for i, factor in enumerate(key * shift for key in keys))
-        regions.append(TableRegion(lo, hi, rows_of[shift]))
+        if sid not in rows_of:
+            shift = shifts[sid]
+            rows_of[sid] = tuple(TableRow(i, factor, float(base * factor))
+                                 for i, factor in enumerate(key * shift for key in keys))
+        regions.append(TableRegion(lo, hi, rows_of[sid]))
     return regions

@@ -57,9 +57,6 @@ _TOP_DIRECTIVES = {"base", "ppq", "tempo", "length", "scale", "harmony", "instru
 # the event line each block holds besides 'end'
 _EVENT_WORD = {"harmony": "tone", "instrument": "note"}
 
-# '@' and '+' are their own tokens; everything else splits on whitespace.
-# A token is a (text, 1-based column) tuple.
-_TOKEN_RE = re.compile(r"@|\+|[^\s@+]+")
 _RATIO_RE = re.compile(r"(\d+)(?:/(\d+))?\Z")
 
 
@@ -108,255 +105,262 @@ class _Parser:
         # block; after a broken or duplicate header the list is None and
         # the name '?', so its lines are checked and dropped.
         self.block: tuple[str, str, list | None, int] | None = None
+        # number and comment-free text of the line being parsed
+        self.ln = 0
+        self.code = ""
 
     def error(self, line: int, column: int, kind: str, message: str) -> None:
         self.errors.append(ParseError(SourcePosition(line, column), kind, message))
 
+    def column(self, toks: list[str], index: int) -> int:
+        """1-based column of ``toks[index]`` in the current line.  Each
+        token is found after the end of the one before it, so a text
+        repeated on the line is not taken for its earlier occurrence."""
+        end = 0
+        for tok in toks[:index]:
+            end = self.code.find(tok, end) + len(tok)
+        return self.code.find(toks[index], end) + 1
+
+    def fail(self, toks: list[str], index: int, kind: str, message: str) -> None:
+        """Report an error at ``toks[index]`` of the current line."""
+        self.error(self.ln, self.column(toks, index), kind, message)
+
     # Line loop
 
     def run(self, text: str) -> None:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            code = raw.split("#", 1)[0]
-            tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(code)]
+        for self.ln, raw in enumerate(text.splitlines(), start=1):
+            # '@' and '+' are tokens of their own; everything else splits
+            # on whitespace.  Columns are found only when a line needs one.
+            self.code = raw.partition("#")[0]
+            tokens = self.code.replace("@", " @ ").replace("+", " + ").split()
             if tokens:
-                self.dispatch(lineno, tokens)
+                self.dispatch(tokens)
         if self.block is not None:
             kind, name, _, opened = self.block
             self.error(opened, 1, "syntax", f"{kind} {name!r} is missing its 'end' line")
         self.finalize()
 
-    def dispatch(self, ln: int, toks: list[tuple[str, int]]) -> None:
-        head, column = toks[0]
+    def dispatch(self, toks: list[str]) -> None:
+        head = toks[0]
         if self.block is not None:
             kind, name, items, _ = self.block
             if head == "end":
                 if len(toks) > 1:
-                    self.error(ln, toks[1][1], "syntax", "unexpected tokens after 'end'")
+                    self.fail(toks, 1, "syntax", "unexpected tokens after 'end'")
                 self.block = None
                 return
             if head == _EVENT_WORD[kind]:
-                self.event_line(ln, toks, items)
+                self.event_line(toks, items)
                 return
             if head in _TOP_DIRECTIVES:
-                self.error(ln, column, "syntax",
-                           f"missing 'end' for {kind} {name!r} before {head!r}")
+                self.fail(toks, 0, "syntax", f"missing 'end' for {kind} {name!r} before {head!r}")
                 self.block = None
                 # fall through: handle this line at top level
             else:
-                self.error(ln, column, "syntax",
-                           f"expected {_EVENT_WORD[kind]!r} or 'end' inside {kind} block, "
-                           f"got {head!r}")
+                self.fail(toks, 0, "syntax", f"expected {_EVENT_WORD[kind]!r} or 'end' "
+                                             f"inside {kind} block, got {head!r}")
                 return
 
         if head in _HEADER_FIELDS:
-            self.header_line(ln, toks)
+            self.header_line(toks)
         elif head == "scale":
-            self.scale_line(ln, toks)
+            self.scale_line(toks)
         elif head == "harmony":
-            self.block = ("harmony", *self.harmony_line(ln, toks), ln)
+            self.block = ("harmony", *self.harmony_line(toks), self.ln)
         elif head == "instrument":
-            self.block = ("instrument", *self.instrument_line(ln, toks), ln)
+            self.block = ("instrument", *self.instrument_line(toks), self.ln)
         elif head in ("tone", "note", "end"):
-            self.error(ln, column, "syntax", f"{head!r} outside a block")
+            self.fail(toks, 0, "syntax", f"{head!r} outside a block")
         else:
-            self.error(ln, column, "unknown-directive", f"unknown directive {head!r}")
+            self.fail(toks, 0, "unknown-directive", f"unknown directive {head!r}")
 
-    # Directive handlers
+    # Directive handlers; a field is given by its token index
 
-    def header_line(self, ln: int, toks: list[tuple[str, int]]) -> None:
-        name, column = toks[0]
+    def header_line(self, toks: list[str]) -> None:
+        name = toks[0]
         if len(toks) != 2:
-            self.error(ln, column, "syntax", f"expected '{name} VALUE'")
+            self.fail(toks, 0, "syntax", f"expected '{name} VALUE'")
             return
         if name in self.header:
-            self.error(ln, column, "duplicate-name", f"duplicate {name!r} directive")
+            self.fail(toks, 0, "duplicate-name", f"duplicate {name!r} directive")
             return
         if name in ("ppq", "length"):
-            value = self.int_field(ln, toks[1], minimum=1)
+            value = self.int_field(toks, 1, minimum=1)
         else:
-            value = self.float_field(ln, toks[1])
+            value = self.float_field(toks, 1)
         if value is not None:
             self.header[name] = value
 
-    def int_field(self, ln: int, tok: tuple[str, int], minimum: int) -> int | None:
-        text, column = tok
+    def int_field(self, toks: list[str], index: int, minimum: int) -> int | None:
+        text = toks[index]
         try:
             value = int(text)
         except ValueError:
             if "/" in text:
                 # a ratio where a 0-based index or tick count belongs
-                self.error(ln, column, "bad-ratio",
-                           f"{text!r} is not an integer; keys and ticks are "
-                           f"plain indices, not ratios")
+                self.fail(toks, index, "bad-ratio", f"{text!r} is not an integer; keys and "
+                                                    f"ticks are plain indices, not ratios")
             else:
-                self.error(ln, column, "syntax", f"expected an integer, got {text!r}")
+                self.fail(toks, index, "syntax", f"expected an integer, got {text!r}")
             return None
         if value < minimum:
-            self.error(ln, column, "range", f"value {value} must be >= {minimum}")
+            self.fail(toks, index, "range", f"value {value} must be >= {minimum}")
             return None
         return value
 
-    def float_field(self, ln: int, tok: tuple[str, int]) -> float | None:
-        text, column = tok
+    def float_field(self, toks: list[str], index: int) -> float | None:
+        text = toks[index]
         try:
             value = float(text)
         except ValueError:
-            self.error(ln, column, "syntax", f"expected a number, got {text!r}")
+            self.fail(toks, index, "syntax", f"expected a number, got {text!r}")
             return None
         if not math.isfinite(value) or value <= 0:
-            self.error(ln, column, "range", f"value {text} must be positive and finite")
+            self.fail(toks, index, "range", f"value {text} must be positive and finite")
             return None
         return value
 
-    def name_field(self, ln: int, toks: list[tuple[str, int]], index: int,
-                   what: str) -> tuple[str, int] | None:
+    def name_field(self, toks: list[str], index: int, what: str) -> str | None:
         if index >= len(toks):
-            self.error(ln, toks[0][1], "syntax", f"missing {what}")
+            self.fail(toks, 0, "syntax", f"missing {what}")
             return None
-        text, column = toks[index]
-        if not IDENTIFIER_RE.match(text):
-            self.error(ln, column, "syntax", f"invalid {what}: {text!r}")
+        if not IDENTIFIER_RE.match(toks[index]):
+            self.fail(toks, index, "syntax", f"invalid {what}: {toks[index]!r}")
             return None
         return toks[index]
 
-    def keyword(self, ln: int, toks: list[tuple[str, int]], index: int, word: str) -> bool:
+    def keyword(self, toks: list[str], index: int, word: str) -> bool:
         # every caller has checked that toks[index] exists
-        got, column = toks[index]
-        if got == word:
+        if toks[index] == word:
             return True
-        self.error(ln, column, "syntax", f"expected {word!r}, got {got!r}")
+        self.fail(toks, index, "syntax", f"expected {word!r}, got {toks[index]!r}")
         return False
 
-    def ratio_field(self, ln: int, tok: tuple[str, int]) -> Fraction | None:
-        text, column = tok
+    def ratio_field(self, toks: list[str], index: int) -> Fraction | None:
+        text = toks[index]
         m = _RATIO_RE.match(text)
         if not m:
-            self.error(ln, column, "bad-ratio", f"malformed ratio {text!r}")
+            self.fail(toks, index, "bad-ratio", f"malformed ratio {text!r}")
             return None
         try:
             num = int(m.group(1))
             den = int(m.group(2)) if m.group(2) else 1
         except ValueError:  # exceeds the int-string digit limit
-            self.error(ln, column, "bad-ratio", "ratio parts too long")
+            self.fail(toks, index, "bad-ratio", "ratio parts too long")
             return None
         if num == 0 or den == 0:
-            self.error(ln, column, "bad-ratio",
-                       f"ratio {text} has a zero part; ratios must be positive")
+            self.fail(toks, index, "bad-ratio",
+                      f"ratio {text} has a zero part; ratios must be positive")
             return None
         return Fraction(num, den)
 
-    def scale_line(self, ln: int, toks: list[tuple[str, int]]) -> None:
-        name_tok = self.name_field(ln, toks, 1, "scale name")
-        if name_tok is None:
+    def scale_line(self, toks: list[str]) -> None:
+        name = self.name_field(toks, 1, "scale name")
+        if name is None:
             return
         keys: dict[Fraction, None] = {}  # ordered, with O(1) duplicate checks
-        for tok in toks[2:]:
-            key = self.ratio_field(ln, tok)
+        for i in range(2, len(toks)):
+            key = self.ratio_field(toks, i)
             if key is None:
                 continue
             if key in keys:
-                self.error(ln, tok[1], "bad-ratio",
-                           f"duplicate key {key.numerator}/{key.denominator} in scale")
+                self.fail(toks, i, "bad-ratio",
+                          f"duplicate key {key.numerator}/{key.denominator} in scale")
                 continue
             keys[key] = None
         if not keys:
-            self.error(ln, toks[0][1], "syntax", "scale needs at least one key")
+            self.fail(toks, 0, "syntax", "scale needs at least one key")
             keys = {Fraction(1): None}
-        name, column = name_tok
         if name in self.scales:
-            self.error(ln, column, "duplicate-name", f"scale {name!r} already defined")
+            self.fail(toks, 1, "duplicate-name", f"scale {name!r} already defined")
             return
         self.scales[name] = Scale(name, list(keys))
 
-    def harmony_line(self, ln: int, toks: list[tuple[str, int]]) -> tuple[str, list | None]:
+    def harmony_line(self, toks: list[str]) -> tuple[str, list | None]:
         """The open block's name and tone list; ('?', None) when broken."""
         if len(toks) < 6:
-            self.error(ln, toks[-1][1], "syntax",
-                       "expected 'harmony NAME level N scale SCALE'")
+            self.fail(toks, -1, "syntax", "expected 'harmony NAME level N scale SCALE'")
             return "?", None
-        name_tok = self.name_field(ln, toks, 1, "harmony name")
-        if (name_tok is not None
-                and self.keyword(ln, toks, 2, "level")
-                and (level := self.int_field(ln, toks[3], minimum=1)) is not None
-                and self.keyword(ln, toks, 4, "scale")
-                and (scale_tok := self.name_field(ln, toks, 5, "scale name")) is not None):
-            name, column = name_tok
+        name = self.name_field(toks, 1, "harmony name")
+        if (name is not None
+                and self.keyword(toks, 2, "level")
+                and (level := self.int_field(toks, 3, minimum=1)) is not None
+                and self.keyword(toks, 4, "scale")
+                and (scale := self.name_field(toks, 5, "scale name")) is not None):
             if len(toks) > 6:
-                self.error(ln, toks[6][1], "syntax", "unexpected tokens after harmony header")
+                self.fail(toks, 6, "syntax", "unexpected tokens after harmony header")
             elif name in self.harmonies:
-                self.error(ln, column, "duplicate-name", f"harmony {name!r} already defined")
+                self.fail(toks, 1, "duplicate-name", f"harmony {name!r} already defined")
             else:
                 tones: list[TranspositionTone] = []
-                self.harmonies[name] = (scale_tok[0], (ln, scale_tok[1]), level, tones)
+                self.harmonies[name] = (scale, (self.ln, self.column(toks, 5)), level, tones)
                 return name, tones
         return "?", None
 
-    def instrument_line(self, ln: int, toks: list[tuple[str, int]]) -> tuple[str, list | None]:
+    def instrument_line(self, toks: list[str]) -> tuple[str, list | None]:
         """The open block's name and note list; ('?', None) when broken."""
         if len(toks) < 4:
-            self.error(ln, toks[-1][1], "syntax",
-                       "expected 'instrument NAME scale SCALE [harmonies H1 ...]'")
+            self.fail(toks, -1, "syntax",
+                      "expected 'instrument NAME scale SCALE [harmonies H1 ...]'")
             return "?", None
-        name_tok = self.name_field(ln, toks, 1, "instrument name")
-        if (name_tok is not None
-                and self.keyword(ln, toks, 2, "scale")
-                and (scale_tok := self.name_field(ln, toks, 3, "scale name")) is not None):
-            ok = len(toks) == 4 or self.keyword(ln, toks, 4, "harmonies")
+        name = self.name_field(toks, 1, "instrument name")
+        if (name is not None
+                and self.keyword(toks, 2, "scale")
+                and (scale := self.name_field(toks, 3, "scale name")) is not None):
+            ok = len(toks) == 4 or self.keyword(toks, 4, "harmonies")
             if ok and len(toks) == 5:
-                self.error(ln, toks[4][1], "syntax",
-                           "'harmonies' needs at least one harmony name")
+                self.fail(toks, 4, "syntax", "'harmonies' needs at least one harmony name")
                 ok = False
             refs: list[tuple[str, tuple[int, int]]] = []
-            for text, column in toks[5:] if ok else ():
-                if IDENTIFIER_RE.match(text):
-                    refs.append((text, (ln, column)))
+            for i in range(5, len(toks)) if ok else ():
+                if IDENTIFIER_RE.match(toks[i]):
+                    refs.append((toks[i], (self.ln, self.column(toks, i))))
                 else:
-                    self.error(ln, column, "syntax", f"invalid harmony name: {text!r}")
+                    self.fail(toks, i, "syntax", f"invalid harmony name: {toks[i]!r}")
                     ok = False
             if ok:
-                name, column = name_tok
                 if name in self.instruments:
-                    self.error(ln, column, "duplicate-name",
-                               f"instrument {name!r} already defined")
+                    self.fail(toks, 1, "duplicate-name", f"instrument {name!r} already defined")
                 else:
                     notes: list[Note] = []
-                    self.instruments[name] = (scale_tok[0], (ln, scale_tok[1]), refs, notes)
+                    self.instruments[name] = (scale, (self.ln, self.column(toks, 3)), refs,
+                                              notes)
                     return name, notes
         return "?", None
 
-    def event_line(self, ln: int, toks: list[tuple[str, int]], items: list | None) -> None:
+    def event_line(self, toks: list[str], items: list | None) -> None:
         """A 'tone' or 'note' line, 'KEY @ START +DURATION': a tone takes
         nothing after it, a note an optional 'vel V'.  The event goes to
         ``items`` unless the line has an error or ``items`` is None."""
-        word = toks[0][0]
+        word = toks[0]
         if len(toks) < 6:
-            self.error(ln, toks[-1][1], "syntax", f"expected '{word} KEY @ START +DURATION'")
+            self.fail(toks, -1, "syntax", f"expected '{word} KEY @ START +DURATION'")
             return
-        key = self.int_field(ln, toks[1], minimum=0)
-        if not self.keyword(ln, toks, 2, "@"):
+        key = self.int_field(toks, 1, minimum=0)
+        if not self.keyword(toks, 2, "@"):
             return
-        start = self.int_field(ln, toks[3], minimum=0)
-        if not self.keyword(ln, toks, 4, "+"):
+        start = self.int_field(toks, 3, minimum=0)
+        if not self.keyword(toks, 4, "+"):
             return
-        duration = self.int_field(ln, toks[5], minimum=1)
+        duration = self.int_field(toks, 5, minimum=1)
         if key is None or start is None or duration is None:
             return
         velocity = DEFAULT_VELOCITY
         if len(toks) > 6:
             if word == "tone":
-                self.error(ln, toks[6][1], "syntax", "unexpected tokens after tone")
+                self.fail(toks, 6, "syntax", "unexpected tokens after tone")
                 return
-            if not self.keyword(ln, toks, 6, "vel"):
+            if not self.keyword(toks, 6, "vel"):
                 return
             if len(toks) != 8:
-                column = toks[7][1] if len(toks) > 7 else toks[6][1]
-                self.error(ln, column, "syntax", "expected 'vel VALUE' and nothing after")
+                self.fail(toks, 7 if len(toks) > 7 else 6, "syntax",
+                          "expected 'vel VALUE' and nothing after")
                 return
-            velocity = self.int_field(ln, toks[7], minimum=1)
+            velocity = self.int_field(toks, 7, minimum=1)
             if velocity is None:
                 return
             if velocity > 127:
-                self.error(ln, toks[7][1], "range", f"velocity {velocity} must be in [1, 127]")
+                self.fail(toks, 7, "range", f"velocity {velocity} must be in [1, 127]")
                 return
         if items is not None:
             interval = TimeInterval(start, duration)

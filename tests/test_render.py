@@ -1,3 +1,4 @@
+import math
 import wave
 from fractions import Fraction
 
@@ -171,6 +172,15 @@ class TestSynthesize:
         # finite seconds whose sample position is not: refused, not rounded
         with pytest.raises(ValueError, match="needs inf samples"):
             synthesize([event(start=6e304, dur=1.0)])
+        # a zero-length event is not squeezed, so its release is not either
+        for long_tail in (RenderSettings(release_sec=1e306),
+                          RenderSettings(attack_sec=1e306, release_sec=1e306)):
+            with pytest.raises(ValueError, match="needs inf samples"):
+                synthesize([event(dur=0.0)], long_tail)
+        with pytest.raises(ValueError, match="samples; a WAV file"):
+            synthesize([event(dur=0.0)], RenderSettings(release_sec=1e300))
+        buffer = synthesize([event(dur=0.0)], RenderSettings(attack_sec=1e306))
+        assert len(buffer.samples) == round(0.05 * 44100)  # the release alone
 
     def test_deterministic(self):
         events = resolve_composition(parse(REFERENCE_SCORE))
@@ -188,8 +198,11 @@ class TestSynthesize:
         with pytest.raises(ValueError):  # 2 * rate overflows the WAV byte-rate field
             RenderSettings(sample_rate=2**31)
         assert RenderSettings(sample_rate=2**31 - 1).sample_rate == 2**31 - 1
-        with pytest.raises(ValueError):
-            RenderSettings(attack_sec=-1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RenderSettings(attack_sec=bad)
+            with pytest.raises(ValueError):
+                RenderSettings(release_sec=bad)
 
 
 class TestSynthesizeMatchesPerEventMix:

@@ -436,3 +436,21 @@ class TestRegionShiftEquivalence:
             resolve_composition(comp)
         assert exc.value.level == 1
         assert str(exc.value).startswith("note 1 of instrument 'i' level 1:")
+
+
+def test_tone_key_one_past_its_scale_is_an_error_not_a_shift():
+    comp = Composition(
+        440.0, 480, 120.0, 960,
+        scales=[Scale("inst", ["1/1"]), Scale("t", ["1/1", "3/2"])],
+        harmonies=[HarmonicSequence("H1", 1, "t", [
+            TranspositionTone(1, TimeInterval(0, 480)),
+            TranspositionTone(2, TimeInterval(480, 480))])],
+        instruments=[Instrument("i", "inst", ["H1"],
+                                [Note(0, TimeInterval(0, 100)),
+                                 Note(0, TimeInterval(600, 10))])])
+    expected = outcome(per_note_resolve, comp, reference_resolve_note)
+    assert expected == ("error", "note 1 of instrument 'i' level 1: tone key index 2 "
+                                 "outside scale 't'", "i", 1)
+    assert outcome(resolve_composition, comp) == expected
+    with pytest.raises(ResolutionError, match="level 1: tone key index 2 outside"):
+        frequency_table(comp, "i")

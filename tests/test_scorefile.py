@@ -131,6 +131,24 @@ class TestParse:
             assert err.position.column <= len(line)
             assert line[err.position.column - 1] not in (" ", "\t")
 
+    @pytest.mark.parametrize("text,expected", [
+        # the duration '0', not the key or start '0' before it
+        (MINIMAL_HEADER + "scale s 1/1\ninstrument i scale s\n  note 0 @ 0 +0\nend\n",
+         [(7, 15, "range", "value 0 must be >= 1")]),
+        (MINIMAL_HEADER + "scale s 1/1 3/2 1/1\n",
+         [(5, 17, "bad-ratio", "duplicate key 1/1 in scale")]),
+        # positions kept from the header and reported by the whole-file checks
+        (MINIMAL_HEADER + "harmony H level 1 scale H\nend\n",
+         [(5, 25, "bad-reference", "unknown scale 'H'")]),
+        (MINIMAL_HEADER + "instrument i scale s harmonies i\nend\n",
+         [(5, 20, "bad-reference", "unknown scale 's'"),
+          (5, 32, "bad-reference", "unknown harmony 'i'")]),
+    ])
+    def test_error_column_of_a_text_repeated_on_its_line(self, text, expected):
+        errs = parse_errors(text)
+        assert [(e.position.line, e.position.column, e.kind, e.message)
+                for e in errs] == expected
+
     def test_block_recovery_reports_missing_end_and_continues(self):
         text = (MINIMAL_HEADER
                 + "scale t 1/1\nharmony H level 1 scale t\n  tone 0 @ 0 +960\n"
