@@ -22,10 +22,16 @@ no oscillator is ever built for a frequency above 2**30 Hz.
 The oscillator is a block phasor.  With ``w = 2πf / sr`` and blocks of
 ``B`` samples, ``sin(w(bB + k)) = sin(wbB)·cos(wk) + cos(wbB)·sin(wk)``:
 a table of block-start angles and a table of in-block angles, about
-``2B + 2n/B`` sines and cosines, give all ``n`` samples by one outer
-product.  The additive partials come from the same tables through
+``2B + 2n/B`` sines and cosines, give all ``n`` samples.  The grid of
+those sums is one ``np.einsum`` of the stacked tables rather than two
+broadcast outer products and an add, which numpy runs through its
+buffered iterator at several times the cost and with a full-length
+temporary; it rounds the same products and sums, so the samples are
+the same.  The additive partials come from the same tables through
 multiple-angle identities.  The wave stays within 1e-9 of ``np.sin`` of
-``2πf·(i / sr)`` for a quarter of a million samples.
+``2πf·(i / sr)`` for a quarter of a million samples.  One synthesis
+builds the tables' sample times, the envelope ramps and a buffer for an
+event's gain-scaled samples once, and every wave and event uses them.
 
 numpy is imported on the first synthesis or WAV write, not with the
 module, so commands that never render do not load it.
@@ -83,45 +89,76 @@ class AudioBuffer:
     """Mono float64 samples in [-1, 1] after mastering.
 
     ``silent_events`` events, at ``silent_frequencies`` distinct
-    frequencies, sounded at or above half the sample rate and were left
-    out of the mix; their spans still count in its length.
+    frequencies, sounded at or above half the sample rate (or at NaN)
+    and were left out of the mix; their spans still count in its length.
+    ``peak`` is the largest absolute sample before mastering, ``gain``
+    the scale mastering applied (1.0 when the mix was left as it was),
+    and ``oscillators`` the number of distinct waves built.
     """
 
     sample_rate: int
     samples: np.ndarray
     silent_events: int = 0
     silent_frequencies: int = 0
+    peak: float = 0.0
+    gain: float = 1.0
+    oscillators: int = 0
 
 
-def _oscillator(frequency_hz: float, n: int, settings: RenderSettings) -> np.ndarray:
+def _times(n: int, sr: int) -> tuple[np.ndarray, np.ndarray]:
+    """In-block and block-start sample times, ``i / sr``, for waves of up
+    to ``n`` samples; a shorter wave takes a prefix of each."""
+    import numpy as np
+
+    blocks = -(-n // _BLOCK)
+    return (np.arange(min(n, _BLOCK), dtype=np.float64) / sr,
+            np.arange(0, blocks * _BLOCK, _BLOCK, dtype=np.float64) / sr)
+
+
+def _oscillator(frequency_hz: float, n: int, settings: RenderSettings,
+                times: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """``n`` samples of the waveform at ``frequency_hz``, from phase 0.
 
     Built by the block phasor the module docstring describes, with both
     angle tables computed as ``2π·f·(i / sr)``, as a direct ``np.sin``
     would.  No sample depends on another, so no error builds up along the
-    note.  The caller keeps ``frequency_hz`` below ``sr / 2``.
+    note.  ``times`` are the grids of ``_times`` for at least ``n``
+    samples, built here when not given.  The caller keeps
+    ``frequency_hz`` below ``sr / 2``.
     """
     import numpy as np
 
     sr = settings.sample_rate
+    inner_t, outer_t = times or _times(n, sr)
     step = 2.0 * np.pi * frequency_hz
-    blocks = -(-n // _BLOCK)
-    inner = step * (np.arange(min(n, _BLOCK), dtype=np.float64) / sr)
-    outer = step * (np.arange(0, blocks * _BLOCK, _BLOCK, dtype=np.float64) / sr)
-    sin_k, cos_k = np.sin(inner), np.cos(inner)
-    sin_b, cos_b = np.sin(outer)[:, None], np.cos(outer)[:, None]
+    width, blocks = min(n, _BLOCK), -(-n // _BLOCK)
+    inner = step * inner_t[:width]
+    outer = step * outer_t[:blocks]
+    k = np.empty((2, width))                  # cos_k, sin_k
+    np.cos(inner, out=k[0])
+    np.sin(inner, out=k[1])
+    b = np.empty((3, blocks))                 # sin_b, cos_b, -sin_b
+    np.sin(outer, out=b[0])
+    np.cos(outer, out=b[1])
 
-    s = sin_b * cos_k
-    s += cos_b * sin_k
+    # One einsum per grid, s[b, k] = sin_b·cos_k + cos_b·sin_k: not a
+    # (rows, 1) * (B,) broadcast, which goes through numpy's buffered
+    # iterator, and no temporary.  It rounds each product and then their
+    # sum, as the broadcast products and add did (tests/test_render.py
+    # keeps that version and checks the samples against it); only its
+    # sum starts from +0.0, so a negative frequency's first sample is
+    # +0.0 where the broadcast gave -0.0, which the mix absorbs.  s is the
+    # first full-length array allocated, and the additive-4 sum goes into
+    # it, so the wave that outlives this call lies below the freed
+    # temporaries in the heap (summing into a later array raised peak
+    # RSS up to 6%).
+    s = np.einsum("ki,kj->ij", b[:2], k)
     if settings.waveform == "sine" or 2 * frequency_hz >= sr / 2:
         return s.reshape(-1)[:n]
     # additive-4: partial k is left out when k·f is at or above sr / 2.
-    # The sum goes into s, the first full-length array allocated, so the
-    # wave that outlives this call lies below the freed temporaries in the
-    # heap (summing into a later array raised peak RSS up to 6%).
     third = 3 * frequency_hz < sr / 2
-    c = cos_b * cos_k
-    c -= sin_b * sin_k
+    np.negative(b[0], out=b[2])
+    c = np.einsum("ki,kj->ij", b[1:], k)      # cos_b·cos_k - sin_b·sin_k
     s2 = s * c
     s2 *= 2.0                                 # sin 2t = 2sc
     if third:
@@ -150,7 +187,8 @@ def synthesize(events: Sequence[ResolvedEvent],
     attack + release get both scaled proportionally to fit, so there is
     never an envelope discontinuity.  After summation the mix is scaled
     down to ``master_gain`` peak only if it exceeds it.  Raises ValueError,
-    before allocating, when the mix is longer than a WAV file can hold,
+    before allocating, when an event starts or lasts a negative or
+    non-finite time, or the mix is longer than a WAV file can hold,
     sample positions beyond the float range included.
 
     One oscillator is built per distinct frequency, at the first event
@@ -159,8 +197,9 @@ def synthesize(events: Sequence[ResolvedEvent],
     one.  Events are added to the mix in the order given, so the result
     equals rendering each event's oscillator on its own.
 
-    Events at or above half the sample rate add nothing to the mix; the
-    buffer counts them and their distinct frequencies.
+    Events at or above half the sample rate, or at NaN, add nothing to
+    the mix; the buffer counts them and their distinct frequencies, all
+    NaNs as one.
     """
     import numpy as np
 
@@ -170,9 +209,12 @@ def synthesize(events: Sequence[ResolvedEvent],
     spans: list[tuple[int, int, int, int, ResolvedEvent]] = []
     # frequency -> (longest event in samples, index in spans of its last event)
     plan: dict[float, tuple[int, int]] = {}
-    silent: dict[float, int] = {}  # frequency at or above sr / 2 -> its events
+    silent: dict[float, int] = {}  # frequency not below sr / 2 -> its events
     total = 0
     for ev in events:
+        if not (0 <= ev.start_sec < math.inf and 0 <= ev.duration_sec < math.inf):
+            raise ValueError(f"event start and duration must be non-negative and finite: "
+                             f"{ev.start_sec!r}, {ev.duration_sec!r}")
         attack, release = settings.attack_sec, settings.release_sec
         if attack + release > ev.duration_sec > 0:
             squeeze = ev.duration_sec / (attack + release)
@@ -189,7 +231,9 @@ def synthesize(events: Sequence[ResolvedEvent],
         n = n_note + n_release
         total = max(total, first + n)
         freq = ev.frequency_hz
-        if freq >= sr / 2:
+        if not freq < sr / 2:
+            if math.isnan(freq):
+                freq = math.nan  # one key for every NaN
             silent[freq] = silent.get(freq, 0) + 1
         elif n:
             plan[freq] = (max(plan.get(freq, (0,))[0], n), len(spans))
@@ -199,6 +243,17 @@ def synthesize(events: Sequence[ResolvedEvent],
                          f"{MAX_SAMPLES}")
 
     mix = np.zeros(total, dtype=np.float64)
+    # Shared by every event: the angle grids, the gain-scaled chunk of the
+    # longest one and the envelope ramps by length.  All are allocated
+    # before the first wave, so the waves freed by the end of the loop lie
+    # at the top of the heap and go back to the system before write_wav
+    # allocates (a ramp memoised inside the loop kept them, and raised
+    # peak RSS up to 8% on some layouts).
+    longest_event = max((longest for longest, _ in plan.values()), default=0)
+    times = _times(longest_event, sr)
+    scratch = np.empty(longest_event, dtype=np.float64)
+    attacks = {a: np.arange(a) / a for a in {span[2] for span in spans}}
+    releases = {r: 1.0 - np.arange(1, r + 1) / r for r in {span[3] for span in spans}}
     waves: dict[float, np.ndarray] = {}
     for i, (first, n_note, n_attack, n_release, ev) in enumerate(spans):
         n = n_note + n_release
@@ -206,24 +261,22 @@ def synthesize(events: Sequence[ResolvedEvent],
         longest, last = plan[freq]
         wave = waves.get(freq)
         if wave is None:
-            wave = waves[freq] = _oscillator(freq, longest, settings)
+            wave = waves[freq] = _oscillator(freq, longest, settings, times)
         if i == last:
             del waves[freq]
-        signal = wave[:n]
         gain = ev.velocity / 127.0
-        chunk = gain * signal
-        if n_attack:
-            ramp = np.arange(n_attack) / n_attack
-            chunk[:n_attack] = (gain * ramp) * signal[:n_attack]
-        if n_release:
-            ramp = 1.0 - np.arange(1, n_release + 1) / n_release
-            chunk[n_note:] = (gain * ramp) * signal[n_note:]
+        chunk = scratch[:n]
+        np.multiply(gain * attacks[n_attack], wave[:n_attack], out=chunk[:n_attack])
+        np.multiply(wave[n_attack:n_note], gain, out=chunk[n_attack:n_note])
+        np.multiply(gain * releases[n_release], wave[n_note:n], out=chunk[n_note:])
         mix[first:first + n] += chunk
 
     peak = max(float(mix.max()), -float(mix.min())) if total else 0.0
+    gain = 1.0
     if peak > settings.master_gain:
-        mix *= settings.master_gain / peak
-    return AudioBuffer(sr, mix, sum(silent.values()), len(silent))
+        gain = settings.master_gain / peak
+        mix *= gain
+    return AudioBuffer(sr, mix, sum(silent.values()), len(silent), peak, gain, len(plan))
 
 
 def write_wav(buffer: AudioBuffer, path) -> None:

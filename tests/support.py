@@ -229,8 +229,9 @@ def broken_composition(rng: random.Random, composition: Composition) -> Composit
                 span = TimeInterval(max(0, span.start + rng.randint(-40, 40)), span.duration)
             elif op == 1:
                 span = TimeInterval(span.start, span.duration + rng.randint(1, 40))
-            elif op == 2:
-                key = len(composition.scales[h.scale_name]) + rng.randrange(3)
+            elif op == 2:  # h's scale may already be renamed to "nosuch" (op 5)
+                scale = composition.scales[composition.harmonies[name].scale_name]
+                key = len(scale) + rng.randrange(3)
             tones[i] = TranspositionTone(key, span)
             if op == 3 and len(tones) > 1:
                 del tones[i]

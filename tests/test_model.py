@@ -241,6 +241,15 @@ class TestBoundaryCrossingEquivalence:
             broken += bool(errors(report))
         assert warned > 60 and broken > 60
 
+    def test_two_defects_on_one_harmony(self):
+        # seed 19 renames a harmony's scale to "nosuch" and then draws an
+        # out-of-scale tone key for the same harmony
+        rng = random.Random(19)
+        comp = random_composition(rng, max_ticks=1500, max_notes=20,
+                                  max_harmonic_levels=3, min_instruments=1)
+        broken = broken_composition(rng, comp)
+        assert errors(validate_composition(broken))
+
 
 def overflow_comp(inst_keys, notes, tone_keys=("1/1", "3/2")):
     return Composition(

@@ -14,7 +14,7 @@ from dtseq import (
     synthesize,
     write_wav,
 )
-from dtseq.render import _BLOCK, MAX_SAMPLES, _oscillator
+from dtseq.render import _BLOCK, MAX_SAMPLES, _oscillator, _times
 from support import REFERENCE_SCORE
 
 
@@ -182,6 +182,46 @@ class TestSynthesize:
         buffer = synthesize([event(dur=0.0)], RenderSettings(attack_sec=1e306))
         assert len(buffer.samples) == round(0.05 * 44100)  # the release alone
 
+    @pytest.mark.parametrize("start,dur", [
+        (-0.1, 0.0375), (-1e-9, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+        (0.5, -0.01), (0.5, math.nan), (0.5, math.inf), (-math.inf, math.inf)])
+    def test_out_of_range_event_is_refused(self, start, dur):
+        settings = RenderSettings(sample_rate=8000)
+        events = [event(start=0.0, dur=2.0), event(start=start, dur=dur)]
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            synthesize(events, settings)
+
+    def test_nan_frequency_is_silent_and_counted(self, tmp_path):
+        settings = RenderSettings(sample_rate=8000, release_sec=0.0)
+        events = [event(math.nan), event(440.0, vel=64), event(float("nan"), start=0.5),
+                  event(-math.nan, dur=1.5)]
+        buf = synthesize(events, settings)
+        assert (buf.silent_events, buf.silent_frequencies) == (3, 1)
+        assert not np.isnan(buf.samples).any()
+        # the in-band note alone, padded to 1.5 s by an empty event there
+        alone = synthesize([event(440.0, vel=64), event(1.0, start=1.5, dur=0.0)], settings)
+        assert np.array_equal(buf.samples, alone.samples)
+        write_wav(buf, tmp_path / "nan.wav")  # a NaN in the mix would warn in the cast
+
+    def test_facts_of_a_mastered_mix(self):
+        events = [event(440.0), event(660.0, start=1.5, vel=20), event(6000.0, dur=0.2)]
+        settings = RenderSettings(sample_rate=8000, master_gain=0.8)
+        buf = synthesize(events, settings)
+        # the same mix below a master gain of 1.0 is left as it was
+        raw = per_event_synthesize(events[:2], RenderSettings(sample_rate=8000, master_gain=1.0))
+        assert buf.peak == float(np.max(np.abs(raw))) > 0.8
+        assert buf.gain == 0.8 / buf.peak
+        assert buf.oscillators == 2
+        assert float(np.max(np.abs(buf.samples))) == pytest.approx(0.8, abs=1e-12)
+
+    def test_facts_of_a_quiet_mix(self):
+        buf = synthesize([event(440.0, vel=32), event(550.0, vel=20, start=0.5)],
+                         RenderSettings(master_gain=0.9))
+        assert 0 < buf.peak == float(np.max(np.abs(buf.samples))) < 0.9
+        assert (buf.gain, buf.oscillators) == (1.0, 2)
+        empty = synthesize([])
+        assert (empty.peak, empty.gain, empty.oscillators) == (0.0, 1.0, 0)
+
     def test_deterministic(self):
         events = resolve_composition(parse(REFERENCE_SCORE))
         a = synthesize(events)
@@ -283,6 +323,67 @@ class TestOscillator:
         expected = np.sin(2.0 * np.pi * 1234.5 * (starts / 44100))
         assert np.array_equal(got[starts], expected)
         assert np.max(np.abs(got - direct_wave(1234.5, n, settings))) <= 2e-9
+
+
+def reference_oscillator(frequency_hz, n, settings):
+    """A frozen copy of ``render._oscillator`` as it stood when each grid
+    was two broadcast products and an add; ``TestKernelBitIdentity``
+    checks that the kernel still returns exactly these samples."""
+    sr = settings.sample_rate
+    step = 2.0 * np.pi * frequency_hz
+    blocks = -(-n // _BLOCK)
+    inner = step * (np.arange(min(n, _BLOCK), dtype=np.float64) / sr)
+    outer = step * (np.arange(0, blocks * _BLOCK, _BLOCK, dtype=np.float64) / sr)
+    sin_k, cos_k = np.sin(inner), np.cos(inner)
+    sin_b, cos_b = np.sin(outer)[:, None], np.cos(outer)[:, None]
+
+    s = sin_b * cos_k
+    s += cos_b * sin_k
+    if settings.waveform == "sine" or 2 * frequency_hz >= sr / 2:
+        return s.reshape(-1)[:n]
+    third = 3 * frequency_hz < sr / 2
+    c = cos_b * cos_k
+    c -= sin_b * sin_k
+    s2 = s * c
+    s2 *= 2.0
+    if third:
+        c2 = s * s
+        c2 *= -2.0
+        c2 += 1.0
+        c *= s2
+        c += c2 * s
+        c /= 3.0
+    s2 /= 2.0
+    s += s2
+    if third:
+        s += c
+        if 4 * frequency_hz < sr / 2:
+            s2 *= c2
+            s += s2
+    return s.reshape(-1)[:n]
+
+
+class TestKernelBitIdentity:
+    """The kernel gives the frozen reference's samples, bit for bit and
+    sign of zero included, whether it builds its angle grids or takes
+    longer ones from ``synthesize``."""
+
+    @pytest.mark.parametrize("waveform", ["sine", "additive-4"])
+    @pytest.mark.parametrize("sr", [8000, 44100])
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000, 2**18])
+    def test_equals_frozen_reference(self, n, sr, waveform):
+        settings = RenderSettings(sample_rate=sr, waveform=waveform)
+        rng = np.random.default_rng([n, sr, 9])
+        # just below the rates where additive-4 drops 2f, 3f and 4f, and at them
+        edges = [edge for k in (4, 6, 8) for edge in (np.nextafter(sr / k, 0.0), sr / k)]
+        freqs = [0.0, *rng.uniform(0.0, sr / 2, 6), *edges, np.nextafter(sr / 2, 0.0)]
+        longer = _times(n + 3 * _BLOCK, sr)
+        for freq in freqs:
+            expected = reference_oscillator(freq, n, settings)
+            for got in (_oscillator(freq, n, settings), _oscillator(freq, n, settings, longer)):
+                assert got.shape == (n,)
+                assert np.array_equal(got, expected), freq
+                assert np.array_equal(np.signbit(got), np.signbit(expected)), freq
 
 
 class TestBandLimit:
