@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .rational import Scale, check_name
 
@@ -80,14 +80,14 @@ class TranspositionTone:
 class InstrumentScore:
     """The note timeline of one instrument.  Overlaps (chords) are allowed.
 
-    Canonical from construction: exact duplicates dropped, then sorted by
-    (start, key_index, duration, velocity), so equal note sets compare
-    equal and every layer numbers the notes alike."""
+    Canonical from any iterable of notes: exact duplicates dropped, then
+    sorted by (start, key_index, duration, velocity), so equal note sets
+    compare equal and every layer numbers the notes alike."""
 
-    notes: tuple[Note, ...]
+    notes: tuple[Note, ...] = ()
 
-    def __init__(self, notes: Iterable[Note] = ()):
-        ordered = sorted(dict.fromkeys(notes), key=lambda n: (
+    def __post_init__(self):
+        ordered = sorted(dict.fromkeys(self.notes), key=lambda n: (
             n.interval.start, n.key_index, n.interval.duration, n.velocity))
         object.__setattr__(self, "notes", tuple(ordered))
 
@@ -109,24 +109,20 @@ class HarmonicSequence:
     Valid sequences are non-overlapping, contiguous, and span the whole
     composition, which makes the tone at any tick unique
     (:meth:`tone_at`).  Chords are meaningless here, unlike in an
-    instrument score.
+    instrument score.  ``tones`` may be any iterable.
     """
 
     name: str
     level: int
     scale_name: str
-    tones: tuple[TranspositionTone, ...]
+    tones: tuple[TranspositionTone, ...] = ()
 
-    def __init__(self, name: str, level: int, scale_name: str,
-                 tones: Iterable[TranspositionTone] = ()):
-        check_name(name, "harmony name")
-        check_name(scale_name, "scale name")
-        if not isinstance(level, int) or level < 1:
-            raise ValueError(f"harmony level must be an integer >= 1: {level!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "scale_name", scale_name)
-        object.__setattr__(self, "tones", tuple(tones))
+    def __post_init__(self):
+        check_name(self.name, "harmony name")
+        check_name(self.scale_name, "scale name")
+        if not isinstance(self.level, int) or self.level < 1:
+            raise ValueError(f"harmony level must be an integer >= 1: {self.level!r}")
+        object.__setattr__(self, "tones", tuple(self.tones))
 
     @cached_property
     def _starts(self) -> list[int]:
@@ -149,65 +145,56 @@ class HarmonicSequence:
 class Instrument:
     """A named voice: its scale, the harmonies it follows, and its score.
 
-    ``harmony_names`` is ordered lowest level first; validation checks the
-    referenced levels form the consecutive range 1..n.
+    ``harmony_names`` (any iterable) is ordered lowest level first, and
+    validation checks its levels form 1..n; ``score`` may be any iterable of notes.
     """
 
     name: str
     scale_name: str
-    harmony_names: tuple[str, ...]
-    score: InstrumentScore
+    harmony_names: tuple[str, ...] = ()
+    score: InstrumentScore = ()
 
-    def __init__(self, name: str, scale_name: str,
-                 harmony_names: Iterable[str] = (),
-                 score: InstrumentScore | Iterable[Note] = ()):
-        check_name(name, "instrument name")
-        check_name(scale_name, "scale name")
-        names = tuple(harmony_names)
-        for h in names:
+    def __post_init__(self):
+        check_name(self.name, "instrument name")
+        check_name(self.scale_name, "scale name")
+        object.__setattr__(self, "harmony_names", tuple(self.harmony_names))
+        for h in self.harmony_names:
             check_name(h, "harmony name")
-        if not isinstance(score, InstrumentScore):
-            score = InstrumentScore(score)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "scale_name", scale_name)
-        object.__setattr__(self, "harmony_names", names)
-        object.__setattr__(self, "score", score)
+        if not isinstance(self.score, InstrumentScore):
+            object.__setattr__(self, "score", InstrumentScore(self.score))
 
 
 @dataclass(frozen=True)
 class Composition:
-    """Root of a piece: base frequency, time grid, scales, harmonies, voices."""
+    """Root of a piece: base frequency, time grid, scales, harmonies, voices.
+
+    ``scales`` and ``harmonies`` take a mapping by name or any iterable of
+    named objects, ``instruments`` any iterable."""
 
     base_frequency_hz: float
     ticks_per_beat: int
     tempo_bpm: float
     length_ticks: int
-    scales: Mapping[str, Scale]
-    harmonies: Mapping[str, HarmonicSequence]
-    instruments: tuple[Instrument, ...]
+    scales: Mapping[str, Scale] = ()
+    harmonies: Mapping[str, HarmonicSequence] = ()
+    instruments: tuple[Instrument, ...] = ()
 
-    def __init__(self, base_frequency_hz: float, ticks_per_beat: int,
-                 tempo_bpm: float, length_ticks: int,
-                 scales: Mapping[str, Scale] | Iterable[Scale] = (),
-                 harmonies: Mapping[str, HarmonicSequence] | Iterable[HarmonicSequence] = (),
-                 instruments: Iterable[Instrument] = ()):
-        base = float(base_frequency_hz)
-        tempo = float(tempo_bpm)
+    def __post_init__(self):
+        base = float(self.base_frequency_hz)
+        tempo = float(self.tempo_bpm)
         if not base > 0:
-            raise ValueError(f"base frequency must be positive: {base_frequency_hz!r}")
-        if not isinstance(ticks_per_beat, int) or ticks_per_beat < 1:
-            raise ValueError(f"ticks per beat must be a positive integer: {ticks_per_beat!r}")
+            raise ValueError(f"base frequency must be positive: {self.base_frequency_hz!r}")
+        if not isinstance(self.ticks_per_beat, int) or self.ticks_per_beat < 1:
+            raise ValueError(f"ticks per beat must be a positive integer: {self.ticks_per_beat!r}")
         if not tempo > 0:
-            raise ValueError(f"tempo must be positive: {tempo_bpm!r}")
-        if not isinstance(length_ticks, int) or length_ticks < 1:
-            raise ValueError(f"length must be a positive tick count: {length_ticks!r}")
+            raise ValueError(f"tempo must be positive: {self.tempo_bpm!r}")
+        if not isinstance(self.length_ticks, int) or self.length_ticks < 1:
+            raise ValueError(f"length must be a positive tick count: {self.length_ticks!r}")
         object.__setattr__(self, "base_frequency_hz", base)
-        object.__setattr__(self, "ticks_per_beat", ticks_per_beat)
         object.__setattr__(self, "tempo_bpm", tempo)
-        object.__setattr__(self, "length_ticks", length_ticks)
-        object.__setattr__(self, "scales", _named(scales, "scale"))
-        object.__setattr__(self, "harmonies", _named(harmonies, "harmony"))
-        object.__setattr__(self, "instruments", tuple(instruments))
+        object.__setattr__(self, "scales", _named(self.scales, "scale"))
+        object.__setattr__(self, "harmonies", _named(self.harmonies, "harmony"))
+        object.__setattr__(self, "instruments", tuple(self.instruments))
 
     def seconds(self, ticks: int) -> float:
         """Convert a tick count to seconds under this composition's tempo."""

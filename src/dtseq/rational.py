@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 #: All pitch factors are exact rationals.
 Ratio = Fraction
@@ -84,22 +84,20 @@ def cents(r: RatioLike) -> float:
 class Scale:
     """A named, ordered collection of pitch factors.
 
-    Keys need not be sorted or confined to one octave; the only requirements
-    are at least one key and no duplicates (compared as reduced rationals).
+    ``keys``, any iterable of ratio-likes, need not be sorted or in one octave;
+    they must hold at least one key and no duplicates (as reduced rationals).
     """
 
     name: str
     keys: tuple[Fraction, ...]
 
-    def __init__(self, name: str, keys: Iterable[RatioLike]):
-        check_name(name, "scale name")
-        reduced = tuple(as_ratio(k) for k in keys)
-        if not reduced:
-            raise ValueError(f"scale {name!r} needs at least one key")
-        if len(set(reduced)) != len(reduced):
-            raise ValueError(f"scale {name!r} has duplicate keys")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "keys", reduced)
+    def __post_init__(self):
+        check_name(self.name, "scale name")
+        object.__setattr__(self, "keys", tuple(as_ratio(k) for k in self.keys))
+        if not self.keys:
+            raise ValueError(f"scale {self.name!r} needs at least one key")
+        if len(set(self.keys)) != len(self.keys):
+            raise ValueError(f"scale {self.name!r} has duplicate keys")
 
     def __len__(self) -> int:
         return len(self.keys)

@@ -12,9 +12,9 @@ rather than per event.  The "additive-4" waveform stacks partials at 2f,
 interval consonance is audible.
 
 One band limit holds for every partial, the fundamental included: a
-partial at or above the Nyquist frequency, half the sample rate, is left
-out rather than aliased, and an event whose own frequency is there is
-left silent.  Its span still counts in the length of the mix, and
+partial at or beyond ±half the sample rate, the Nyquist frequency, is
+left out rather than aliased, and an event whose own frequency is there
+is left silent.  Its span still counts in the length of the mix, and
 ``AudioBuffer`` reports how many events and distinct frequencies were
 silenced.  A score's validity therefore does not depend on the rate, and
 no oscillator is ever built for a frequency above 2**30 Hz.
@@ -89,7 +89,7 @@ class AudioBuffer:
     """Mono float64 samples in [-1, 1] after mastering.
 
     ``silent_events`` events, at ``silent_frequencies`` distinct
-    frequencies, sounded at or above half the sample rate (or at NaN)
+    frequencies, sounded at or beyond ±half the sample rate (or at NaN)
     and were left out of the mix; their spans still count in its length.
     ``peak`` is the largest absolute sample before mastering, ``gain``
     the scale mastering applied (1.0 when the mix was left as it was),
@@ -124,7 +124,7 @@ def _oscillator(frequency_hz: float, n: int, settings: RenderSettings,
     would.  No sample depends on another, so no error builds up along the
     note.  ``times`` are the grids of ``_times`` for at least ``n``
     samples, built here when not given.  The caller keeps
-    ``frequency_hz`` below ``sr / 2``.
+    ``abs(frequency_hz)`` below ``sr / 2``.
     """
     import numpy as np
 
@@ -153,10 +153,10 @@ def _oscillator(frequency_hz: float, n: int, settings: RenderSettings,
     # temporaries in the heap (summing into a later array raised peak
     # RSS up to 6%).
     s = np.einsum("ki,kj->ij", b[:2], k)
-    if settings.waveform == "sine" or 2 * frequency_hz >= sr / 2:
+    if settings.waveform == "sine" or 2 * abs(frequency_hz) >= sr / 2:
         return s.reshape(-1)[:n]
-    # additive-4: partial k is left out when k·f is at or above sr / 2.
-    third = 3 * frequency_hz < sr / 2
+    # additive-4: partial k is left out when k·|f| is at or above sr / 2.
+    third = 3 * abs(frequency_hz) < sr / 2
     np.negative(b[0], out=b[2])
     c = np.einsum("ki,kj->ij", b[1:], k)      # cos_b·cos_k - sin_b·sin_k
     s2 = s * c
@@ -172,7 +172,7 @@ def _oscillator(frequency_hz: float, n: int, settings: RenderSettings,
     s += s2
     if third:
         s += c
-        if 4 * frequency_hz < sr / 2:
+        if 4 * abs(frequency_hz) < sr / 2:
             s2 *= c2                          # sin 4t / 4 = (sin 2t / 2)·cos 2t
             s += s2
     return s.reshape(-1)[:n]
@@ -197,9 +197,9 @@ def synthesize(events: Sequence[ResolvedEvent],
     one.  Events are added to the mix in the order given, so the result
     equals rendering each event's oscillator on its own.
 
-    Events at or above half the sample rate, or at NaN, add nothing to
-    the mix; the buffer counts them and their distinct frequencies, all
-    NaNs as one.
+    Events at or beyond ±half the sample rate, or at NaN, add nothing
+    to the mix; the buffer counts them and their distinct frequencies,
+    all NaNs as one.
     """
     import numpy as np
 
@@ -209,7 +209,7 @@ def synthesize(events: Sequence[ResolvedEvent],
     spans: list[tuple[int, int, int, int, ResolvedEvent]] = []
     # frequency -> (longest event in samples, index in spans of its last event)
     plan: dict[float, tuple[int, int]] = {}
-    silent: dict[float, int] = {}  # frequency not below sr / 2 -> its events
+    silent: dict[float, int] = {}  # frequency with |f| not below sr / 2 -> its events
     total = 0
     for ev in events:
         if not (0 <= ev.start_sec < math.inf and 0 <= ev.duration_sec < math.inf):
@@ -231,7 +231,7 @@ def synthesize(events: Sequence[ResolvedEvent],
         n = n_note + n_release
         total = max(total, first + n)
         freq = ev.frequency_hz
-        if not freq < sr / 2:
+        if not abs(freq) < sr / 2:
             if math.isnan(freq):
                 freq = math.nan  # one key for every NaN
             silent[freq] = silent.get(freq, 0) + 1
@@ -287,20 +287,20 @@ def write_wav(buffer: AudioBuffer, path) -> None:
     """
     import numpy as np
 
-    samples = buffer.samples
-    quantized = np.empty(len(samples), dtype="<i2")
-    step = 1 << 16  # in blocks, so there is never a float copy of the whole mix
-    for lo in range(0, len(samples), step):
-        scaled = samples[lo:lo + step] * 32767.0
-        np.rint(scaled, out=scaled)
-        np.clip(scaled, -32768, 32767, out=scaled)
-        quantized[lo:lo + step] = scaled
+    step = 1 << 16  # in blocks, so there is never a full-length copy of the mix
+    block = np.empty(step, dtype="<i2")
     with open(path, "wb") as fh:
         with wave.open(fh, "wb") as wav:
             wav.setnchannels(1)
             wav.setsampwidth(2)
             wav.setframerate(buffer.sample_rate)
-            wav.writeframes(quantized)
+            wav.setnframes(len(buffer.samples))  # the header is final before the first frame
+            for lo in range(0, len(buffer.samples), step):
+                scaled = buffer.samples[lo:lo + step] * 32767.0
+                np.rint(scaled, out=scaled)
+                out = block[:len(scaled)]
+                np.clip(scaled, -32768, 32767, out=out, casting="unsafe")
+                wav.writeframesraw(out)
 
 
 def export_events(events: Iterable[ResolvedEvent]) -> str:

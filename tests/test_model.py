@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from dtseq import (
     Instrument,
     InstrumentScore,
     Note,
+    InvalidRatioError,
     ResolutionError,
     Scale,
     TimeInterval,
@@ -21,7 +24,7 @@ from dtseq import (
     validate_composition,
 )
 from dtseq.model import ERROR, WARNING, Violation
-from support import broken_composition, random_composition
+from support import REFERENCE_SCORE, broken_composition, random_composition
 
 
 def tone(key, start, duration):
@@ -64,6 +67,13 @@ class TestNote:
     def test_velocity_bounds(self, velocity):
         with pytest.raises(ValueError):
             Note(0, TimeInterval(0, 1), velocity)
+
+    @pytest.mark.parametrize("cls", [Note, TranspositionTone])
+    @pytest.mark.parametrize("key", [-1, 1.0])
+    def test_key_index_must_be_a_non_negative_int(self, cls, key):
+        with pytest.raises(ValueError) as exc:
+            cls(key, TimeInterval(0, 1))
+        assert str(exc.value) == f"key index must be a non-negative integer: {key!r}"
 
 
 class TestToneAt:
@@ -410,3 +420,99 @@ class TestComposition:
         comp = harmony_comp([tone(0, 0, 960)])
         assert comp.seconds(480) == 0.5
         assert comp.seconds(1920) == 2.0
+
+
+REQUIRED = inspect.Parameter.empty
+
+
+class TestConstructors:
+    """The public constructors of the score model: their parameters, what
+    they store, and which of several problems they report."""
+
+    @pytest.mark.parametrize("cls,params", [
+        (Scale, [("name", REQUIRED), ("keys", REQUIRED)]),
+        (HarmonicSequence, [("name", REQUIRED), ("level", REQUIRED),
+                            ("scale_name", REQUIRED), ("tones", ())]),
+        (InstrumentScore, [("notes", ())]),
+        (Instrument, [("name", REQUIRED), ("scale_name", REQUIRED),
+                      ("harmony_names", ()), ("score", ())]),
+        (Composition, [("base_frequency_hz", REQUIRED), ("ticks_per_beat", REQUIRED),
+                       ("tempo_bpm", REQUIRED), ("length_ticks", REQUIRED),
+                       ("scales", ()), ("harmonies", ()), ("instruments", ())]),
+    ])
+    def test_signature(self, cls, params):
+        got = [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+        assert got == [(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default)
+                       for name, default in params]
+
+    @pytest.mark.parametrize("wrap", [list, lambda items: (x for x in items)])
+    def test_iterables_are_stored_as_tuples(self, wrap):
+        n1, n2 = Note(1, TimeInterval(0, 1)), Note(0, TimeInterval(0, 1))
+        t = tone(0, 0, 960)
+        scale = Scale("s", wrap(["1/1", 3]))
+        harmony = HarmonicSequence("h", 1, "s", wrap([t]))
+        score = InstrumentScore(wrap([n1, n2, n1]))
+        inst = Instrument("i", "s", wrap(["h"]), wrap([n1, n2]))
+        comp = Composition(440, 480, 120, 960, wrap([scale]), wrap([harmony]), wrap([inst]))
+        stored = [(scale.keys, (Fraction(1), Fraction(3))), (harmony.tones, (t,)),
+                  (score.notes, (n2, n1)), (inst.harmony_names, ("h",)),
+                  (inst.score.notes, (n2, n1)), (comp.instruments, (inst,))]
+        for value, expected in stored:
+            assert type(value) is tuple and value == expected
+        assert type(inst.score) is InstrumentScore and inst.score == score
+        assert type(comp.base_frequency_hz) is float and comp.base_frequency_hz == 440.0
+        assert type(comp.tempo_bpm) is float and comp.tempo_bpm == 120.0
+
+    def test_composition_takes_a_mapping_or_an_iterable(self):
+        scale = Scale("s", ["1/1"])
+        harmony = HarmonicSequence("h", 1, "s", [tone(0, 0, 960)])
+        by_list = Composition(440.0, 480, 120.0, 960, [scale], [harmony])
+        by_map = Composition(440.0, 480, 120.0, 960, {"s": scale}, {"h": harmony})
+        assert by_list == by_map
+        for comp in (by_list, by_map):
+            assert type(comp.scales) is dict and comp.scales == {"s": scale}
+            assert type(comp.harmonies) is dict and comp.harmonies == {"h": harmony}
+        assert Composition(440.0, 480, 120.0, 960).scales == {}
+
+    def test_replace_round_trips(self):
+        comp = parse(REFERENCE_SCORE)
+        inst = comp.instruments[0]
+        for obj in (comp, *comp.scales.values(), *comp.harmonies.values(), inst, inst.score):
+            again = dataclasses.replace(obj)
+            assert again == obj and repr(again) == repr(obj)
+        slower = dataclasses.replace(comp, tempo_bpm=60)
+        assert type(slower.tempo_bpm) is float and slower.seconds(480) == 2 * comp.seconds(480)
+        assert (slower.scales, slower.harmonies, slower.instruments) == (
+            comp.scales, comp.harmonies, comp.instruments)
+
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda: HarmonicSequence("1x", 0, "2y"), ValueError, "invalid harmony name: '1x'"),
+        (lambda: HarmonicSequence("h", 0, "2y"), ValueError, "invalid scale name: '2y'"),
+        (lambda: HarmonicSequence("h", 0, "s"), ValueError,
+         "harmony level must be an integer >= 1: 0"),
+        (lambda: HarmonicSequence("h", 1.0, "s"), ValueError,
+         "harmony level must be an integer >= 1: 1.0"),
+        (lambda: Instrument("1x", "2y", ["3z"]), ValueError, "invalid instrument name: '1x'"),
+        (lambda: Instrument("i", "2y", ["3z"]), ValueError, "invalid scale name: '2y'"),
+        (lambda: Instrument("i", "s", ["h", "3z"], [None]), ValueError,
+         "invalid harmony name: '3z'"),
+        (lambda: Scale("1x", ["x"]), ValueError, "invalid scale name: '1x'"),
+        (lambda: Scale("s", ["1/1", "1/1", "x"]), InvalidRatioError, "not a ratio: 'x'"),
+        (lambda: Scale("s", []), ValueError, "scale 's' needs at least one key"),
+        (lambda: Composition("x", 0, "y", 0), ValueError, "could not convert string to float: 'x'"),
+        (lambda: Composition(0, 0, "y", 0), ValueError, "could not convert string to float: 'y'"),
+        (lambda: Composition("0", 0, 0, 0), ValueError, "base frequency must be positive: '0'"),
+        (lambda: Composition(440, 0, 0, 0), ValueError,
+         "ticks per beat must be a positive integer: 0"),
+        (lambda: Composition(440, 480, 0, 0), ValueError, "tempo must be positive: 0"),
+        (lambda: Composition(440, 480, 120, 0.5), ValueError,
+         "length must be a positive tick count: 0.5"),
+        (lambda: Composition(440, 480, 120, 960, {"x": Scale("s", [1])}, [None]), ValueError,
+         "scale 's' keyed under mismatched name 'x'"),
+        (lambda: Composition(440, 480, 120, 960, [], [HarmonicSequence("h", 1, "s")] * 2),
+         ValueError, "duplicate harmony name: 'h'"),
+    ])
+    def test_first_problem_is_reported(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error and str(exc.value) == message

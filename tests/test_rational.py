@@ -14,6 +14,7 @@ from dtseq import (
     octave_normalize,
     ratio,
 )
+from dtseq.rational import as_ratio
 
 ratios = st.builds(Fraction, st.integers(1, 64), st.integers(1, 64))
 
@@ -123,3 +124,10 @@ def test_scale_rejects_empty_and_duplicates():
         Scale("neg", [Fraction(-1, 2)])
     with pytest.raises(ValueError):
         Scale("bad name!", [Fraction(1)])
+
+
+@pytest.mark.parametrize("text", ["x", "3/", "1/0", "", "3//2"])
+def test_as_ratio_rejects_a_non_ratio_string(text):
+    with pytest.raises(InvalidRatioError) as exc:
+        as_ratio(text)
+    assert str(exc.value) == f"not a ratio: {text!r}"

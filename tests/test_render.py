@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 import wave
 from fractions import Fraction
 
@@ -314,6 +316,22 @@ class TestOscillator:
             assert np.max(np.abs(np.rint(got * scale) - np.rint(expected * scale)),
                           initial=0.0) <= 1
 
+    @pytest.mark.parametrize("waveform", ["sine", "additive-4"])
+    @pytest.mark.parametrize("sr", [8000, 44100])
+    def test_negative_frequency_is_the_negated_wave(self, sr, waveform):
+        settings = RenderSettings(sample_rate=sr, waveform=waveform)
+        rng = np.random.default_rng(sr)
+        # additive-4 keeps every partial below sr/8, and above it drops
+        # partial 4, partials 3-4 or partials 2-4
+        nyquist = sr / 2
+        freqs = [rng.uniform(0.0, nyquist / 4), rng.uniform(nyquist / 4, nyquist / 3),
+                 rng.uniform(nyquist / 3, nyquist / 2), rng.uniform(nyquist / 2, nyquist),
+                 0.999999 * nyquist]
+        for freq in freqs:
+            for n in (1, _BLOCK + 1, 5000):
+                assert np.array_equal(_oscillator(-freq, n, settings),
+                                      -_oscillator(freq, n, settings)), (freq, n)
+
     def test_no_drift_along_a_long_note(self):
         settings = RenderSettings(sample_rate=44100)
         n = 2**20
@@ -430,6 +448,23 @@ class TestBandLimit:
         in_band = synthesize([event(3999.0)], settings)
         assert (in_band.silent_events, in_band.silent_frequencies) == (0, 0)
 
+    def test_band_limit_is_on_the_absolute_frequency(self):
+        settings = RenderSettings(sample_rate=4000, release_sec=0.0)
+        buf = synthesize([event(-3000.0), event(-2000.0, start=0.5)], settings)
+        assert (buf.silent_events, buf.silent_frequencies) == (2, 2)
+        assert len(buf.samples) == round(1.5 * 4000) and not buf.samples.any()
+        in_band = synthesize([event(-1999.0)], settings)
+        assert (in_band.silent_events, in_band.oscillators) == (0, 1)
+
+    def test_negative_infinity_is_silent_without_a_warning(self):
+        settings = RenderSettings(sample_rate=8000, release_sec=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            buf = synthesize([event(-math.inf), event(440.0, vel=64)], settings)
+        assert (buf.silent_events, buf.silent_frequencies) == (1, 1)
+        alone = synthesize([event(440.0, vel=64)], settings)
+        assert np.array_equal(buf.samples, alone.samples)
+
 
 class TestWriteWav:
     def test_header_layout_and_size(self, tmp_path):
@@ -481,6 +516,27 @@ class TestWriteWav:
         write_wav(synthesize(events), p1)
         write_wav(synthesize(events), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_empty_buffer_is_a_bare_header(self, tmp_path):
+        from dtseq import AudioBuffer
+        path = tmp_path / "empty.wav"
+        write_wav(AudioBuffer(8000, np.zeros(0)), path)
+        data = path.read_bytes()
+        assert len(data) == 44 and int.from_bytes(data[40:44], "little") == 0
+        assert int.from_bytes(data[4:8], "little") == 36
+
+    def test_memory_is_bounded_by_a_block(self, tmp_path):
+        from dtseq import AudioBuffer
+        buf = AudioBuffer(44100, np.random.default_rng(5).uniform(-1, 1, 2_000_000))
+        tracemalloc.start()
+        try:
+            write_wav(buf, tmp_path / "long.wav")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a full-length int16 copy alone would be 4 MB
+        assert peak < 2_000_000
+        assert (tmp_path / "long.wav").stat().st_size == 44 + 2 * 2_000_000
 
     def test_unwritable_path_raises_with_path(self, tmp_path):
         buf = synthesize([])
