@@ -42,7 +42,6 @@ from .rational import (
 from .render import (
     AudioBuffer,
     RenderSettings,
-    export_events,
     synthesize,
     write_wav,
 )
@@ -51,6 +50,7 @@ from .resolve import (
     ResolvedEvent,
     TableRegion,
     TableRow,
+    export_events,
     frequency_table,
     resolve_composition,
     resolve_note,

@@ -2,12 +2,19 @@
 
 Diagnostics go to stderr as ``file:line:col: kind: message`` (validation
 findings carry no source position and use 0:0); data goes to stdout so
-output can be piped.  Exit codes: 0 success, 1 parse or validation
-errors (or a render too long for a WAV file), 2 usage errors (including
-a bad ``--rate``), 3 I/O failures.  A render that leaves notes at or
-above half the rate silent says so in one ``band-limit`` warning and
-still exits 0.  Set DTS_COLOR=0 to disable the coloring of diagnostics
-on a terminal.
+output can be piped.  The two listings of ``dtseq resolve`` are formatted
+by :mod:`dtseq.resolve` and written here in one piece.  Exit codes:
+
+- 0 success;
+- 1 parse or validation errors, or a render too long for a WAV file or
+  too large for memory;
+- 2 usage errors, including a bad ``--rate``;
+- 3 I/O failures: an unreadable score, an unwritable WAV, or a closed or
+  full stdout (a closed pipe ends with no message).
+
+A render that leaves notes at or above half the rate silent says so in
+one ``band-limit`` warning and still exits 0.  Set DTS_COLOR=0 to
+disable the coloring of diagnostics on a terminal.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ import sys
 
 from .model import ERROR, Composition, validate_composition
 from .rational import builtin_scales, cents
-from .render import RenderSettings, WAVEFORMS, export_events, synthesize, write_wav
-from .resolve import frequency_table, resolve_composition
+from .render import RenderSettings, WAVEFORMS, synthesize, write_wav
+from .resolve import export_events, export_table, resolve_composition
 from .scorefile import parse
 
 EXIT_OK = 0
@@ -79,17 +86,8 @@ def cmd_resolve(args) -> int:
     composition, status = _load(args.path)
     if composition is None:
         return status
-    if args.table:
-        sys.stdout.write("instrument\tticks\tkey\tfactor\tfrequency_hz\n")
-        for inst in composition.instruments:
-            for region in frequency_table(composition, inst.name):
-                for row in region.rows:
-                    sys.stdout.write(
-                        f"{inst.name}\t[{region.start},{region.end})\t{row.key_index}\t"
-                        f"{row.factor.numerator}/{row.factor.denominator}\t"
-                        f"{row.frequency_hz:.6g}\n")
-    else:
-        sys.stdout.write(export_events(resolve_composition(composition)))
+    sys.stdout.write(export_table(composition) if args.table
+                     else export_events(resolve_composition(composition)))
     return EXIT_OK
 
 
@@ -105,8 +103,8 @@ def cmd_render(args) -> int:
     events = resolve_composition(composition)
     try:
         buffer = synthesize(events, settings)
-    except ValueError as exc:  # the render is too long for a WAV file
-        _write_diagnostics(args.path, [(0, 0, "range", str(exc))])
+    except (ValueError, MemoryError) as exc:  # too long for a WAV file, or for memory
+        _write_diagnostics(args.path, [(0, 0, "range", str(exc) or "out of memory")])
         return EXIT_INVALID
     if buffer.silent_events:
         _write_diagnostics(args.path, [(0, 0, "warning", (
@@ -162,7 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        if sys.stdout is not None:  # None when descriptor 1 was closed at start-up
+            sys.stdout.flush()
+    except OSError as exc:  # stdout is closed or full
+        # what stdout still buffers goes nowhere at exit, instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"dtseq: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return status
 
 
 if __name__ == "__main__":

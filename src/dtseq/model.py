@@ -11,6 +11,7 @@ objects (dangling names, broken timelines) are reported by
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,10 +245,10 @@ def validate_composition(composition: Composition) -> list[Violation]:
     """Check every cross-object rule and report all problems found.
 
     Violations are data, not exceptions; a composition is playable when the
-    report contains no ``severity == ERROR`` entries.  Frequencies, and a
-    length in seconds, beyond the float range are looked for once no other
-    error is found.  Pure function: validating the same composition twice
-    yields identical reports.
+    report contains no ``severity == ERROR`` entries.  Frequencies beyond
+    or below the normal float range, and a length in seconds beyond it,
+    are looked for once no other error is found.  Pure function:
+    validating the same composition twice yields identical reports.
     """
     report: list[Violation] = []
     add = report.append
@@ -350,29 +351,33 @@ def validate_composition(composition: Composition) -> list[Violation]:
                         severity=WARNING))
 
     if not any(v.severity == ERROR for v in report):
-        report.extend(_overflows(composition))
+        report.extend(_float_range(composition))
     return report
 
 
-def _fits_float(x: Fraction) -> bool:
+def _float_kind(x: Fraction) -> str | None:
+    """``overflow`` or ``underflow`` when ``x`` has no normal float, else None."""
     try:
-        float(x)
+        return "underflow" if float(x) < sys.float_info.min else None
     except OverflowError:
-        return False
-    return True
+        return "overflow"
 
 
-def _overflows(composition: Composition) -> list[Violation]:
-    """``overflow`` errors for a time grid or resolved frequencies beyond
-    the float range.
+_BEYOND = {"overflow": "beyond the float range", "underflow": "below the normal float range"}
+
+
+def _float_range(composition: Composition) -> list[Violation]:
+    """``overflow`` errors for a time grid beyond the float range, and
+    ``overflow`` or ``underflow`` errors for resolved frequencies beyond or
+    below the normal float range.
 
     Needs a composition with no other error.  Every note ends within the
     length, so a length whose seconds are a finite float bounds every
-    event's start and duration.  An instrument is walked only when the
-    bound ``base * largest key * product of each bound harmony's largest
-    used tone key`` does not fit a float: then every note, and every key
-    at the region of largest shift (``resolve --table``), is checked
-    exactly.
+    event's start and duration.  An instrument is walked only when one of
+    the bounds ``base * largest key * product of each bound harmony's
+    largest used tone key``, and the same with the smallest keys, has no
+    normal float: then every note, and every key at the regions of
+    largest and smallest shift (``resolve --table``), is checked exactly.
     """
     from .resolve import _regions  # resolve imports this module
 
@@ -388,23 +393,28 @@ def _overflows(composition: Composition) -> list[Violation]:
     base = Fraction(composition.base_frequency_hz)
     for inst in composition.instruments:
         keys = composition.scales[inst.scale_name].keys
-        bound = base * max(keys)
+        high, low = base * max(keys), base * min(keys)
         for name in inst.harmony_names:
             harmony = composition.harmonies[name]
             hkeys = composition.scales[harmony.scale_name].keys
-            bound *= max(hkeys[k] for k in {t.key_index for t in harmony.tones})
-        if _fits_float(bound):
+            used = [hkeys[k] for k in {t.key_index for t in harmony.tones}]
+            high *= max(used)
+            low *= min(used)
+        if _float_kind(high) is None and _float_kind(low) is None:
             continue
         path = f"instrument {inst.name}"
         starts, ids, shifts = _regions(composition, inst)
         for i, note in enumerate(inst.score.notes):
             shift = shifts[ids[bisect_right(starts, note.interval.start) - 1]]
-            if not _fits_float(base * keys[note.key_index] * shift):
-                found.append(Violation("overflow", f"{path} note {i}",
-                                       "resolved frequency is beyond the float range"))
-        top = max(shifts[i] for lo, i in zip(starts, ids) if lo < composition.length_ticks)
+            kind = _float_kind(base * keys[note.key_index] * shift)
+            if kind:
+                found.append(Violation(kind, f"{path} note {i}",
+                                       f"resolved frequency is {_BEYOND[kind]}"))
+        live = [shifts[i] for lo, i in zip(starts, ids) if lo < composition.length_ticks]
+        extremes = (("overflow", max(live)), ("underflow", min(live)))
         for k, key in enumerate(keys):
-            if not _fits_float(base * key * top):
-                found.append(Violation("overflow", f"{path} key {k}",
-                                       "frequency table entry is beyond the float range"))
+            for kind, shift in extremes:
+                if _float_kind(base * key * shift) == kind:
+                    found.append(Violation(kind, f"{path} key {k}",
+                                           f"frequency table entry is {_BEYOND[kind]}"))
     return found

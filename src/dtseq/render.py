@@ -1,4 +1,9 @@
-"""Audio rendering: oscillator synthesis, WAV output, event listings.
+"""Audio rendering: oscillator synthesis and WAV output.
+
+The text listings belong to :mod:`dtseq.resolve`; ``export_events`` is
+still importable from here.  ``dtseq render`` exits 1 when
+:func:`synthesize` refuses a mix too long for a WAV file (ValueError) or
+too large for memory (MemoryError), and 3 when :func:`write_wav` fails.
 
 Synthesis is deliberately plain.  Each event is an oscillator at its
 resolved frequency, shaped by a linear attack/release envelope, summed
@@ -42,16 +47,14 @@ from __future__ import annotations
 import math
 import wave
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .resolve import ResolvedEvent
+from .resolve import ResolvedEvent, export_events  # noqa: F401  (kept for importers)
 
 if TYPE_CHECKING:
     import numpy as np
 
 WAVEFORMS = ("sine", "additive-4")
-
-EVENT_HEADER = "instrument\tfactor\tfrequency_hz\tstart_sec\tduration_sec\tvelocity"
 
 # A 16-bit mono WAV header stores the byte rate, 2 * rate, and the RIFF
 # size, 36 + 2 * samples, as unsigned 32-bit fields.
@@ -189,7 +192,8 @@ def synthesize(events: Sequence[ResolvedEvent],
     down to ``master_gain`` peak only if it exceeds it.  Raises ValueError,
     before allocating, when an event starts or lasts a negative or
     non-finite time, or the mix is longer than a WAV file can hold,
-    sample positions beyond the float range included.
+    sample positions beyond the float range included; raises MemoryError
+    naming the sample count when the mix does not fit in memory.
 
     One oscillator is built per distinct frequency, at the first event
     that sounds it and as long as its longest event; every event at that
@@ -242,7 +246,11 @@ def synthesize(events: Sequence[ResolvedEvent],
         raise ValueError(f"render needs {total} samples; a WAV file holds at most "
                          f"{MAX_SAMPLES}")
 
-    mix = np.zeros(total, dtype=np.float64)
+    try:
+        mix = np.zeros(total, dtype=np.float64)
+    except MemoryError:
+        raise MemoryError(f"render needs {total} samples; the mix does not fit in "
+                          f"memory") from None
     # Shared by every event: the angle grids, the gain-scaled chunk of the
     # longest one and the envelope ramps by length.  All are allocated
     # before the first wave, so the waves freed by the end of the loop lie
@@ -301,20 +309,3 @@ def write_wav(buffer: AudioBuffer, path) -> None:
                 out = block[:len(scaled)]
                 np.clip(scaled, -32768, 32767, out=out, casting="unsafe")
                 wav.writeframesraw(out)
-
-
-def export_events(events: Iterable[ResolvedEvent]) -> str:
-    """Tab-separated event listing, one line per event after a header.
-
-    Factors print reduced as ``num/den``; the float columns use 6
-    significant digits.  Event order is kept as given (the resolver's
-    order is already deterministic).
-    """
-    lines = [EVENT_HEADER]
-    for ev in events:
-        lines.append(
-            f"{ev.instrument}\t{ev.factor.numerator}/{ev.factor.denominator}\t"
-            f"{ev.frequency_hz:.6g}\t{ev.start_sec:.6g}\t{ev.duration_sec:.6g}\t"
-            f"{ev.velocity}"
-        )
-    return "\n".join(lines) + "\n"

@@ -11,6 +11,12 @@ Region shifts: an instrument's harmony tone boundaries cut time into
 regions over which the product ``m1 * ... * mn`` is one exact shift.
 :func:`resolve_composition` and :func:`frequency_table` read it from one
 region list per instrument, so resolving a note is a bisect and a multiply.
+
+Listings: this module owns the two texts ``dtseq resolve`` prints,
+:func:`export_events` and :func:`export_table`; each is built with one
+join, and the command writes it unchanged.  A composition that fails
+validation has no listing: the command exits 1 (see :mod:`dtseq.cli` for
+every exit code).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .model import Composition, Instrument, Note
 
@@ -225,3 +232,28 @@ def frequency_table(composition: Composition, instrument_name: str) -> list[Tabl
                                  for i, factor in enumerate(key * shift for key in keys))
         regions.append(TableRegion(lo, hi, rows_of[sid]))
     return regions
+
+
+def export_events(events: Iterable[ResolvedEvent]) -> str:
+    """Tab-separated event listing, one line per event after a header.
+
+    Factors print reduced as ``num/den``; the float columns use 6
+    significant digits.  Events are listed in the order given.
+    """
+    return "\n".join(["instrument\tfactor\tfrequency_hz\tstart_sec\tduration_sec\tvelocity"] + [
+        f"{ev.instrument}\t{ev.factor.numerator}/{ev.factor.denominator}\t"
+        f"{ev.frequency_hz:.6g}\t{ev.start_sec:.6g}\t{ev.duration_sec:.6g}\t{ev.velocity}"
+        for ev in events]) + "\n"
+
+
+def export_table(composition: Composition) -> str:
+    """Tab-separated :func:`frequency_table` of every instrument, one line
+    per key per region after a header; ticks print as ``[start,end)`` and
+    factors and frequencies as in :func:`export_events`."""
+    lines = ["instrument\tticks\tkey\tfactor\tfrequency_hz"]
+    for inst in composition.instruments:
+        for region in frequency_table(composition, inst.name):
+            ticks = f"{inst.name}\t[{region.start},{region.end})"
+            lines += [f"{ticks}\t{row.key_index}\t{row.factor.numerator}/"
+                      f"{row.factor.denominator}\t{row.frequency_hz:.6g}" for row in region.rows]
+    return "\n".join(lines) + "\n"

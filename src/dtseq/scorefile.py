@@ -57,7 +57,7 @@ _TOP_DIRECTIVES = {"base", "ppq", "tempo", "length", "scale", "harmony", "instru
 # the event line each block holds besides 'end'
 _EVENT_WORD = {"harmony": "tone", "instrument": "note"}
 
-_RATIO_RE = re.compile(r"(\d+)(?:/(\d+))?\Z")
+_RATIO_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def parse(text: str | bytes) -> Composition | list[ParseError]:
 class _Parser:
     def __init__(self):
         self.errors: list[ParseError] = []
-        self.header: dict[str, float | int] = {}
+        self.header: dict[str, float | int | None] = {}  # None: given, with an error
         self.scales: dict[str, Scale] = {}
         # Drafts by name, each led by its scale reference and its position:
         # harmony -> (scale, (line, col), level, tones);
@@ -177,23 +177,22 @@ class _Parser:
     # Directive handlers; a field is given by its token index
 
     def header_line(self, toks: list[str]) -> None:
-        name = toks[0]
-        if len(toks) != 2:
-            self.fail(toks, 0, "syntax", f"expected '{name} VALUE'")
-            return
+        name = toks[0]  # the line gives the field, even with a bad value
         if name in self.header:
             self.fail(toks, 0, "duplicate-name", f"duplicate {name!r} directive")
-            return
-        if name in ("ppq", "length"):
-            value = self.int_field(toks, 1, minimum=1)
+        elif len(toks) != 2:
+            self.header[name] = None
+            self.fail(toks, 0, "syntax", f"expected '{name} VALUE'")
+        elif name in ("ppq", "length"):
+            self.header[name] = self.int_field(toks, 1, minimum=1)
         else:
-            value = self.float_field(toks, 1)
-        if value is not None:
-            self.header[name] = value
+            self.header[name] = self.float_field(toks, 1)
 
     def int_field(self, toks: list[str], index: int, minimum: int) -> int | None:
         text = toks[index]
         try:
+            if "_" in text or not text.isascii():  # int() takes both; the format does not
+                raise ValueError(text)
             value = int(text)
         except ValueError:
             if "/" in text:
@@ -211,6 +210,8 @@ class _Parser:
     def float_field(self, toks: list[str], index: int) -> float | None:
         text = toks[index]
         try:
+            if "_" in text or not text.isascii():  # as in int_field
+                raise ValueError(text)
             value = float(text)
         except ValueError:
             self.fail(toks, index, "syntax", f"expected a number, got {text!r}")

@@ -3,7 +3,11 @@ as it stood before its tokens, drafts and tone/note handlers were folded
 into plain tuples and one event handler.  ``test_parser_equivalence``
 checks that ``dtseq.scorefile.parse`` still returns what this returns:
 an equal Composition or the same ``(line, column, kind, message)`` list.
-Only the imports differ from that version; ``serialize`` is left out.
+Only the imports differ from that version, apart from one later revision
+made in the parser too: numbers are ASCII digits only (no other Unicode
+digits, no ``_``), and a header line gives its field even when its value
+is bad, so the field is not also reported missing and a later line for it
+is a duplicate.  ``serialize`` is left out.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ _TOP_DIRECTIVES = {"base", "ppq", "tempo", "length", "scale", "harmony", "instru
 
 # '@' and '+' are their own tokens; everything else splits on whitespace.
 _TOKEN_RE = re.compile(r"@|\+|[^\s@+]+")
-_RATIO_RE = re.compile(r"(\d+)(?:/(\d+))?\Z")
+_RATIO_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
 
 
 @dataclass(frozen=True)
@@ -167,11 +171,12 @@ class _Parser:
 
     def header_line(self, ln: int, toks: list[_Token]) -> None:
         name = toks[0].text
-        if len(toks) != 2:
-            self.error(ln, toks[0].column, "syntax", f"expected '{name} VALUE'")
-            return
         if name in self.header:
             self.error(ln, toks[0].column, "duplicate-name", f"duplicate {name!r} directive")
+            return
+        self.header[name] = None
+        if len(toks) != 2:
+            self.error(ln, toks[0].column, "syntax", f"expected '{name} VALUE'")
             return
         tok = toks[1]
         if name in ("ppq", "length"):
@@ -183,6 +188,8 @@ class _Parser:
 
     def int_field(self, ln: int, tok: _Token, minimum: int) -> int | None:
         try:
+            if not tok.text.isascii() or "_" in tok.text:
+                raise ValueError(tok.text)
             value = int(tok.text)
         except ValueError:
             if "/" in tok.text:
@@ -201,6 +208,8 @@ class _Parser:
 
     def float_field(self, ln: int, tok: _Token) -> float | None:
         try:
+            if not tok.text.isascii() or "_" in tok.text:
+                raise ValueError(tok.text)
             value = float(tok.text)
         except ValueError:
             self.error(ln, tok.column, "syntax", f"expected a number, got {tok.text!r}")

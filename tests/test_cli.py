@@ -1,13 +1,31 @@
 import io
+import os
+import subprocess
 import sys
 import warnings
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dtseq
 from dtseq.cli import main
 from support import REFERENCE_SCORE
+
+SCORES = Path(__file__).resolve().parent.parent / "scores"
+LISTINGS = Path(__file__).resolve().parent / "listings"
+SRC = Path(dtseq.__file__).resolve().parent.parent
+
+
+def run_cli(args, unbuffered=False, **kwargs):
+    """Run ``python -m dtseq.cli`` with ``args`` in a child process, its
+    stdout buffered as it is by default unless ``unbuffered``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), DTS_COLOR="0", OPENBLAS_NUM_THREADS="1")
+    flags = ["-u"] if unbuffered else []
+    return subprocess.run([sys.executable, *flags, "-m", "dtseq.cli", *args], env=env,
+                          timeout=120, **kwargs)
 
 OVERLAPPING = """\
 base 440
@@ -184,6 +202,41 @@ class TestOverflow:
         assert not out.exists()
 
 
+UNDERFLOW = """\
+base {base}
+ppq 1
+tempo 60
+length 2
+scale s 1/1 {key}
+instrument a scale s
+  note 1 @ 0 +1
+end
+"""
+BELOW = "below the normal float range"
+
+
+class TestUnderflow:
+    @pytest.mark.parametrize("args", [
+        ["validate"], ["resolve"], ["resolve", "--table"], ["render", "--out", "x.wav"]])
+    @pytest.mark.parametrize("base,key,diagnostics", [
+        ("440", "1/1" + "0" * 330, [f"instrument a note 0: resolved frequency is {BELOW}",
+                                    f"instrument a key 1: frequency table entry is {BELOW}"]),
+        ("1e-320", "3/2", [f"instrument a note 0: resolved frequency is {BELOW}",
+                           f"instrument a key 0: frequency table entry is {BELOW}",
+                           f"instrument a key 1: frequency table entry is {BELOW}"]),
+    ], ids=["key", "base"])
+    def test_below_normal_float_range_exits_1(self, tmp_path, capsys, monkeypatch, args,
+                                              base, key, diagnostics):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "tiny.dts"
+        path.write_text(UNDERFLOW.format(base=base, key=key))
+        assert main([args[0], str(path), *args[1:]]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "".join(f"{path}:0:0: underflow: {d}\n" for d in diagnostics)
+        assert not (tmp_path / "x.wav").exists()
+
+
 class TestResolve:
     def test_reference_events(self, ref_path, capsys):
         assert main(["resolve", ref_path]) == 0
@@ -207,6 +260,16 @@ class TestResolve:
         first = capsys.readouterr().out
         main(["resolve", ref_path])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("score", ["reference", "motif-progression"])
+    @pytest.mark.parametrize("args,listing", [([], "events"), (["--table"], "table")],
+                             ids=["events", "table"])
+    def test_checked_in_scores_print_their_pinned_listings(self, capsys, score, args,
+                                                            listing):
+        assert main(["resolve", str(SCORES / f"{score}.dts"), *args]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == (LISTINGS / f"{score}.{listing}.tsv").read_text(encoding="utf-8")
 
 
 class TestRender:
@@ -290,6 +353,68 @@ class TestRender:
             assert np.abs(span).max() > 20000
             spectrum = np.abs(np.fft.rfft(span))
             assert np.argmax(spectrum) == 440  # 1 Hz bins
+
+
+class TestStdout:
+    ARGS = ["resolve", "--table", str(SCORES / "motif-progression.dts")]
+
+    # Buffered, output left in the buffer would fail again, with a message,
+    # when the interpreter flushes it at exit.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_3_silently(self, unbuffered):
+        read, write = os.pipe()
+        os.close(read)  # closed before the child writes
+        try:
+            proc = run_cli(self.ARGS, unbuffered, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (3, b"")
+
+    def test_validate_needs_no_stdout(self):
+        # with descriptor 1 closed at start-up, sys.stdout is None
+        proc = run_cli(["validate", str(SCORES / "reference.dts")], stderr=subprocess.PIPE,
+                       preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_device_exits_3_with_one_line(self, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = run_cli(self.ARGS, unbuffered, stdout=full, stderr=subprocess.PIPE)
+        assert proc.returncode == 3
+        assert proc.stderr == f"dtseq: {OSError(28, os.strerror(28))}\n".encode()
+
+
+# 760 minutes at one beat a minute: 2,010,962,205 samples at 44.1 kHz, under
+# the WAV limit, in a 15 GiB mix
+BEYOND_MEMORY = """\
+base 440
+ppq 1
+tempo 1
+length 760
+scale s 1/1 3/2
+instrument a scale s
+  note 1 @ 759 +1 vel 40
+end
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+def test_render_beyond_memory_exits_1_with_one_line(tmp_path):
+    import resource
+
+    path = tmp_path / "long.dts"
+    path.write_text(BEYOND_MEMORY)
+    assert run_cli(["validate", str(path)]).returncode == 0
+
+    def limit():  # 2 GiB of address space: no 15 GiB array fits, nothing is touched
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = run_cli(["render", str(path), "--out", os.devnull], capture_output=True,
+                   preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == (f"{path}:0:0: range: render needs 2010962205 samples; "
+                                    f"the mix does not fit in memory\n")
 
 
 class TestScales:

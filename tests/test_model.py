@@ -318,6 +318,61 @@ class TestOverflow:
         assert [v.kind for v in errors(validate_composition(comp))] == ["range"]
 
 
+class TestUnderflow:
+    TINY = Fraction(1, 10**330)
+
+    def test_note_below_normal_float_range_is_an_error(self):
+        comp = overflow_comp([1, self.TINY], [Note(0, TimeInterval(0, 480)),
+                                              Note(1, TimeInterval(0, 480)),
+                                              Note(1, TimeInterval(480, 480))])
+        report = validate_composition(comp)
+        assert [(v.kind, v.path, v.message) for v in errors(report)] == [
+            ("underflow", "instrument lead note 1",
+             "resolved frequency is below the normal float range"),
+            ("underflow", "instrument lead note 2",
+             "resolved frequency is below the normal float range"),
+            ("underflow", "instrument lead key 1",
+             "frequency table entry is below the normal float range")]
+
+    def test_shift_alone_can_underflow(self):
+        # 440e-310 is a normal float; a third of it is not
+        comp = overflow_comp([1, Fraction(1, 10**310)], [Note(1, TimeInterval(0, 480)),
+                                                         Note(1, TimeInterval(480, 480))],
+                             tone_keys=("1/1", "1/3"))
+        assert [(v.kind, v.path) for v in errors(validate_composition(comp))] == [
+            ("underflow", "instrument lead note 1"), ("underflow", "instrument lead key 1")]
+
+    def test_subnormal_base_underflows_every_frequency(self):
+        comp = Composition(1e-320, 480, 120.0, 960, scales=[Scale("t", ["1/1", "3/2"])],
+                           instruments=[Instrument("lead", "t", [], [
+                               Note(1, TimeInterval(0, 480))])])
+        assert [(v.kind, v.path) for v in errors(validate_composition(comp))] == [
+            ("underflow", "instrument lead note 0"), ("underflow", "instrument lead key 0"),
+            ("underflow", "instrument lead key 1")]
+
+    def test_key_can_overflow_and_underflow_in_the_table(self):
+        # the key sounds 440e-320 Hz in the first region and 440e320 Hz in the second
+        comp = overflow_comp([1], [Note(0, TimeInterval(0, 480))],
+                             tone_keys=(Fraction(1, 10**320), Fraction(10**320)))
+        assert [(v.kind, v.path) for v in errors(validate_composition(comp))] == [
+            ("underflow", "instrument lead note 0"), ("overflow", "instrument lead key 0"),
+            ("underflow", "instrument lead key 0")]
+
+    def test_small_frequencies_within_range_are_clean(self):
+        comp = overflow_comp([1, Fraction(1, 10**300)], [Note(1, TimeInterval(480, 480))])
+        assert validate_composition(comp) == []
+
+    def test_clean_scores_skip_the_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("regions walked")
+
+        monkeypatch.setattr("dtseq.resolve._regions", walk)
+        assert validate_composition(parse(REFERENCE_SCORE)) == []
+        comp = overflow_comp([1, self.TINY], [Note(1, TimeInterval(0, 480))])
+        with pytest.raises(AssertionError, match="regions walked"):
+            validate_composition(comp)
+
+
 intervals = st.builds(TimeInterval, st.integers(0, 50), st.integers(1, 30))
 notes = st.builds(Note, st.integers(0, 5), intervals, st.integers(1, 127))
 

@@ -23,7 +23,8 @@ HEADER = ["base 440", "ppq 480", "tempo 120", "length 960"]
 BROKEN_HEADER = [
     "base", "base 0", "base -1", "base inf", "base nan", "base x", "base 440 1",
     "ppq 0", "ppq 1/2", "ppq 4.5", "ppq ٤٨٠", "tempo 1e-307",
-    "length 960 960", "length 1" + "0" * 400, "length ９６０",
+    "length 960 960", "length 1" + "0" * 400, "length ９６０", "length 1_920",
+    "base ４４０", "tempo 1_20", "ppq",
 ]
 SCALES = [
     "scale s 1/1 3/2 5/4", "scale t 1 2 3", "scale s 9/8", "scale", "scale 1s 1/1",

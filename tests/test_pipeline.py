@@ -3,10 +3,10 @@
 Hypothesis writes small ``.dts`` texts and runs each through the ``dtseq``
 command in-process.  About half are drawn with faults (dangling
 references, gaps and overlaps, keys outside their scale, ratios beyond the
-float range or near its top, corrupted lines); the rest validate clean
-and have notes, so resolve and render run on real events.  Both kinds
-may repeat a note.  Tempo, ppq and length are bounded so that no render
-exceeds about 10**5 samples at 1000 Hz.
+float range or near its top or bottom, non-ASCII digits, corrupted
+lines); the rest validate clean and have notes, so resolve and render run
+on real events.  Both kinds may repeat a note.  Tempo, ppq and length are
+bounded so that no render exceeds about 10**5 samples at 1000 Hz.
 """
 
 import io
@@ -21,7 +21,12 @@ from dtseq.cli import main
 HUGE = "1" + "0" * 320 + "/1"
 # finite, but 2π·f is not once a base or a tone multiplies them
 FINITE_HUGE = [f"1{'0' * e}/1" for e in range(300, 308)]
-RATIOS = ["1/1", "9/8", "5/4", "4/3", "3/2", "5/3", "7/4", "15/8", "2/1", HUGE, *FINITE_HUGE]
+# 0 Hz as a float at any base; then keys that leave the normal float range
+# at base 1 or once tones multiply them
+TINY = "1/1" + "0" * 330
+FINITE_TINY = [f"1/1{'0' * e}" for e in range(305, 309)]
+RATIOS = ["1/1", "9/8", "5/4", "4/3", "3/2", "5/3", "7/4", "15/8", "2/1", HUGE, *FINITE_HUGE,
+          TINY, *FINITE_TINY, "٣/2", "1_5/8"]
 JUNK = ["end", "note 0 @ 0", "tone 1 @ 0 +1", "scale", "@ +", "instrument x scale s"]
 
 

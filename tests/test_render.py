@@ -555,6 +555,11 @@ class TestExportEvents:
         final = lines[3]
         assert "9/4" in final and "990" in final
 
+    def test_importable_from_render_and_resolve_alike(self):
+        import dtseq.render
+        import dtseq.resolve
+        assert dtseq.render.export_events is dtseq.resolve.export_events is export_events
+
     def test_empty_events_only_header(self):
         assert export_events([]).splitlines() == [
             "instrument\tfactor\tfrequency_hz\tstart_sec\tduration_sec\tvelocity"]

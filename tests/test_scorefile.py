@@ -172,6 +172,51 @@ class TestParse:
         assert_parse_result(parse(text))
 
 
+class TestAsciiNumbers:
+    # int() and float() read other Unicode digits and '_' separators; the
+    # format's numbers are ASCII digits only
+    @pytest.mark.parametrize("old,new,expected", [
+        ("ppq 480", "ppq ٤٨٠", [(2, 5, "syntax", "expected an integer, got '٤٨٠'")]),
+        ("length 960", "length 1_920", [(4, 8, "syntax", "expected an integer, got '1_920'")]),
+        ("base 440", "base ４４０", [(1, 6, "syntax", "expected a number, got '４４０'")]),
+        ("tempo 120", "tempo 1_20", [(3, 7, "syntax", "expected a number, got '1_20'")]),
+    ], ids=["ppq", "length", "base", "tempo"])
+    def test_header_fields(self, old, new, expected):
+        errors = parse_errors(MINIMAL_HEADER.replace(old, new))
+        assert [(e.position.line, e.position.column, e.kind, e.message)
+                for e in errors] == expected
+
+    def test_ratios_and_event_fields(self):
+        errors = parse_errors(MINIMAL_HEADER + "scale s 1/1 ٣/2 3/2\n"
+                              "instrument i scale s\n  note ١ @ 0 +1_000\nend\n")
+        assert [(e.position.line, e.position.column, e.kind, e.message) for e in errors] == [
+            (5, 13, "bad-ratio", "malformed ratio '٣/2'"),
+            (7, 8, "syntax", "expected an integer, got '١'"),
+            (7, 15, "syntax", "expected an integer, got '1_000'")]
+
+
+class TestHeaderGiven:
+    # a header line gives its field even when its value is bad
+    @pytest.mark.parametrize("old,new,column", [
+        ("base 440", "base nan", 6), ("tempo 120", "tempo inf", 7)])
+    def test_bad_value_is_not_also_missing(self, old, new, column):
+        errors = parse_errors(MINIMAL_HEADER.replace(old, new))
+        line = MINIMAL_HEADER.splitlines().index(old) + 1
+        assert [(e.position.line, e.position.column, e.kind) for e in errors] == [
+            (line, column, "range")]
+
+    def test_later_line_for_a_bad_field_is_a_duplicate(self):
+        errors = parse_errors("base 0\n" + MINIMAL_HEADER)
+        assert [(e.position.line, e.kind, e.message) for e in errors] == [
+            (1, "range", "value 0 must be positive and finite"),
+            (2, "duplicate-name", "duplicate 'base' directive")]
+
+    def test_line_without_a_value_is_not_also_missing(self):
+        errors = parse_errors(MINIMAL_HEADER.replace("ppq 480", "ppq"))
+        assert [(e.position.line, e.kind, e.message) for e in errors] == [
+            (2, "syntax", "expected 'ppq VALUE'")]
+
+
 class TestSerialize:
     def test_reference_is_roundtrip_fixpoint(self):
         comp = parse_ok(REFERENCE_SCORE)
