@@ -1,25 +1,30 @@
 """Command-line front end: parse, validate, resolve, render score files.
 
 Diagnostics go to stderr as ``file:line:col: kind: message`` (validation
-findings carry no source position and use 0:0); data goes to stdout so
-output can be piped.  The two listings of ``dtseq resolve`` are formatted
-by :mod:`dtseq.resolve` and written here in one piece.  Exit codes:
+findings carry no source position and use 0:0).  Each ``cmd_*`` returns
+its exit code and its stdout text, such as a listing formatted by
+:mod:`dtseq.resolve`; ``main`` alone writes that text, in one write, and
+turns every I/O failure into exit 3.  Exit codes:
 
 - 0 success;
 - 1 parse or validation errors, or a render too long for a WAV file or
   too large for memory;
 - 2 usage errors, including a bad ``--rate``;
 - 3 I/O failures: an unreadable score, an unwritable WAV, or a closed or
-  full stdout (a closed pipe ends with no message).
+  full stdout, each with one ``dtseq:`` line (a closed pipe ends with
+  no message).
 
-A render that leaves notes at or above half the rate silent says so in
-one ``band-limit`` warning and still exits 0.  Set DTS_COLOR=0 to
-disable the coloring of diagnostics on a terminal.
+Once the arguments parse, a closed or full stderr loses the diagnostics
+and changes nothing else, neither the output nor the exit code.  A
+render that leaves notes at or above half the rate silent says so in one
+``band-limit`` warning and still exits 0.  Set DTS_COLOR=0 to disable
+the coloring of diagnostics on a terminal.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -35,17 +40,33 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+def _discard(stream) -> None:
+    """Point ``stream``'s descriptor at the null device, so that what it
+    still buffers goes nowhere at exit instead of failing again."""
+    with open(os.devnull, "wb") as null:
+        os.dup2(null.fileno(), stream.fileno())
+
+
+def _stderr(text: str) -> None:
+    """Write ``text`` to stderr; a closed or full stderr loses it."""
+    if sys.stderr is not None:  # None when descriptor 2 was closed at start-up
+        try:
+            sys.stderr.write(text)
+        except OSError:
+            _discard(sys.stderr)
+
+
 def _write_diagnostics(path: str, diagnostics) -> None:
     """Write ``(line, col, kind, message)`` diagnostics to stderr as
     ``path:line:col: kind: message`` lines, in one write."""
-    color = os.environ.get("DTS_COLOR", "1") != "0" and sys.stderr.isatty()
+    color = (os.environ.get("DTS_COLOR", "1") != "0" and sys.stderr is not None
+             and sys.stderr.isatty())
     lines = []
     for line, col, kind, message in diagnostics:
         if color:
             kind = f"\x1b[{'33' if kind == 'warning' else '31'}m{kind}\x1b[0m"
         lines.append(f"{path}:{line}:{col}: {kind}: {message}\n")
-    if lines:
-        sys.stderr.write("".join(lines))
+    _stderr("".join(lines))
 
 
 def _load(path: str) -> tuple[Composition | None, int]:
@@ -54,14 +75,8 @@ def _load(path: str) -> tuple[Composition | None, int]:
     Returns the composition (None when unusable) and the exit code so
     far.  Boundary-crossing warnings are printed but do not fail.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        print(f"dtseq: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-
-    result = parse(data)
+    with open(path, "rb") as fh:
+        result = parse(fh.read())
     if isinstance(result, list):
         _write_diagnostics(path, [(e.position.line, e.position.column, e.kind, e.message)
                                   for e in result])
@@ -77,55 +92,50 @@ def _load(path: str) -> tuple[Composition | None, int]:
     return result, EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, str]:
     _, status = _load(args.path)
-    return status
+    return status, ""
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args) -> tuple[int, str]:
     composition, status = _load(args.path)
     if composition is None:
-        return status
-    sys.stdout.write(export_table(composition) if args.table
+        return status, ""
+    return EXIT_OK, (export_table(composition) if args.table
                      else export_events(resolve_composition(composition)))
-    return EXIT_OK
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> tuple[int, str]:
     try:
         settings = RenderSettings(sample_rate=args.rate, waveform=args.waveform)
     except ValueError as exc:
-        print(f"dtseq: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        _stderr(f"dtseq: {exc}\n")
+        return EXIT_USAGE, ""
     composition, status = _load(args.path)
     if composition is None:
-        return status
+        return status, ""
     events = resolve_composition(composition)
     try:
         buffer = synthesize(events, settings)
     except (ValueError, MemoryError) as exc:  # too long for a WAV file, or for memory
         _write_diagnostics(args.path, [(0, 0, "range", str(exc) or "out of memory")])
-        return EXIT_INVALID
+        return EXIT_INVALID, ""
     if buffer.silent_events:
         _write_diagnostics(args.path, [(0, 0, "warning", (
             f"band-limit: {buffer.silent_events} of {len(events)} events, at "
             f"{buffer.silent_frequencies} distinct frequencies, sound at or above "
             f"{settings.sample_rate / 2:g} Hz, half the sample rate, and are left silent"))])
-    try:
-        write_wav(buffer, args.out)
-    except OSError as exc:
-        print(f"dtseq: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"rendered {len(events)} events, {len(buffer.samples)} samples")
-    return EXIT_OK
+    write_wav(buffer, args.out)
+    return EXIT_OK, f"rendered {len(events)} events, {len(buffer.samples)} samples\n"
 
 
-def cmd_scales(args) -> int:
+def cmd_scales(args) -> tuple[int, str]:
+    lines = []
     for scale in builtin_scales():
         ratios = " ".join(f"{k.numerator}/{k.denominator}" for k in scale.keys)
         cent_values = " ".join(f"{cents(k):.2f}" for k in scale.keys)
-        print(f"{scale.name}: {ratios}  (cents: {cent_values})")
-    return EXIT_OK
+        lines.append(f"{scale.name}: {ratios}  (cents: {cent_values})\n")
+    return EXIT_OK, "".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,15 +170,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    text = ""
     try:
-        status = args.func(args)
-        if sys.stdout is not None:  # None when descriptor 1 was closed at start-up
+        status, text = args.func(args)
+        if text:
+            if sys.stdout is None:  # descriptor 1 was closed at start-up
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.write(text)
             sys.stdout.flush()
-    except OSError as exc:  # stdout is closed or full
-        # what stdout still buffers goes nowhere at exit, instead of failing again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # an unreadable score, an unwritable WAV, or stdout
+        if text and sys.stdout is not None:  # stdout failed
+            _discard(sys.stdout)
         if not isinstance(exc, BrokenPipeError):
-            print(f"dtseq: {exc}", file=sys.stderr)
+            _stderr(f"dtseq: {exc}\n")
         return EXIT_IO
     return status
 

@@ -1,7 +1,9 @@
 """The ``.dts`` score format: a line-oriented text DSL for compositions.
 
-One directive per line; ``#`` starts a comment; only ASCII is significant
-(files are read as UTF-8).  A complete file::
+One directive per line; only LF, CRLF and CR end a line, and any other
+Unicode whitespace (such as VT, FF or U+2028) separates tokens like a
+space.  ``#`` starts a comment; only ASCII is significant (files are read
+as UTF-8).  A complete file::
 
     base    440.0           # root frequency in Hz
     ppq     480             # ticks per beat
@@ -128,7 +130,10 @@ class _Parser:
     # Line loop
 
     def run(self, text: str) -> None:
-        for self.ln, raw in enumerate(text.splitlines(), start=1):
+        # Only \n, \r\n and \r end a line: the other separators that
+        # str.splitlines() ends one at (\v, \x85, U+2028...) are whitespace.
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        for self.ln, raw in enumerate(lines, start=1):
             # '@' and '+' are tokens of their own; everything else splits
             # on whitespace.  Columns are found only when a line needs one.
             self.code = raw.partition("#")[0]

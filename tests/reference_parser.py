@@ -3,11 +3,13 @@ as it stood before its tokens, drafts and tone/note handlers were folded
 into plain tuples and one event handler.  ``test_parser_equivalence``
 checks that ``dtseq.scorefile.parse`` still returns what this returns:
 an equal Composition or the same ``(line, column, kind, message)`` list.
-Only the imports differ from that version, apart from one later revision
-made in the parser too: numbers are ASCII digits only (no other Unicode
-digits, no ``_``), and a header line gives its field even when its value
-is bad, so the field is not also reported missing and a later line for it
-is a duplicate.  ``serialize`` is left out.
+Only the imports differ from that version, apart from two later revisions
+made in the parser too.  First, numbers are ASCII digits only (no other
+Unicode digits, no ``_``), and a header line gives its field even when its
+value is bad, so the field is not also reported missing and a later line
+for it is a duplicate.  Second, only LF, CRLF and CR end a line, where
+``str.splitlines()`` also ended one at the other Unicode line and record
+separators.  ``serialize`` is left out.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class _Parser:
     # Line loop
 
     def run(self, text: str) -> None:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
             code = raw.split("#", 1)[0]
             tokens = [_Token(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(code)]
             if tokens:

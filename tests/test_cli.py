@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import subprocess
@@ -38,6 +39,23 @@ scale t 1/1 3/2
 harmony H level 1 scale t
   tone 0 @ 0 +480
   tone 1 @ 400 +560
+end
+"""
+
+
+# one note sustains across a harmony boundary: one boundary-crossing warning
+CROSSING = """\
+base 440
+ppq 480
+tempo 120
+length 960
+scale t 1/1 3/2
+harmony H level 1 scale t
+  tone 0 @ 0 +480
+  tone 1 @ 480 +480
+end
+instrument i scale t harmonies H
+  note 0 @ 240 +480
 end
 """
 
@@ -91,6 +109,18 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "warning" in err and "boundary-crossing" in err
 
+
+    # read as UTF-8 bytes, where NEL and U+2028 take two and three bytes
+    @pytest.mark.parametrize("sep", ["\x85", "\u2028"], ids=repr)
+    def test_line_separator_in_a_comment_does_not_hide_the_error(self, tmp_path, capsys,
+                                                                  sep):
+        path = tmp_path / "sep.dts"
+        path.write_text("base 440\nppq 480\ntempo 120\nlength 960\n"
+                        f"# fifth{sep}above\nscale s 1/1 3/2\n"
+                        "instrument a scale s\n  note 9 @ 0 +960\nend\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"{path}:0:0: range: instrument a note 0: key index 9 outside scale 's' of 2 keys\n")
 
     def test_diagnostics_are_colored_on_a_terminal(self, tmp_path, monkeypatch):
         path = tmp_path / "warn.dts"
@@ -384,6 +414,80 @@ class TestStdout:
         assert proc.returncode == 3
         assert proc.stderr == f"dtseq: {OSError(28, os.strerror(28))}\n".encode()
 
+    # with descriptor 1 closed at start-up, sys.stdout is None
+    @pytest.mark.parametrize("args", [
+        ["resolve", str(SCORES / "reference.dts")],
+        ["resolve", "--table", str(SCORES / "reference.dts")],
+        ["render", str(SCORES / "reference.dts"), "--rate", "8000"],
+        ["scales"],
+    ], ids=["resolve", "table", "render", "scales"])
+    def test_closed_at_start_up_exits_3_with_one_line(self, tmp_path, args):
+        wav = tmp_path / "out.wav"
+        if args[0] == "render":
+            args = [*args, "--out", str(wav)]
+        proc = run_cli(args, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 3
+        assert proc.stderr == f"dtseq: {OSError(errno.EBADF, os.strerror(errno.EBADF))}\n".encode()
+        if args[0] == "render":  # the WAV is written before stdout fails
+            written = wav.read_bytes()
+            assert run_cli(args, capture_output=True).returncode == 0
+            assert wav.read_bytes() == written
+
+
+class TestStderr:
+    """A closed or full stderr loses the diagnostics and changes nothing else."""
+
+    @pytest.fixture(params=["closed", "full"])
+    def broken_stderr(self, request):
+        if request.param == "closed":
+            yield {"preexec_fn": lambda: os.close(2)}
+            return
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        with open("/dev/full", "wb") as full:
+            yield {"stderr": full}
+
+    @pytest.fixture
+    def crossing(self, tmp_path):
+        path = tmp_path / "warn.dts"
+        path.write_text(CROSSING)
+        return str(path)
+
+    def test_render_writes_the_same_wav_and_exits_0(self, tmp_path, crossing, broken_stderr):
+        args = ["render", crossing, "--rate", "8000", "--out"]
+        intact = run_cli([*args, str(tmp_path / "a.wav")], capture_output=True)
+        assert (intact.returncode, intact.stderr.count(b"boundary-crossing")) == (0, 1)
+        proc = run_cli([*args, str(tmp_path / "b.wav")], stdout=subprocess.PIPE,
+                       **broken_stderr)
+        assert (proc.returncode, proc.stdout) == (0, intact.stdout)
+        assert (tmp_path / "b.wav").read_bytes() == (tmp_path / "a.wav").read_bytes()
+
+    @pytest.mark.parametrize("args", [["resolve"], ["resolve", "--table"]],
+                             ids=["events", "table"])
+    def test_resolve_prints_the_same_listing(self, crossing, broken_stderr, args):
+        intact = run_cli([*args, crossing], capture_output=True)
+        proc = run_cli([*args, crossing], stdout=subprocess.PIPE, **broken_stderr)
+        assert (proc.returncode, proc.stdout) == (0, intact.stdout)
+        assert intact.stdout.count(b"\n") > 1
+
+    @pytest.mark.parametrize("args,code", [
+        (["validate", "{missing}"], 3),
+        (["render", "{missing}", "--out", "{wav}"], 3),
+        (["render", "{valid}", "--out", "{wav}", "--rate", "0"], 2),
+        (["validate", "{invalid}"], 1),
+        (["render", "{invalid}", "--out", "{wav}"], 1),
+    ], ids=["missing", "render-missing", "bad-rate", "invalid", "render-invalid"])
+    def test_failures_keep_their_exit_codes(self, tmp_path, crossing, broken_stderr, args,
+                                            code):
+        invalid = tmp_path / "overlap.dts"
+        invalid.write_text(OVERLAPPING)
+        names = dict(missing=tmp_path / "nope.dts", valid=crossing, invalid=invalid,
+                     wav=tmp_path / "x.wav")
+        proc = run_cli([a.format(**names) for a in args], stdout=subprocess.PIPE,
+                       **broken_stderr)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert not (tmp_path / "x.wav").exists()
+
 
 # 760 minutes at one beat a minute: 2,010,962,205 samples at 44.1 kHz, under
 # the WAV limit, in a 15 GiB mix
@@ -432,6 +536,11 @@ class TestScales:
         first = capsys.readouterr().out
         main(["scales"])
         assert capsys.readouterr().out == first
+
+    def test_listing_is_pinned(self):
+        proc = run_cli(["scales"], capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (LISTINGS / "scales.txt").read_bytes()
 
 
 class TestUsage:

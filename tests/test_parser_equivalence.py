@@ -59,7 +59,12 @@ BROKEN_EVENTS = [
 ALL_EVENTS = EVENTS + VELOCITIES + BROKEN_EVENTS
 MISC = ["end", "end extra", "end # done", "", "   ", "# comment", "bogus", "@ +", "+",
         "été 1", "\x00", "note", "tone"]
-PIECES = (HEADER + BROKEN_HEADER + SCALES + HARMONIES + INSTRUMENTS + MISC
+# characters str.splitlines() ends a line at, which are whitespace in a score
+SEPARATED = [piece.format(s=s) for s in ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                          "\u2028", "\u2029")
+             for piece in ("# fifth{s}above", "base{s}440", "scale{s}s 1/1{s}3/2", "end{s}",
+                           "{s}", "tone 0 @ 0{s}+960", "note 1{s}@ 480 +480 # x{s}y")]
+PIECES = (HEADER + BROKEN_HEADER + SCALES + HARMONIES + INSTRUMENTS + MISC + SEPARATED
           + [e.format(w=w) for e in ALL_EVENTS for w in ("tone", "note")])
 
 
@@ -83,7 +88,8 @@ def line_soups(draw):
     lines = list(HEADER) if draw(st.booleans()) else []
     lines += draw(st.lists(st.sampled_from(PIECES), max_size=16))
     indent = draw(st.sampled_from(["", "  ", "\t"]))
-    return "\n".join(indent + line for line in lines) + draw(st.sampled_from(["", "\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(indent + line for line in lines) + draw(st.sampled_from(["", end]))
 
 
 @st.composite

@@ -217,6 +217,34 @@ class TestHeaderGiven:
             (2, "syntax", "expected 'ppq VALUE'")]
 
 
+class TestLineEnds:
+    # str.splitlines() also ends a line at these; in a score they are whitespace
+    SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    OUT_OF_SCALE = "instrument a scale s\n  note 9 @ 0 +960\nend\n"
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+    def test_separator_in_a_comment_does_not_end_it(self, sep):
+        text = MINIMAL_HEADER + f"# fifth{sep}above\nscale s 1/1 3/2\n" + self.OUT_OF_SCALE
+        composition = parse_ok(text)
+        assert composition == parse_ok(text.replace(sep, " "))
+        assert [v.message for v in validate_composition(composition)] == [
+            "key index 9 outside scale 's' of 2 keys"]
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+    def test_separator_between_tokens_is_whitespace(self, sep):
+        text = MINIMAL_HEADER + f"scale s 1/1{sep}3/2{sep}5/4\nbogus{sep}1\n"
+        errors = parse_errors(text)
+        assert [(e.position.line, e.position.column, e.kind) for e in errors] == [
+            (6, 1, "unknown-directive")]
+        assert parse_ok(MINIMAL_HEADER + f"scale s 1/1{sep}3/2{sep}5/4\n").scales["s"] == \
+            parse_ok(MINIMAL_HEADER + "scale s 1/1 3/2 5/4\n").scales["s"]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_crlf_and_cr_end_lines_as_lf_does(self, end):
+        text = MINIMAL_HEADER + "scale s 1/1 3/2\nharmony H level 1 scale s\n  tone 5 @ 0 x\n"
+        assert parse_errors(text.replace("\n", end)) == parse_errors(text)
+
+
 class TestSerialize:
     def test_reference_is_roundtrip_fixpoint(self):
         comp = parse_ok(REFERENCE_SCORE)
