@@ -11,9 +11,11 @@ structure, resolves scores to event lists, and renders them to WAV.
 
 Typical use::
 
+    from pathlib import Path
+
     from dtseq import parse, resolve_composition, synthesize, write_wav
 
-    composition = parse(open("piece.dts").read())
+    composition = parse(Path("piece.dts").read_bytes())
     events = resolve_composition(composition)
     write_wav(synthesize(events), "piece.wav")
 """

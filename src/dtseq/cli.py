@@ -14,8 +14,8 @@ turns every I/O failure into exit 3.  Exit codes:
   full stdout, each with one ``dtseq:`` line (a closed pipe ends with
   no message).
 
-Once the arguments parse, a closed or full stderr loses the diagnostics
-and changes nothing else, neither the output nor the exit code.  A
+A closed or full stderr loses the diagnostics and usage messages and
+changes nothing else, neither the output nor the exit code.  A
 render that leaves notes at or above half the rate silent says so in one
 ``band-limit`` warning and still exits 0.  Set DTS_COLOR=0 to disable
 the coloring of diagnostics on a terminal.
@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .model import ERROR, Composition, validate_composition
-from .rational import builtin_scales, cents
+from .rational import builtin_scales, cents, ratio_text
 from .render import RenderSettings, WAVEFORMS, synthesize, write_wav
 from .resolve import export_events, export_table, resolve_composition
 from .scorefile import parse
@@ -132,7 +134,7 @@ def cmd_render(args) -> tuple[int, str]:
 def cmd_scales(args) -> tuple[int, str]:
     lines = []
     for scale in builtin_scales():
-        ratios = " ".join(f"{k.numerator}/{k.denominator}" for k in scale.keys)
+        ratios = " ".join(map(ratio_text, scale.keys))
         cent_values = " ".join(f"{cents(k):.2f}" for k in scale.keys)
         lines.append(f"{scale.name}: {ratios}  (cents: {cent_values})\n")
     return EXIT_OK, "".join(lines)
@@ -168,11 +170,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(argv) -> tuple[int, str]:
+    """Parse ``argv`` and run its command.  argparse's help and usage
+    text is captured while it parses, so it takes the same paths as a
+    command's: help is stdout text, a usage error goes to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # -h, or a usage error
+        _stderr(err.getvalue())
+        return exc.code, out.getvalue()
+    return args.func(args)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     text = ""
     try:
-        status, text = args.func(args)
+        status, text = _run(argv)
         if text:
             if sys.stdout is None:  # descriptor 1 was closed at start-up
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))

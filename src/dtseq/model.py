@@ -185,10 +185,14 @@ class Composition:
         tempo = float(self.tempo_bpm)
         if not base > 0:
             raise ValueError(f"base frequency must be positive: {self.base_frequency_hz!r}")
+        if base == math.inf:
+            raise ValueError(f"base frequency must be finite: {self.base_frequency_hz!r}")
         if not isinstance(self.ticks_per_beat, int) or self.ticks_per_beat < 1:
             raise ValueError(f"ticks per beat must be a positive integer: {self.ticks_per_beat!r}")
         if not tempo > 0:
             raise ValueError(f"tempo must be positive: {self.tempo_bpm!r}")
+        if tempo == math.inf:
+            raise ValueError(f"tempo must be finite: {self.tempo_bpm!r}")
         if not isinstance(self.length_ticks, int) or self.length_ticks < 1:
             raise ValueError(f"length must be a positive tick count: {self.length_ticks!r}")
         object.__setattr__(self, "base_frequency_hz", base)
@@ -230,9 +234,11 @@ class Violation:
 
     Kinds: ``bad-reference``, ``duplicate-name``, ``range``, ``order``,
     ``overlap``, ``gap``, ``span``, ``level-gap``, ``overflow`` (a
-    frequency, or the length in seconds, too large for a float); plus the
-    ``boundary-crossing`` warning (a note sustaining across a transposition
-    boundary keeps its onset pitch, which may or may not be intended).
+    frequency, the length in seconds, or ``tempo * ppq``, too large for a
+    float), ``underflow`` (a frequency below the normal float range); plus
+    the ``boundary-crossing`` warning (a note sustaining across a
+    transposition boundary keeps its onset pitch, which may or may not be
+    intended).
     """
 
     kind: str
@@ -246,9 +252,10 @@ def validate_composition(composition: Composition) -> list[Violation]:
 
     Violations are data, not exceptions; a composition is playable when the
     report contains no ``severity == ERROR`` entries.  Frequencies beyond
-    or below the normal float range, and a length in seconds beyond it,
-    are looked for once no other error is found.  Pure function:
-    validating the same composition twice yields identical reports.
+    or below the normal float range, and a length in seconds or a
+    ``tempo * ppq`` beyond it, are looked for once no other error is
+    found.  Pure function: validating the same composition twice yields
+    identical reports.
     """
     report: list[Violation] = []
     add = report.append
@@ -367,17 +374,19 @@ _BEYOND = {"overflow": "beyond the float range", "underflow": "below the normal 
 
 
 def _float_range(composition: Composition) -> list[Violation]:
-    """``overflow`` errors for a time grid beyond the float range, and
-    ``overflow`` or ``underflow`` errors for resolved frequencies beyond or
-    below the normal float range.
+    """``overflow`` errors for a time grid beyond the float range (the
+    length in seconds, or ``tempo * ppq``, which ``seconds`` divides by),
+    and ``overflow`` or ``underflow`` errors for resolved frequencies
+    beyond or below the normal float range.
 
     Needs a composition with no other error.  Every note ends within the
-    length, so a length whose seconds are a finite float bounds every
-    event's start and duration.  An instrument is walked only when one of
-    the bounds ``base * largest key * product of each bound harmony's
-    largest used tone key``, and the same with the smallest keys, has no
-    normal float: then every note, and every key at the regions of
-    largest and smallest shift (``resolve --table``), is checked exactly.
+    length, so a length whose seconds are a finite float, over a finite
+    ``tempo * ppq``, bounds every event's start and duration.  An
+    instrument is walked only when one of the bounds ``base * largest key
+    * product of each bound harmony's largest used tone key``, and the
+    same with the smallest keys, has no normal float: then every note,
+    and every key at the regions of largest and smallest shift
+    (``resolve --table``), is checked exactly.
     """
     from .resolve import _regions  # resolve imports this module
 
@@ -389,6 +398,8 @@ def _float_range(composition: Composition) -> list[Violation]:
     if not finite:
         found.append(Violation("overflow", "length",
                                "ticks * 60 / (tempo * ppq) is beyond the float range"))
+    elif math.isinf(composition.tempo_bpm * composition.ticks_per_beat):  # every tick is 0 s
+        found.append(Violation("overflow", "tempo", "tempo * ppq is beyond the float range"))
 
     base = Fraction(composition.base_frequency_hz)
     for inst in composition.instruments:

@@ -4,7 +4,8 @@ Every pitch factor in this package is a strictly positive rational number,
 represented by :class:`fractions.Fraction` (aliased as ``Ratio``).  Fraction
 already stores values in lowest terms and multiplies exactly with
 arbitrary-precision integers, so cumulative products of scale keys never
-drift and never overflow.
+drift and never overflow.  :func:`ratio_text` is the one writer of a
+ratio as ``num/den`` text, at any length.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -62,6 +64,19 @@ def as_ratio(value: RatioLike) -> Fraction:
     if f <= 0:
         raise InvalidRatioError(f"ratio must be positive: {value!r}")
     return f
+
+
+def ratio_text(r: Fraction) -> str:
+    """``r`` as ``num/den`` in lowest terms (``2/1`` for a whole number).
+
+    ``str`` refuses an int longer than the interpreter's int-to-string
+    digit limit (``sys.set_int_max_str_digits``); only then are the parts
+    written through :class:`decimal.Decimal`, which has no such limit.
+    """
+    try:
+        return f"{r.numerator}/{r.denominator}"
+    except ValueError:
+        return f"{Decimal(r.numerator)}/{Decimal(r.denominator)}"
 
 
 def octave_normalize(r: RatioLike) -> Fraction:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .model import Composition, Instrument, Note
+from .rational import ratio_text
 
 
 class ResolutionError(Exception):
@@ -241,7 +242,7 @@ def export_events(events: Iterable[ResolvedEvent]) -> str:
     significant digits.  Events are listed in the order given.
     """
     return "\n".join(["instrument\tfactor\tfrequency_hz\tstart_sec\tduration_sec\tvelocity"] + [
-        f"{ev.instrument}\t{ev.factor.numerator}/{ev.factor.denominator}\t"
+        f"{ev.instrument}\t{ratio_text(ev.factor)}\t"
         f"{ev.frequency_hz:.6g}\t{ev.start_sec:.6g}\t{ev.duration_sec:.6g}\t{ev.velocity}"
         for ev in events]) + "\n"
 
@@ -254,6 +255,6 @@ def export_table(composition: Composition) -> str:
     for inst in composition.instruments:
         for region in frequency_table(composition, inst.name):
             ticks = f"{inst.name}\t[{region.start},{region.end})"
-            lines += [f"{ticks}\t{row.key_index}\t{row.factor.numerator}/"
-                      f"{row.factor.denominator}\t{row.frequency_hz:.6g}" for row in region.rows]
+            lines += [f"{ticks}\t{row.key_index}\t{ratio_text(row.factor)}\t"
+                      f"{row.frequency_hz:.6g}" for row in region.rows]
     return "\n".join(lines) + "\n"

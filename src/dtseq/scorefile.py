@@ -47,7 +47,7 @@ from .model import (
     TimeInterval,
     TranspositionTone,
 )
-from .rational import IDENTIFIER_RE, Scale
+from .rational import IDENTIFIER_RE, Scale, ratio_text
 
 PARSE_ERROR_KINDS = (
     "syntax", "unknown-directive", "bad-ratio", "bad-reference",
@@ -271,7 +271,7 @@ class _Parser:
                 continue
             if key in keys:
                 self.fail(toks, i, "bad-ratio",
-                          f"duplicate key {key.numerator}/{key.denominator} in scale")
+                          f"duplicate key {ratio_text(key)} in scale")
                 continue
             keys[key] = None
         if not keys:
@@ -408,6 +408,12 @@ class _Parser:
         )
 
 
+def _float_text(x: float) -> str:
+    """The shortest text that reads back as ``x``, with no ``+`` in its
+    exponent (``1e20``, not ``1e+20``): ``+`` is a token of its own."""
+    return repr(x).replace("e+", "e")
+
+
 def serialize(composition: Composition) -> str:
     """Render a composition in canonical text form.
 
@@ -417,9 +423,9 @@ def serialize(composition: Composition) -> str:
     output reproduces it byte for byte.
     """
     lines = [
-        f"base {composition.base_frequency_hz!r}",
+        f"base {_float_text(composition.base_frequency_hz)}",
         f"ppq {composition.ticks_per_beat}",
-        f"tempo {composition.tempo_bpm!r}",
+        f"tempo {_float_text(composition.tempo_bpm)}",
         f"length {composition.length_ticks}",
     ]
 
@@ -427,7 +433,7 @@ def serialize(composition: Composition) -> str:
     if scales:
         lines.append("")
     for scale in scales:
-        keys = " ".join(f"{k.numerator}/{k.denominator}" for k in scale.keys)
+        keys = " ".join(map(ratio_text, scale.keys))
         lines.append(f"scale {scale.name} {keys}")
 
     for harmony in sorted(composition.harmonies.values(), key=lambda h: h.name):

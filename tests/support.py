@@ -1,5 +1,6 @@
 """Shared test fixtures: the reference score, a brute-force frequency
-oracle, and a randomized composition generator.
+oracle, a randomized composition generator, and ratios too long for the
+interpreter's int-to-string digit limit.
 
 The oracle deliberately avoids the library's lookup code: it finds the
 active tone of each level by linear scan at every single tick, so any
@@ -9,7 +10,11 @@ agreement with the resolver is meaningful.
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
+
+import pytest
 
 from dtseq import (
     Composition,
@@ -43,6 +48,28 @@ instrument lead scale just-major-7 harmonies H1
   note 4 @ 960  +960  vel 112
 end
 """
+
+
+# Ratios beyond the int-to-string digit limit
+
+def near_one(digits: int) -> str:
+    """``(10**digits + 1) / 10**digits`` as score text: a ratio just above 1
+    whose parts have ``digits + 1`` digits, written without ``str(int)``."""
+    return f"1{'0' * (digits - 1)}1/1{'0' * digits}"
+
+
+@contextmanager
+def int_digit_limit(digits: int):
+    """Run the body under ``sys.set_int_max_str_digits(digits)``; 0 lifts
+    the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-string digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # Brute-force oracle

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 import wave
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import dtseq
 from dtseq.cli import main
-from support import REFERENCE_SCORE
+from support import REFERENCE_SCORE, int_digit_limit, near_one
 
 SCORES = Path(__file__).resolve().parent.parent / "scores"
 LISTINGS = Path(__file__).resolve().parent / "listings"
@@ -207,7 +208,10 @@ class TestOverflow:
         (TIME_GRID.format(ppq=1, tempo="1e-307", length=2), GRID_OVERFLOW),
         (TIME_GRID.format(ppq=BIG, tempo=60, length=2), GRID_OVERFLOW),
         (TIME_GRID.format(ppq=1, tempo=60, length=BIG), GRID_OVERFLOW),
-    ], ids=["frequency", "tempo", "ppq", "length"])
+        # 2 * 1e308 is inf, so every tick would be 0 s
+        (TIME_GRID.format(ppq=2, tempo="1e308", length=2),
+         ["overflow: tempo: tempo * ppq is beyond the float range"]),
+    ], ids=["frequency", "tempo", "ppq", "length", "tempo-times-ppq"])
     def test_beyond_float_range_exits_1(self, tmp_path, capsys, monkeypatch, args,
                                         text, diagnostics):
         monkeypatch.chdir(tmp_path)
@@ -265,6 +269,53 @@ class TestUnderflow:
         assert out.out == ""
         assert out.err == "".join(f"{path}:0:0: underflow: {d}\n" for d in diagnostics)
         assert not (tmp_path / "x.wav").exists()
+
+
+# K = (10**n + 1) / 10**n: the note sounds K * K, whose parts have 2n + 1 digits
+NEAR_ONE = """\
+base 440
+ppq 480
+tempo 120
+length 960
+scale s 1/1 {k}
+harmony H level 1 scale s
+  tone 1 @ 0 +960
+end
+instrument a scale s harmonies H
+  note 1 @ 0 +480
+end
+"""
+
+
+class TestLongFactors:
+    """Listings print exact factors of any length, whatever the
+    interpreter's int-to-string digit limit."""
+
+    @pytest.mark.parametrize("digits,limit", [(4000, None), (600, "640")],
+                             ids=["default-limit", "limit-640"])
+    def test_resolve_prints_the_exact_factors(self, tmp_path, digits, limit, monkeypatch):
+        if limit:
+            monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", limit)
+        path = tmp_path / "near-one.dts"
+        path.write_text(NEAR_ONE.format(k=near_one(digits)))
+        k = Fraction(10**digits + 1, 10**digits)
+        listings = {}
+        for args in (["resolve"], ["resolve", "--table"]):
+            proc = run_cli([*args, str(path)], capture_output=True)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            listings[args[-1]] = [line.split("\t") for line in proc.stdout.decode().splitlines()]
+        assert run_cli(["validate", str(path)], capture_output=True).returncode == 0
+
+        def factor(text):
+            num, den = text.split("/")
+            with int_digit_limit(0):
+                return Fraction(int(num), int(den))
+
+        event, = listings["resolve"][1:]
+        assert factor(event[1]) == k * k
+        assert event[2:] == ["440", "0", "0.5", "96"]
+        assert [(row[2], factor(row[3])) for row in listings["--table"][1:]] == [
+            ("0", k), ("1", k * k)]
 
 
 class TestResolve:
@@ -545,17 +596,37 @@ class TestScales:
 
 class TestUsage:
     def test_unknown_command_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        assert main(["frobnicate"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "invalid choice: 'frobnicate'" in out.err
 
     def test_unknown_waveform_exit_2(self, ref_path, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["render", ref_path, "--out", str(tmp_path / "x.wav"),
-                  "--waveform", "square"])
-        assert exc.value.code == 2
+        assert main(["render", ref_path, "--out", str(tmp_path / "x.wav"),
+                     "--waveform", "square"]) == 2
 
     def test_missing_out_exit_2(self, ref_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["render", ref_path])
-        assert exc.value.code == 2
+        assert main(["render", ref_path]) == 2
+
+    def test_help_is_stdout_text(self, capsys):
+        assert main(["-h"]) == 0
+        out = capsys.readouterr()
+        assert out.out.startswith("usage: dtseq") and out.err == ""
+
+    # argparse's text goes through main's exit path, so a broken stream
+    # cannot fail again at interpreter exit and turn the code into 120
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_usage_error_on_a_full_stderr_exits_2(self):
+        with open("/dev/full", "wb") as full:
+            proc = run_cli(["frobnicate"], stdout=subprocess.PIPE, stderr=full)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    def test_usage_error_on_a_closed_stderr_exits_2(self):
+        proc = run_cli(["frobnicate"], stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_help_on_a_full_stdout_exits_3_with_one_line(self):
+        with open("/dev/full", "wb") as full:
+            proc = run_cli(["-h"], stdout=full, stderr=subprocess.PIPE)
+        assert proc.returncode == 3
+        assert proc.stderr == f"dtseq: {OSError(28, os.strerror(28))}\n".encode()

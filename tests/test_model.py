@@ -299,18 +299,18 @@ class TestOverflow:
         comp = overflow_comp([1, Fraction(10**300)], [Note(1, TimeInterval(480, 480))])
         assert validate_composition(comp) == []
 
-    @pytest.mark.parametrize("ppq,tempo,length", [
-        (480, 1e-307, 960),       # seconds() is inf
-        (10**400, 120.0, 960),    # tempo * ppq does not convert to a float
-        (480, 120.0, 10**400),    # nor does length * 60
-    ], ids=["tempo", "ppq", "length"])
-    def test_time_grid_beyond_float_range_is_an_error(self, ppq, tempo, length):
+    @pytest.mark.parametrize("ppq,tempo,length,path", [
+        (480, 1e-307, 960, "length"),       # seconds() is inf
+        (10**400, 120.0, 960, "length"),    # tempo * ppq does not convert to a float
+        (480, 120.0, 10**400, "length"),    # nor does length * 60
+        (480, 1e308, 960, "tempo"),         # tempo * ppq is inf: every tick would be 0 s
+    ], ids=["tempo", "ppq", "length", "tempo-times-ppq"])
+    def test_time_grid_beyond_float_range_is_an_error(self, ppq, tempo, length, path):
         comp = Composition(
             440.0, ppq, tempo, length, scales=[Scale("t", ["1/1", "3/2"])],
             harmonies=[HarmonicSequence("H", 1, "t", [tone(0, 0, length)])],
             instruments=[Instrument("lead", "t", ["H"], [Note(1, TimeInterval(0, 480))])])
-        assert [(v.kind, v.path) for v in validate_composition(comp)] == [
-            ("overflow", "length")]
+        assert [(v.kind, v.path) for v in validate_composition(comp)] == [("overflow", path)]
 
     def test_only_checked_once_other_errors_are_gone(self):
         comp = overflow_comp([1, self.HUGE], [Note(1, TimeInterval(0, 480)),
@@ -459,6 +459,8 @@ class TestComposition:
         dict(ticks_per_beat=0),
         dict(tempo_bpm=0.0),
         dict(length_ticks=0),
+        dict(base_frequency_hz=float("inf")),
+        dict(tempo_bpm=float("inf")),
     ])
     def test_field_validation(self, kwargs):
         good = dict(base_frequency_hz=440.0, ticks_per_beat=480,
@@ -566,6 +568,13 @@ class TestConstructors:
          "scale 's' keyed under mismatched name 'x'"),
         (lambda: Composition(440, 480, 120, 960, [], [HarmonicSequence("h", 1, "s")] * 2),
          ValueError, "duplicate harmony name: 'h'"),
+        (lambda: Composition(float("inf"), 480, 120, 960), ValueError,
+         "base frequency must be finite: inf"),
+        (lambda: Composition(440, 480, "inf", 960), ValueError, "tempo must be finite: 'inf'"),
+        (lambda: Composition(float("nan"), 480, 120, 960), ValueError,
+         "base frequency must be positive: nan"),
+        (lambda: Composition(440, 480, float("-inf"), 960), ValueError,
+         "tempo must be positive: -inf"),
     ])
     def test_first_problem_is_reported(self, build, error, message):
         with pytest.raises(error) as exc:

@@ -3,7 +3,9 @@
 Hypothesis writes small ``.dts`` texts and runs each through the ``dtseq``
 command in-process.  About half are drawn with faults (dangling
 references, gaps and overlaps, keys outside their scale, ratios beyond the
-float range or near its top or bottom, non-ASCII digits, corrupted
+float range or near its top or bottom, a ratio so near 1 that its
+products print more digits than ``str(int)`` allows, a tempo whose
+product with ppq is beyond the float range, non-ASCII digits, corrupted
 lines); the rest validate clean and have notes, so resolve and render run
 on real events.  Both kinds may repeat a note.  Tempo, ppq and length are
 bounded so that no render exceeds about 10**5 samples at 1000 Hz.
@@ -17,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtseq.cli import main
+from support import near_one
 
 HUGE = "1" + "0" * 320 + "/1"
 # finite, but 2π·f is not once a base or a tone multiplies them
@@ -25,8 +28,12 @@ FINITE_HUGE = [f"1{'0' * e}/1" for e in range(300, 308)]
 # at base 1 or once tones multiply them
 TINY = "1/1" + "0" * 330
 FINITE_TINY = [f"1/1{'0' * e}" for e in range(305, 309)]
+# 4001-digit parts parse; the 8001-digit parts of its square do not fit str()
+NEAR_ONE = near_one(4000)
 RATIOS = ["1/1", "9/8", "5/4", "4/3", "3/2", "5/3", "7/4", "15/8", "2/1", HUGE, *FINITE_HUGE,
-          TINY, *FINITE_TINY, "٣/2", "1_5/8"]
+          TINY, *FINITE_TINY, NEAR_ONE, "٣/2", "1_5/8"]
+# clean, then one whose product with any ppq of 2 or more is inf
+TEMPOS = ["30", "120", "600.5", "1e308"]
 JUNK = ["end", "note 0 @ 0", "tone 1 @ 0 +1", "scale", "@ +", "instrument x scale s"]
 
 
@@ -45,7 +52,7 @@ def score_texts(draw):
     length = draw(st.integers(1, 64))
     lines = [f"base {draw(st.sampled_from(['440', '261.63', '1']))}",
              f"ppq {draw(st.integers(1, 4))}",
-             f"tempo {draw(st.sampled_from(['30', '120', '600.5']))}",
+             f"tempo {draw(st.sampled_from(TEMPOS if faulty else TEMPOS[:3]))}",
              f"length {length}"]
     scales = draw(st.sampled_from([["s"], ["s", "t"]]))
     for name in scales:
@@ -115,11 +122,42 @@ instrument a scale s
 end
 """
 
+# tempo * ppq is inf, so every tick would be 0 s: refused by validate
+# rather than resolved to events that all start at 0 s and last 0 s
+TEMPO_TIMES_PPQ_BEYOND_FLOAT = """\
+base 440
+ppq 480
+tempo 1e308
+length 960
+scale s 1/1 3/2
+instrument a scale s
+  note 0 @ 0 +480
+  note 1 @ 480 +480
+end
+"""
+
+# the note sounds NEAR_ONE squared, which both listings print in full
+FACTOR_BEYOND_DIGIT_LIMIT = f"""\
+base 440
+ppq 480
+tempo 120
+length 960
+scale s 1/1 {NEAR_ONE}
+harmony H level 1 scale s
+  tone 1 @ 0 +960
+end
+instrument a scale s harmonies H
+  note 1 @ 0 +480
+end
+"""
+
 
 @settings(max_examples=150, deadline=None)
 @given(text=score_texts())
 @example(text=IN_RANGE_BUT_NOT_2PI_F)
 @example(text=SECONDS_BEYOND_FLOAT)
+@example(text=TEMPO_TIMES_PPQ_BEYOND_FLOAT)
+@example(text=FACTOR_BEYOND_DIGIT_LIMIT)
 def test_validated_scores_resolve_and_render(tmp_path_factory, text):
     directory = tmp_path_factory.getbasetemp() / "pipeline"
     directory.mkdir(exist_ok=True)

@@ -14,7 +14,8 @@ from dtseq import (
     octave_normalize,
     ratio,
 )
-from dtseq.rational import as_ratio
+from dtseq.rational import as_ratio, ratio_text
+from support import int_digit_limit, near_one
 
 ratios = st.builds(Fraction, st.integers(1, 64), st.integers(1, 64))
 
@@ -131,3 +132,25 @@ def test_as_ratio_rejects_a_non_ratio_string(text):
     with pytest.raises(InvalidRatioError) as exc:
         as_ratio(text)
     assert str(exc.value) == f"not a ratio: {text!r}"
+
+
+@pytest.mark.parametrize("value,text", [
+    (Fraction(3, 2), "3/2"), (Fraction(6, 4), "3/2"), (Fraction(2), "2/1"),
+    (Fraction(1, 3), "1/3"),
+])
+def test_ratio_text_is_reduced_num_over_den(value, text):
+    assert ratio_text(value) == text
+
+
+@given(st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40)))
+def test_ratio_text_reads_back(r):
+    num, den = ratio_text(r).split("/")
+    assert Fraction(int(num), int(den)) == r
+
+
+def test_ratio_text_has_no_digit_limit():
+    r = as_ratio(near_one(700))  # 701-digit parts
+    with int_digit_limit(640):
+        with pytest.raises(ValueError):
+            str(r.numerator)
+        assert ratio_text(r) == near_one(700)

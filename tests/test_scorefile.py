@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from dtseq import (
     Composition,
     ParseError,
+    Scale,
     parse,
     serialize,
     validate_composition,
 )
 from dtseq.scorefile import PARSE_ERROR_KINDS
-from support import REFERENCE_SCORE, random_composition
+from support import REFERENCE_SCORE, int_digit_limit, near_one, random_composition
 
 
 def parse_ok(text) -> Composition:
@@ -273,6 +274,26 @@ class TestSerialize:
         out = serialize(parse_ok(text))
         assert out.index("scale aa") < out.index("scale zz")
         assert out.index("instrument ann") < out.index("instrument zed")
+
+    def test_large_base_and_tempo_read_back(self):
+        text = serialize(Composition(1e20, 480, 1e16, 960))
+        assert text == "base 1e20\nppq 480\ntempo 1e16\nlength 960\n"
+        comp = parse_ok(text)
+        assert (comp.base_frequency_hz, comp.tempo_bpm) == (1e20, 1e16)
+
+    @given(st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+           st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+    def test_any_positive_finite_base_and_tempo_round_trip(self, base, tempo):
+        text = serialize(Composition(base, 480, tempo, 960))
+        comp = parse_ok(text)
+        assert (comp.base_frequency_hz, comp.tempo_bpm) == (base, tempo)
+        assert serialize(comp) == text
+
+    def test_ratios_beyond_the_digit_limit_are_written(self):
+        key = near_one(700)  # 701-digit parts
+        comp = Composition(440, 480, 120, 960, scales=[Scale("t", ["1/1", key])])
+        with int_digit_limit(640):
+            assert serialize(comp).endswith(f"scale t 1/1 {key}\n")
 
     def test_roundtrip_randomized(self):
         rng = random.Random(77)
