@@ -181,8 +181,8 @@ class Composition:
     instruments: tuple[Instrument, ...] = ()
 
     def __post_init__(self):
-        base = float(self.base_frequency_hz)
-        tempo = float(self.tempo_bpm)
+        base = _as_float(self.base_frequency_hz)
+        tempo = _as_float(self.tempo_bpm)
         if not base > 0:
             raise ValueError(f"base frequency must be positive: {self.base_frequency_hz!r}")
         if base == math.inf:
@@ -210,6 +210,15 @@ class Composition:
             if inst.name == name:
                 return inst
         raise KeyError(name)
+
+
+def _as_float(value) -> float:
+    """``float(value)``, with ±inf for a number beyond the float range
+    (an int or Fraction, which ``float`` refuses with OverflowError)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _named(items, what: str) -> dict:

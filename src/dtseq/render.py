@@ -38,6 +38,13 @@ multiple-angle identities.  The wave stays within 1e-9 of ``np.sin`` of
 builds the tables' sample times, the envelope ramps and a buffer for an
 event's gain-scaled samples once, and every wave and event uses them.
 
+:func:`write_wav` packs the 44-byte header itself and writes the frames
+as little-endian int16, whatever the host's byte order.  It refuses a
+buffer the header cannot describe, a sample rate outside
+``[1, MAX_SAMPLE_RATE]`` or more than ``MAX_SAMPLES`` samples, with
+ValueError before it opens the path, so an existing file is left as it
+was.
+
 numpy is imported on the first synthesis or WAV write, not with the
 module, so commands that never render do not load it.
 """
@@ -45,7 +52,7 @@ module, so commands that never render do not load it.
 from __future__ import annotations
 
 import math
-import wave
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -66,6 +73,17 @@ MAX_SAMPLES = (2**32 - 37) // 2
 _BLOCK = 512
 
 
+def _check_header(sample_rate, samples: float) -> None:
+    """Raise ValueError unless a 16-bit mono WAV header can describe
+    ``samples`` samples at ``sample_rate``."""
+    if not isinstance(sample_rate, int) or not 1 <= sample_rate <= MAX_SAMPLE_RATE:
+        raise ValueError(f"sample rate must be an integer in [1, {MAX_SAMPLE_RATE}]: "
+                         f"{sample_rate!r}")
+    if not samples <= MAX_SAMPLES:
+        raise ValueError(f"render needs {samples} samples; a WAV file holds at most "
+                         f"{MAX_SAMPLES}")
+
+
 @dataclass(frozen=True)
 class RenderSettings:
     sample_rate: int = 44100
@@ -75,10 +93,7 @@ class RenderSettings:
     master_gain: float = 0.8
 
     def __post_init__(self):
-        if (not isinstance(self.sample_rate, int)
-                or not 1 <= self.sample_rate <= MAX_SAMPLE_RATE):
-            raise ValueError(f"sample rate must be an integer in [1, {MAX_SAMPLE_RATE}]: "
-                             f"{self.sample_rate!r}")
+        _check_header(self.sample_rate, 0)
         if self.waveform not in WAVEFORMS:
             raise ValueError(f"unknown waveform {self.waveform!r}; choose from {WAVEFORMS}")
         if not (0 <= self.attack_sec < math.inf and 0 <= self.release_sec < math.inf):
@@ -226,8 +241,7 @@ def synthesize(events: Sequence[ResolvedEvent],
             release *= squeeze
         end = (ev.start_sec + ev.duration_sec + release) * sr
         if not math.isfinite(end):  # round() would raise; no WAV file holds it
-            raise ValueError(f"render needs {end} samples; a WAV file holds at most "
-                             f"{MAX_SAMPLES}")
+            _check_header(sr, end)
         first = round(ev.start_sec * sr)
         n_note = round(ev.duration_sec * sr)
         n_attack = round(min(attack * sr, n_note))
@@ -242,9 +256,7 @@ def synthesize(events: Sequence[ResolvedEvent],
         elif n:
             plan[freq] = (max(plan.get(freq, (0,))[0], n), len(spans))
             spans.append((first, n_note, n_attack, n_release, ev))
-    if total > MAX_SAMPLES:
-        raise ValueError(f"render needs {total} samples; a WAV file holds at most "
-                         f"{MAX_SAMPLES}")
+    _check_header(sr, total)
 
     try:
         mix = np.zeros(total, dtype=np.float64)
@@ -291,21 +303,22 @@ def write_wav(buffer: AudioBuffer, path) -> None:
     """Write 16-bit mono PCM with the plain 44-byte RIFF/WAVE header.
 
     Samples are rounded from value * 32767 and clamped to the int16 range,
-    so identical buffers produce bit-identical files.
+    so identical buffers produce bit-identical files.  Raises ValueError,
+    before ``path`` is opened, for a sample rate that
+    :class:`RenderSettings` refuses or more than ``MAX_SAMPLES`` samples.
     """
     import numpy as np
 
+    n, rate = len(buffer.samples), buffer.sample_rate
+    _check_header(rate, n)
     step = 1 << 16  # in blocks, so there is never a full-length copy of the mix
     block = np.empty(step, dtype="<i2")
     with open(path, "wb") as fh:
-        with wave.open(fh, "wb") as wav:
-            wav.setnchannels(1)
-            wav.setsampwidth(2)
-            wav.setframerate(buffer.sample_rate)
-            wav.setnframes(len(buffer.samples))  # the header is final before the first frame
-            for lo in range(0, len(buffer.samples), step):
-                scaled = buffer.samples[lo:lo + step] * 32767.0
-                np.rint(scaled, out=scaled)
-                out = block[:len(scaled)]
-                np.clip(scaled, -32768, 32767, out=out, casting="unsafe")
-                wav.writeframesraw(out)
+        fh.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * n, b"WAVE", b"fmt ",
+                             16, 1, 1, rate, 2 * rate, 2, 16, b"data", 2 * n))
+        for lo in range(0, n, step):
+            scaled = buffer.samples[lo:lo + step] * 32767.0
+            np.rint(scaled, out=scaled)
+            out = block[:len(scaled)]
+            np.clip(scaled, -32768, 32767, out=out, casting="unsafe")
+            fh.write(out)

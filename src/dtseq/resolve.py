@@ -241,10 +241,14 @@ def export_events(events: Iterable[ResolvedEvent]) -> str:
     Factors print reduced as ``num/den``; the float columns use 6
     significant digits.  Events are listed in the order given.
     """
+    events = list(events)
+    # Each distinct factor is written once: a listing's events share few.
+    keys = [ev.factor.as_integer_ratio() for ev in events]
+    texts = {key: ratio_text(ev.factor) for key, ev in dict(zip(keys, events)).items()}
     return "\n".join(["instrument\tfactor\tfrequency_hz\tstart_sec\tduration_sec\tvelocity"] + [
-        f"{ev.instrument}\t{ratio_text(ev.factor)}\t"
+        f"{ev.instrument}\t{texts[key]}\t"
         f"{ev.frequency_hz:.6g}\t{ev.start_sec:.6g}\t{ev.duration_sec:.6g}\t{ev.velocity}"
-        for ev in events]) + "\n"
+        for ev, key in zip(events, keys)]) + "\n"
 
 
 def export_table(composition: Composition) -> str:

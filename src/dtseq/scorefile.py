@@ -419,8 +419,11 @@ def serialize(composition: Composition) -> str:
 
     Sections appear in fixed order (header, scales, harmonies,
     instruments), entities sorted by name, tones sorted by start, notes
-    in score order, every ratio reduced.  Serializing the parse of the
-    output reproduces it byte for byte.
+    in score order, every ratio reduced.  Every text returned parses
+    back, and serializing that parse reproduces it byte for byte.  So a
+    scale key with a part longer than the int-string digit limit
+    (``sys.get_int_max_str_digits``), which :func:`parse` refuses, raises
+    ValueError naming the scale and the key's index.
     """
     lines = [
         f"base {_float_text(composition.base_frequency_hz)}",
@@ -433,8 +436,14 @@ def serialize(composition: Composition) -> str:
     if scales:
         lines.append("")
     for scale in scales:
-        keys = " ".join(map(ratio_text, scale.keys))
-        lines.append(f"scale {scale.name} {keys}")
+        keys = []
+        for index, key in enumerate(scale.keys):
+            try:
+                keys.append(f"{key.numerator}/{key.denominator}")
+            except ValueError:  # beyond the int-string digit limit
+                raise ValueError(f"scale {scale.name} key {index}: ratio parts too long "
+                                 f"to parse back") from None
+        lines.append(f"scale {scale.name} {' '.join(keys)}")
 
     for harmony in sorted(composition.harmonies.values(), key=lambda h: h.name):
         lines.append("")

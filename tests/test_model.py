@@ -461,6 +461,8 @@ class TestComposition:
         dict(length_ticks=0),
         dict(base_frequency_hz=float("inf")),
         dict(tempo_bpm=float("inf")),
+        dict(base_frequency_hz=10**400),
+        dict(tempo_bpm=10**400),
     ])
     def test_field_validation(self, kwargs):
         good = dict(base_frequency_hz=440.0, ticks_per_beat=480,
@@ -575,6 +577,16 @@ class TestConstructors:
          "base frequency must be positive: nan"),
         (lambda: Composition(440, 480, float("-inf"), 960), ValueError,
          "tempo must be positive: -inf"),
+        # numbers beyond the float range, which float() refuses
+        pytest.param(lambda: Composition(10**400, 480, 10**400, 960), ValueError,
+                     f"base frequency must be finite: {10**400}", id="huge-base"),
+        pytest.param(lambda: Composition(440, 480, 10**400, 960), ValueError,
+                     f"tempo must be finite: {10**400}", id="huge-tempo"),
+        pytest.param(lambda: Composition(-10**400, 480, 120, 960), ValueError,
+                     f"base frequency must be positive: {-10**400}", id="huge-negative-base"),
+        pytest.param(lambda: Composition(440, 480, Fraction(-10**400, 3), 960), ValueError,
+                     f"tempo must be positive: {Fraction(-10**400, 3)!r}",
+                     id="huge-negative-fraction-tempo"),
     ])
     def test_first_problem_is_reported(self, build, error, message):
         with pytest.raises(error) as exc:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 import wave
@@ -544,6 +545,43 @@ class TestWriteWav:
             write_wav(buf, tmp_path / "no" / "such" / "dir.wav")
         assert "dir.wav" in str(exc.value)
 
+    def test_bytes_do_not_depend_on_host_byte_order(self, tmp_path, monkeypatch):
+        from dtseq import AudioBuffer
+        buf = AudioBuffer(8000, np.array([0.5, -0.25]))
+        little, big = tmp_path / "little.wav", tmp_path / "big.wav"
+        write_wav(buf, little)
+        monkeypatch.setattr(sys, "byteorder", "big")
+        write_wav(buf, big)
+        assert little.read_bytes()[44:] == bytes.fromhex("004000e0")
+        assert big.read_bytes() == little.read_bytes()
+
+    @pytest.mark.parametrize("rate", [0, -5, 2**31, 2**32, 44100.4, None])
+    def test_rate_the_header_cannot_hold_is_refused_before_opening(self, tmp_path, rate):
+        from dtseq import AudioBuffer
+        path = tmp_path / "kept.wav"
+        path.write_bytes(bytes(range(250)) * 4)
+        with pytest.raises(ValueError) as exc:
+            write_wav(AudioBuffer(rate, np.zeros(3)), path)
+        with pytest.raises(ValueError) as settings_exc:
+            RenderSettings(sample_rate=rate)
+        assert str(exc.value) == str(settings_exc.value)
+        assert path.read_bytes() == bytes(range(250)) * 4
+
+    def test_length_the_header_cannot_hold_is_refused_before_opening(self, tmp_path):
+        from dtseq import AudioBuffer
+
+        class TooLong:
+            def __len__(self):
+                return MAX_SAMPLES + 1
+
+        path = tmp_path / "kept.wav"
+        path.write_bytes(bytes(range(250)) * 4)
+        with pytest.raises(ValueError) as exc:
+            write_wav(AudioBuffer(8000, TooLong()), path)
+        assert str(exc.value) == (f"render needs {MAX_SAMPLES + 1} samples; a WAV file "
+                                  f"holds at most {MAX_SAMPLES}")
+        assert path.read_bytes() == bytes(range(250)) * 4
+
 
 class TestExportEvents:
     def test_reference_listing(self):
@@ -572,3 +610,16 @@ class TestExportEvents:
             num, den = printed.split("/")
             ev = next(e for e in events if e.factor == ratio(int(num), int(den)))
             assert f"{ev.factor.numerator}/{ev.factor.denominator}" == printed
+
+    def test_each_distinct_factor_is_written_once(self, monkeypatch):
+        import dtseq.resolve
+        events = [event(factor=Fraction(k % 3 + 1, 2)) for k in range(12)]
+        expected = export_events(events)
+        written = []
+        ratio_text = dtseq.resolve.ratio_text
+        monkeypatch.setattr(dtseq.resolve, "ratio_text",
+                            lambda r: written.append(r) or ratio_text(r))
+        assert export_events(iter(events)) == expected
+        assert sorted(written) == [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+        assert [line.split("\t")[1] for line in expected.splitlines()[1:4]] == [
+            "1/2", "1/1", "3/2"]

@@ -289,11 +289,18 @@ class TestSerialize:
         assert (comp.base_frequency_hz, comp.tempo_bpm) == (base, tempo)
         assert serialize(comp) == text
 
-    def test_ratios_beyond_the_digit_limit_are_written(self):
-        key = near_one(700)  # 701-digit parts
-        comp = Composition(440, 480, 120, 960, scales=[Scale("t", ["1/1", key])])
+    def test_ratios_beyond_the_digit_limit_are_refused(self):
+        longest, too_long = near_one(639), near_one(640)  # 640- and 641-digit parts
+        s = Scale("s", ["1/1", longest])
+        t = Scale("t", ["1/1", longest, too_long])
+        refused = Composition(440, 480, 120, 960, scales=[s, t])
         with int_digit_limit(640):
-            assert serialize(comp).endswith(f"scale t 1/1 {key}\n")
+            with pytest.raises(ValueError) as exc:
+                serialize(refused)
+            assert str(exc.value) == "scale t key 2: ratio parts too long to parse back"
+            text = serialize(Composition(440, 480, 120, 960, scales=[s]))
+            assert text.endswith(f"scale s 1/1 {longest}\n")
+            assert serialize(parse_ok(text)) == text
 
     def test_roundtrip_randomized(self):
         rng = random.Random(77)
