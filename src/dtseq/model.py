@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .rational import Scale, check_name
+from .rational import Scale, check_name, ratio_text
 
 DEFAULT_VELOCITY = 96
 
@@ -35,9 +35,10 @@ class TimeInterval:
 
     def __post_init__(self):
         if not isinstance(self.start, int) or self.start < 0:
-            raise ValueError(f"interval start must be a non-negative tick: {self.start!r}")
+            raise ValueError(f"interval start must be a non-negative tick: {_shown(self.start)}")
         if not isinstance(self.duration, int) or self.duration < 1:
-            raise ValueError(f"interval duration must be a positive tick count: {self.duration!r}")
+            raise ValueError(f"interval duration must be a positive tick count: "
+                             f"{_shown(self.duration)}")
 
     @property
     def end(self) -> int:
@@ -60,9 +61,9 @@ class Note:
 
     def __post_init__(self):
         if not isinstance(self.key_index, int) or self.key_index < 0:
-            raise ValueError(f"key index must be a non-negative integer: {self.key_index!r}")
+            raise ValueError(f"key index must be a non-negative integer: {_shown(self.key_index)}")
         if not isinstance(self.velocity, int) or not 1 <= self.velocity <= 127:
-            raise ValueError(f"velocity must be in [1, 127]: {self.velocity!r}")
+            raise ValueError(f"velocity must be in [1, 127]: {_shown(self.velocity)}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class TranspositionTone:
 
     def __post_init__(self):
         if not isinstance(self.key_index, int) or self.key_index < 0:
-            raise ValueError(f"key index must be a non-negative integer: {self.key_index!r}")
+            raise ValueError(f"key index must be a non-negative integer: {_shown(self.key_index)}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class HarmonicSequence:
         check_name(self.name, "harmony name")
         check_name(self.scale_name, "scale name")
         if not isinstance(self.level, int) or self.level < 1:
-            raise ValueError(f"harmony level must be an integer >= 1: {self.level!r}")
+            raise ValueError(f"harmony level must be an integer >= 1: {_shown(self.level)}")
         object.__setattr__(self, "tones", tuple(self.tones))
 
     @cached_property
@@ -184,17 +185,18 @@ class Composition:
         base = _as_float(self.base_frequency_hz)
         tempo = _as_float(self.tempo_bpm)
         if not base > 0:
-            raise ValueError(f"base frequency must be positive: {self.base_frequency_hz!r}")
+            raise ValueError(f"base frequency must be positive: {_shown(self.base_frequency_hz)}")
         if base == math.inf:
-            raise ValueError(f"base frequency must be finite: {self.base_frequency_hz!r}")
+            raise ValueError(f"base frequency must be finite: {_shown(self.base_frequency_hz)}")
         if not isinstance(self.ticks_per_beat, int) or self.ticks_per_beat < 1:
-            raise ValueError(f"ticks per beat must be a positive integer: {self.ticks_per_beat!r}")
+            raise ValueError(f"ticks per beat must be a positive integer: "
+                             f"{_shown(self.ticks_per_beat)}")
         if not tempo > 0:
-            raise ValueError(f"tempo must be positive: {self.tempo_bpm!r}")
+            raise ValueError(f"tempo must be positive: {_shown(self.tempo_bpm)}")
         if tempo == math.inf:
-            raise ValueError(f"tempo must be finite: {self.tempo_bpm!r}")
+            raise ValueError(f"tempo must be finite: {_shown(self.tempo_bpm)}")
         if not isinstance(self.length_ticks, int) or self.length_ticks < 1:
-            raise ValueError(f"length must be a positive tick count: {self.length_ticks!r}")
+            raise ValueError(f"length must be a positive tick count: {_shown(self.length_ticks)}")
         object.__setattr__(self, "base_frequency_hz", base)
         object.__setattr__(self, "tempo_bpm", tempo)
         object.__setattr__(self, "scales", _named(self.scales, "scale"))
@@ -219,6 +221,16 @@ def _as_float(value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _shown(value) -> str:
+    """``repr(value)``, with an int or Fraction beyond the int-to-string
+    digit limit written through :func:`ratio_text`, which has none."""
+    try:
+        return repr(value)
+    except ValueError:
+        num, den = ratio_text(Fraction(value)).split("/")
+        return num if isinstance(value, int) else f"Fraction({num}, {den})"
 
 
 def _named(items, what: str) -> dict:
@@ -343,28 +355,29 @@ def validate_composition(composition: Composition) -> list[Violation]:
                               f"expected level {pos + 1} at position {pos}, "
                               f"got level {harmony.level}"))
 
-        # A spanning timeline's starts strictly increase from 0, so the
-        # first boundary after the onset is one bisect away.
-        timelines = [(h.name, h._starts) for h in bound if spanning_ok.get(h.name)]
+        # A spanning timeline's starts strictly increase from 0, and the
+        # length closes it, so the first boundary after the onset of a note
+        # that ends in time is one bisect away.
+        timelines = [([*h._starts, length], f"note sustains across the {h.name} boundary at tick ")
+                     for h in bound if spanning_ok.get(h.name)]
+        size = len(scale) if scale is not None else math.inf  # no range check without one
         for i, note in enumerate(inst.score.notes):
             onset, end = note.interval.start, note.interval.end
-            if scale is not None and note.key_index >= len(scale):
-                add(Violation("range", f"{path} note {i}",
+            npath = f"{path} note {i}"
+            if note.key_index >= size:
+                add(Violation("range", npath,
                               f"key index {note.key_index} outside scale "
-                              f"{scale.name!r} of {len(scale)} keys"))
+                              f"{scale.name!r} of {size} keys"))
             if end > length:
-                add(Violation("range", f"{path} note {i}",
+                add(Violation("range", npath,
                               f"interval [{onset}, {end}) "
                               f"exceeds composition length {length}"))
                 continue
-            for name, starts in timelines:
-                j = bisect_right(starts, onset)
-                if j < len(starts) and starts[j] < end:
-                    add(Violation(
-                        "boundary-crossing", f"{path} note {i}",
-                        f"note sustains across the {name} boundary at "
-                        f"tick {starts[j]}; it keeps its onset pitch",
-                        severity=WARNING))
+            for starts, crossing in timelines:
+                boundary = starts[bisect_right(starts, onset)]
+                if boundary < end:
+                    add(Violation("boundary-crossing", npath,
+                                  f"{crossing}{boundary}; it keeps its onset pitch", WARNING))
 
     if not any(v.severity == ERROR for v in report):
         report.extend(_float_range(composition))
@@ -397,7 +410,7 @@ def _float_range(composition: Composition) -> list[Violation]:
     and every key at the regions of largest and smallest shift
     (``resolve --table``), is checked exactly.
     """
-    from .resolve import _regions  # resolve imports this module
+    from .resolve import _Memo  # resolve imports this module
 
     found: list[Violation] = []
     try:
@@ -411,6 +424,7 @@ def _float_range(composition: Composition) -> list[Violation]:
         found.append(Violation("overflow", "tempo", "tempo * ppq is beyond the float range"))
 
     base = Fraction(composition.base_frequency_hz)
+    regions = _Memo(composition).regions
     for inst in composition.instruments:
         keys = composition.scales[inst.scale_name].keys
         high, low = base * max(keys), base * min(keys)
@@ -423,7 +437,7 @@ def _float_range(composition: Composition) -> list[Violation]:
         if _float_kind(high) is None and _float_kind(low) is None:
             continue
         path = f"instrument {inst.name}"
-        starts, ids, shifts = _regions(composition, inst)
+        starts, ids, shifts = regions(inst.harmony_names)
         for i, note in enumerate(inst.score.notes):
             shift = shifts[ids[bisect_right(starts, note.interval.start) - 1]]
             kind = _float_kind(base * keys[note.key_index] * shift)

@@ -35,8 +35,9 @@ temporary; it rounds the same products and sums, so the samples are
 the same.  The additive partials come from the same tables through
 multiple-angle identities.  The wave stays within 1e-9 of ``np.sin`` of
 ``2πf·(i / sr)`` for a quarter of a million samples.  One synthesis
-builds the tables' sample times, the envelope ramps and a buffer for an
-event's gain-scaled samples once, and every wave and event uses them.
+builds the tables' sample times, the envelope ramps, the additive-4
+kernel's work grids and a buffer for an event's gain-scaled samples
+once, and every wave and event uses them.
 
 :func:`write_wav` packs the 44-byte header itself and writes the frames
 as little-endian int16, whatever the host's byte order.  It refuses a
@@ -133,15 +134,25 @@ def _times(n: int, sr: int) -> tuple[np.ndarray, np.ndarray]:
             np.arange(0, blocks * _BLOCK, _BLOCK, dtype=np.float64) / sr)
 
 
+def _work(n: int) -> np.ndarray:
+    """Four grids' worth of scratch for ``_oscillator``'s additive-4
+    temporaries, for waves of up to ``n`` samples."""
+    import numpy as np
+
+    return np.empty((4, -(-n // _BLOCK) * _BLOCK))
+
+
 def _oscillator(frequency_hz: float, n: int, settings: RenderSettings,
-                times: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                times: tuple[np.ndarray, np.ndarray] | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """``n`` samples of the waveform at ``frequency_hz``, from phase 0.
 
     Built by the block phasor the module docstring describes, with both
     angle tables computed as ``2π·f·(i / sr)``, as a direct ``np.sin``
     would.  No sample depends on another, so no error builds up along the
-    note.  ``times`` are the grids of ``_times`` for at least ``n``
-    samples, built here when not given.  The caller keeps
+    note.  ``times`` are the grids of ``_times`` and ``work`` the scratch
+    of ``_work`` for at least ``n`` samples, built here when not given;
+    nothing is read from ``work`` before it is written.  The caller keeps
     ``abs(frequency_hz)`` below ``sr / 2``.
     """
     import numpy as np
@@ -166,25 +177,27 @@ def _oscillator(frequency_hz: float, n: int, settings: RenderSettings,
     # keeps that version and checks the samples against it); only its
     # sum starts from +0.0, so a negative frequency's first sample is
     # +0.0 where the broadcast gave -0.0, which the mix absorbs.  s is the
-    # first full-length array allocated, and the additive-4 sum goes into
-    # it, so the wave that outlives this call lies below the freed
-    # temporaries in the heap (summing into a later array raised peak
-    # RSS up to 6%).
+    # one full-length array allocated, and the additive-4 sum goes into
+    # it; the other grids are views of ``work``, so a wave costs no
+    # temporaries and no fresh pages.
     s = np.einsum("ki,kj->ij", b[:2], k)
     if settings.waveform == "sine" or 2 * abs(frequency_hz) >= sr / 2:
         return s.reshape(-1)[:n]
     # additive-4: partial k is left out when k·|f| is at or above sr / 2.
     third = 3 * abs(frequency_hz) < sr / 2
+    c, s2, c2, c2s = (grid[:blocks * width].reshape(blocks, width)
+                      for grid in (_work(n) if work is None else work))
     np.negative(b[0], out=b[2])
-    c = np.einsum("ki,kj->ij", b[1:], k)      # cos_b·cos_k - sin_b·sin_k
-    s2 = s * c
+    np.einsum("ki,kj->ij", b[1:], k, out=c)   # cos_b·cos_k - sin_b·sin_k
+    np.multiply(s, c, out=s2)
     s2 *= 2.0                                 # sin 2t = 2sc
     if third:
-        c2 = s * s
+        np.multiply(s, s, out=c2)
         c2 *= -2.0
         c2 += 1.0                             # cos 2t = 1 - 2s²
         c *= s2
-        c += c2 * s                           # sin 3t = sin 2t·c + cos 2t·s
+        np.multiply(c2, s, out=c2s)
+        c += c2s                              # sin 3t = sin 2t·c + cos 2t·s
         c /= 3.0
     s2 /= 2.0
     s += s2
@@ -263,14 +276,16 @@ def synthesize(events: Sequence[ResolvedEvent],
     except MemoryError:
         raise MemoryError(f"render needs {total} samples; the mix does not fit in "
                           f"memory") from None
-    # Shared by every event: the angle grids, the gain-scaled chunk of the
-    # longest one and the envelope ramps by length.  All are allocated
-    # before the first wave, so the waves freed by the end of the loop lie
-    # at the top of the heap and go back to the system before write_wav
-    # allocates (a ramp memoised inside the loop kept them, and raised
-    # peak RSS up to 8% on some layouts).
+    # Shared by every event: the angle grids, the additive-4 kernel's work
+    # grids, the gain-scaled chunk of the longest one and the envelope
+    # ramps by length.  All are allocated before the first wave, so the
+    # waves freed by the end of the loop lie at the top of the heap and go
+    # back to the system before write_wav allocates (a ramp memoised
+    # inside the loop kept them, and raised peak RSS up to 8% on some
+    # layouts).
     longest_event = max((longest for longest, _ in plan.values()), default=0)
     times = _times(longest_event, sr)
+    work = _work(longest_event) if settings.waveform == "additive-4" else None
     scratch = np.empty(longest_event, dtype=np.float64)
     attacks = {a: np.arange(a) / a for a in {span[2] for span in spans}}
     releases = {r: 1.0 - np.arange(1, r + 1) / r for r in {span[3] for span in spans}}
@@ -281,7 +296,7 @@ def synthesize(events: Sequence[ResolvedEvent],
         longest, last = plan[freq]
         wave = waves.get(freq)
         if wave is None:
-            wave = waves[freq] = _oscillator(freq, longest, settings, times)
+            wave = waves[freq] = _oscillator(freq, longest, settings, times, work)
         if i == last:
             del waves[freq]
         gain = ev.velocity / 127.0

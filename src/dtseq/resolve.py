@@ -7,10 +7,14 @@ event emission, so identical inputs always yield bit-identical factors and
 frequencies.  A note that sustains across a transposition boundary keeps
 the factors sampled at its onset for its whole duration.
 
-Region shifts: an instrument's harmony tone boundaries cut time into
-regions over which the product ``m1 * ... * mn`` is one exact shift.
-:func:`resolve_composition` and :func:`frequency_table` read it from one
-region list per instrument, so resolving a note is a bisect and a multiply.
+Region shifts: the tone boundaries of a binding, the harmonies an
+instrument follows, cut time into regions over which the product
+``m1 * ... * mn`` is one exact shift.  :func:`resolve_composition`,
+:func:`frequency_table` and :func:`export_table` read it from one region
+list per distinct binding in the call, so resolving a note is a bisect
+and a multiply.  Instruments with the same scale and binding also share
+each exact pitch, each region's table rows and their text, computed
+once per call; nothing is kept between calls.
 
 Listings: this module owns the two texts ``dtseq resolve`` prints,
 :func:`export_events` and :func:`export_table`; each is built with one
@@ -57,6 +61,13 @@ def _error(instrument: Instrument, level: int, problem: object) -> ResolutionErr
     return ResolutionError(f"{where}: {problem}", instrument=instrument.name, level=level)
 
 
+def _hz(base: Fraction, factor: Fraction) -> float:
+    """``float(base * factor)`` without the reduced product: int true
+    division rounds a quotient correctly, so the unreduced one gives the
+    same float (or the same OverflowError)."""
+    return base.numerator * factor.numerator / (base.denominator * factor.denominator)
+
+
 def _scale_key(composition: Composition, instrument: Instrument, note: Note) -> Fraction:
     """The instrument key of ``note``: level 0 of its factor."""
     scale = composition.scales.get(instrument.scale_name)
@@ -93,13 +104,13 @@ def _active_tones(composition: Composition, instrument: Instrument,
     return active
 
 
-def _regions(composition: Composition, instrument: Instrument
+def _regions(composition: Composition, harmony_names: tuple[str, ...]
              ) -> tuple[list[int], list[int | None], list[Fraction]]:
-    """Region starts of ``instrument`` (0, the length and every bound tone's
-    start and end; the last region never ends), each region's index into
-    the distinct exact shifts, and those shifts.  The index is None where
-    some level has no tone; :func:`_active_tones` at any tick of the region
-    raises why.
+    """Region starts of the binding ``harmony_names`` (0, the length and
+    every bound tone's start and end; the last region never ends), each
+    region's index into the distinct exact shifts, and those shifts.  The
+    index is None where some level has no tone; :func:`_active_tones` at
+    any tick of the region raises why.
 
     Each bound level's tone starts, tones and scale keys are looked up
     once, and products are memoised by their tuple of key indices, so a new
@@ -107,7 +118,7 @@ def _regions(composition: Composition, instrument: Instrument
     """
     bounds = {0, composition.length_ticks}
     levels = []  # (tone starts, tones, scale keys) of each bound level
-    for name in instrument.harmony_names:
+    for name in harmony_names:
         harmony = composition.harmonies.get(name)
         hscale = composition.scales.get(harmony.scale_name) if harmony else None
         if harmony:
@@ -137,6 +148,31 @@ def _regions(composition: Composition, instrument: Instrument
     return starts, ids, list(shifts)
 
 
+class _Memo:
+    """One call's work by binding, shared by every instrument that has
+    it: the :func:`_regions` triple of each tuple of harmony names, and
+    under each (scale name, harmony names) a memo of each kind of result
+    built from those regions.  Each call builds its own, so nothing
+    outlives it."""
+
+    def __init__(self, composition: Composition):
+        self.composition = composition
+        self.base = Fraction(composition.base_frequency_hz)
+        self._regions: dict[tuple[str, ...], tuple] = {}
+        self._shared: dict[tuple, dict] = {}
+
+    def regions(self, harmony_names: tuple[str, ...]
+                ) -> tuple[list[int], list[int | None], list[Fraction]]:
+        if harmony_names not in self._regions:
+            self._regions[harmony_names] = _regions(self.composition, harmony_names)
+        return self._regions[harmony_names]
+
+    def shared(self, instrument: Instrument, kind: str) -> dict:
+        """The memo of ``kind`` for ``instrument``'s scale and binding."""
+        return self._shared.setdefault((kind, instrument.scale_name,
+                                        instrument.harmony_names), {})
+
+
 def resolve_note(composition: Composition, instrument: Instrument,
                  note: Note) -> ResolvedEvent:
     """Resolve one note of one instrument to an event.
@@ -150,7 +186,7 @@ def resolve_note(composition: Composition, instrument: Instrument,
     for keys, key_index in _active_tones(composition, instrument, onset):
         factor *= keys[key_index]
     return ResolvedEvent(instrument.name, factor,
-                         float(Fraction(composition.base_frequency_hz) * factor),
+                         _hz(Fraction(composition.base_frequency_hz), factor),
                          composition.seconds(onset),
                          composition.seconds(note.interval.duration), note.velocity)
 
@@ -161,14 +197,17 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
     Notes are read in their canonical score order, so neither the result
     nor an error's note number depends on input order.  Events are sorted
     by (start, instrument name, frequency, velocity).  Notes with equal
-    keys and region shifts share one factor and one float conversion.
+    keys and region shifts share one factor and one float conversion,
+    across instruments with the same scale and binding too.
     """
-    base = Fraction(composition.base_frequency_hz)
-    seconds = composition.seconds
+    memo = _Memo(composition)
+    base, seconds = memo.base, composition.seconds
     events: list[ResolvedEvent] = []
     for inst in composition.instruments:
-        starts, ids, shifts = _regions(composition, inst)
-        pitches: dict[tuple[int, int], tuple[Fraction, float]] = {}
+        starts, ids, shifts = memo.regions(inst.harmony_names)
+        # (key index, shift id) -> (factor, frequency); an entry is valid
+        # for every instrument with this scale and binding
+        pitches = memo.shared(inst, "pitches")
         for i, note in enumerate(inst.score.notes):
             onset = note.interval.start
             sid = ids[bisect_right(starts, onset) - 1]
@@ -182,7 +221,7 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
                     raise ResolutionError(f"note {i} of {exc}", instrument=exc.instrument,
                                           level=exc.level) from exc
                 factor *= shifts[sid]
-                pitch = pitches[note.key_index, sid] = (factor, float(base * factor))
+                pitch = pitches[note.key_index, sid] = (factor, _hz(base, factor))
             events.append(ResolvedEvent(inst.name, *pitch, seconds(onset),
                                         seconds(note.interval.duration), note.velocity))
     events.sort(key=lambda e: (e.start_sec, e.instrument, e.frequency_hz, e.velocity))
@@ -207,6 +246,30 @@ class TableRegion:
     rows: tuple[TableRow, ...]
 
 
+def _table(memo: _Memo, inst: Instrument
+           ) -> list[tuple[int, int, int, tuple[TableRow, ...]]]:
+    """(start, end, shift id, rows) of each region of ``inst`` that starts
+    before the length; regions with equal shifts, of any instrument with
+    the same scale and binding, share their rows."""
+    composition = memo.composition
+    keys = composition.scales[inst.scale_name].keys
+    starts, ids, shifts = memo.regions(inst.harmony_names)
+    rows_of = memo.shared(inst, "rows")
+    table = []
+    for lo, hi, sid in zip(starts, starts[1:], ids):
+        if lo >= composition.length_ticks:
+            break
+        if sid is None:
+            _active_tones(composition, inst, lo)  # raises
+        rows = rows_of.get(sid)
+        if rows is None:
+            shift = shifts[sid]
+            rows = rows_of[sid] = tuple(TableRow(i, factor, _hz(memo.base, factor))
+                                        for i, factor in enumerate(key * shift for key in keys))
+        table.append((lo, hi, sid, rows))
+    return table
+
+
 def frequency_table(composition: Composition, instrument_name: str) -> list[TableRegion]:
     """Tabulate what every key of an instrument sounds like over time.
 
@@ -217,22 +280,7 @@ def frequency_table(composition: Composition, instrument_name: str) -> list[Tabl
     instrument name.
     """
     inst = composition.instrument(instrument_name)
-    keys = composition.scales[inst.scale_name].keys
-    base = Fraction(composition.base_frequency_hz)
-    starts, ids, shifts = _regions(composition, inst)
-    rows_of: dict[int, tuple[TableRow, ...]] = {}
-    regions: list[TableRegion] = []
-    for lo, hi, sid in zip(starts, starts[1:], ids):
-        if lo >= composition.length_ticks:
-            break
-        if sid is None:
-            _active_tones(composition, inst, lo)  # raises
-        if sid not in rows_of:
-            shift = shifts[sid]
-            rows_of[sid] = tuple(TableRow(i, factor, float(base * factor))
-                                 for i, factor in enumerate(key * shift for key in keys))
-        regions.append(TableRegion(lo, hi, rows_of[sid]))
-    return regions
+    return [TableRegion(lo, hi, rows) for lo, hi, _, rows in _table(_Memo(composition), inst)]
 
 
 def export_events(events: Iterable[ResolvedEvent]) -> str:
@@ -255,10 +303,15 @@ def export_table(composition: Composition) -> str:
     """Tab-separated :func:`frequency_table` of every instrument, one line
     per key per region after a header; ticks print as ``[start,end)`` and
     factors and frequencies as in :func:`export_events`."""
+    memo = _Memo(composition)
     lines = ["instrument\tticks\tkey\tfactor\tfrequency_hz"]
     for inst in composition.instruments:
-        for region in frequency_table(composition, inst.name):
-            ticks = f"{inst.name}\t[{region.start},{region.end})"
-            lines += [f"{ticks}\t{row.key_index}\t{ratio_text(row.factor)}\t"
-                      f"{row.frequency_hz:.6g}" for row in region.rows]
+        texts = memo.shared(inst, "texts")  # shift id -> its rows after the ticks
+        for lo, hi, sid, rows in _table(memo, inst):
+            block = texts.get(sid)
+            if block is None:
+                block = texts[sid] = [f"\t{row.key_index}\t{ratio_text(row.factor)}\t"
+                                      f"{row.frequency_hz:.6g}" for row in rows]
+            ticks = f"{inst.name}\t[{lo},{hi})"
+            lines += [ticks + row for row in block]
     return "\n".join(lines) + "\n"

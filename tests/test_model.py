@@ -587,6 +587,25 @@ class TestConstructors:
         pytest.param(lambda: Composition(440, 480, Fraction(-10**400, 3), 960), ValueError,
                      f"tempo must be positive: {Fraction(-10**400, 3)!r}",
                      id="huge-negative-fraction-tempo"),
+        # numbers beyond the int-to-string digit limit, which repr() refuses
+        pytest.param(lambda: Composition(10**5000, 480, 120, 960), ValueError,
+                     "base frequency must be finite: 1" + "0" * 5000, id="long-base"),
+        pytest.param(lambda: Composition(440, 480, 10**5000, 960), ValueError,
+                     "tempo must be finite: 1" + "0" * 5000, id="long-tempo"),
+        pytest.param(lambda: Composition(-10**5000, 480, 120, 960), ValueError,
+                     "base frequency must be positive: -1" + "0" * 5000,
+                     id="long-negative-base"),
+        pytest.param(lambda: Composition(440, 480, -10**5000, 960), ValueError,
+                     "tempo must be positive: -1" + "0" * 5000, id="long-negative-tempo"),
+        pytest.param(lambda: Composition(440, 480, Fraction(-10**5000, 3), 960), ValueError,
+                     "tempo must be positive: Fraction(-1" + "0" * 5000 + ", 3)",
+                     id="long-negative-fraction-tempo"),
+        pytest.param(lambda: Composition(440, 480, 120, -10**5000), ValueError,
+                     "length must be a positive tick count: -1" + "0" * 5000,
+                     id="long-negative-length"),
+        pytest.param(lambda: TimeInterval(-10**5000, 1), ValueError,
+                     "interval start must be a non-negative tick: -1" + "0" * 5000,
+                     id="long-negative-start"),
     ])
     def test_first_problem_is_reported(self, build, error, message):
         with pytest.raises(error) as exc:

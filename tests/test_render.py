@@ -17,7 +17,7 @@ from dtseq import (
     synthesize,
     write_wav,
 )
-from dtseq.render import _BLOCK, MAX_SAMPLES, _oscillator, _times
+from dtseq.render import _BLOCK, MAX_SAMPLES, _oscillator, _times, _work
 from support import REFERENCE_SCORE
 
 
@@ -403,6 +403,21 @@ class TestKernelBitIdentity:
                 assert got.shape == (n,)
                 assert np.array_equal(got, expected), freq
                 assert np.array_equal(np.signbit(got), np.signbit(expected)), freq
+
+    @pytest.mark.parametrize("sr", [8000, 44100])
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK + 1, 5000])
+    def test_reused_dirty_work_grids(self, n, sr):
+        settings = RenderSettings(sample_rate=sr, waveform="additive-4")
+        longer = n + 3 * _BLOCK
+        times, work = _times(longer, sr), _work(longer)
+        work.fill(np.nan)
+        rng = np.random.default_rng([n, sr, 10])
+        # all four partials, then fewer: each wave leaves the grids dirty for the next
+        for freq in [*rng.uniform(0.0, sr / 8, 4), *rng.uniform(sr / 8, sr / 2, 4)]:
+            expected = reference_oscillator(freq, n, settings)
+            got = _oscillator(freq, n, settings, times, work)
+            assert np.array_equal(got, expected), freq
+            assert np.array_equal(np.signbit(got), np.signbit(expected)), freq
 
 
 class TestBandLimit:

@@ -1,7 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dtseq import (
     Composition,
@@ -22,6 +25,9 @@ from dtseq import (
     resolve_note,
     validate_composition,
 )
+from dtseq import resolve as resolve_module
+from dtseq.rational import ratio_text
+from dtseq.resolve import _hz, export_table
 from support import (
     REFERENCE_SCORE,
     all_level_factors,
@@ -454,3 +460,126 @@ def test_tone_key_one_past_its_scale_is_an_error_not_a_shift():
     assert outcome(resolve_composition, comp) == expected
     with pytest.raises(ResolutionError, match="level 1: tone key index 2 outside"):
         frequency_table(comp, "i")
+
+
+# Instruments that share a binding, the harmonies they follow, share one
+# region list and, with the same scale, one memo of pitches and table rows
+# within a call; each must still resolve and tabulate as it would alone.
+
+def with_shared_bindings(rng, composition):
+    """``composition`` plus, for each instrument, one copy with its scale
+    and binding and one with its binding under another scale, each with
+    notes of its own."""
+    scales = composition.scales
+    copies = []
+    for inst in composition.instruments:
+        for tag, scale_name in (("s", inst.scale_name), ("o", rng.choice(sorted(scales)))):
+            size = len(scales[scale_name])
+            notes = [Note(rng.randrange(size), note.interval, note.velocity)
+                     for note in inst.score if rng.random() < 0.7]
+            copies.append(Instrument(f"{inst.name}{tag}", scale_name, inst.harmony_names,
+                                     notes))
+    return Composition(composition.base_frequency_hz, composition.ticks_per_beat,
+                       composition.tempo_bpm, composition.length_ticks, scales,
+                       composition.harmonies, [*composition.instruments, *copies])
+
+
+def per_region_export(composition):
+    """``export_table`` text from each instrument's own per-region table."""
+    lines = ["instrument\tticks\tkey\tfactor\tfrequency_hz"]
+    for inst in composition.instruments:
+        for region in per_region_table(composition, inst.name):
+            lines += [f"{inst.name}\t[{region.start},{region.end})\t{row.key_index}\t"
+                      f"{ratio_text(row.factor)}\t{row.frequency_hz:.6g}"
+                      for row in region.rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestSharedBindings:
+    def compositions(self, seed, count=120):
+        rng = random.Random(seed)
+        for n in range(count):
+            comp = random_composition(rng, max_ticks=1500, max_notes=20,
+                                      max_harmonic_levels=3, min_instruments=1)
+            comp = with_shared_bindings(rng, comp)
+            yield (broken_composition(rng, comp) if n % 2 else comp), bool(n % 2)
+
+    def test_resolve_composition_equals_per_note_resolution(self):
+        errors = 0
+        for comp, _ in self.compositions(64):
+            expected = outcome(per_note_resolve, comp, reference_resolve_note)
+            assert outcome(resolve_composition, comp) == expected
+            errors += isinstance(expected, tuple)
+        assert errors > 30
+
+    def test_tables_equal_per_region_recompute(self):
+        tabled = 0
+        for comp, broken in self.compositions(65):
+            try:
+                expected = per_region_export(comp)
+            except (KeyError, IndexError, ValueError):
+                assert broken
+                with pytest.raises((ResolutionError, KeyError)):
+                    export_table(comp)
+                continue
+            assert export_table(comp) == expected
+            for inst in comp.instruments:
+                assert frequency_table(comp, inst.name) == per_region_table(comp, inst.name)
+            tabled += broken
+        assert tabled > 10
+
+
+def two_binding_composition():
+    """Four instruments under two bindings; v2 has v0's binding under
+    another scale."""
+    h1a, h1b = ([TranspositionTone(k, TimeInterval(i * 240, 240)) for i, k in enumerate(keys)]
+                for keys in ([0, 1, 2, 1], [2, 0, 0, 1]))
+    notes = [Note(k % 2, TimeInterval(t, 180)) for k, t in enumerate(range(0, 720, 120))]
+    return Composition(
+        440.0, 480, 120.0, 960,
+        scales=[Scale("inst", ["1/1", "5/4"]), Scale("other", ["1/1", "6/5"]),
+                Scale("t", ["1/1", "3/2", "2/1"])],
+        harmonies=[HarmonicSequence("h1a", 1, "t", h1a), HarmonicSequence("h1b", 1, "t", h1b),
+                   HarmonicSequence("h2", 2, "t", [TranspositionTone(1, TimeInterval(0, 960))])],
+        instruments=[Instrument("v0", "inst", ["h1a", "h2"], notes),
+                     Instrument("v1", "inst", ["h1b", "h2"], notes),
+                     Instrument("v2", "other", ["h1a", "h2"], notes),
+                     Instrument("v3", "inst", ["h1b", "h2"], notes[::2])])
+
+
+@pytest.mark.parametrize("call,bindings", [
+    (resolve_composition, [("h1a", "h2"), ("h1b", "h2")]),
+    (export_table, [("h1a", "h2"), ("h1b", "h2")]),
+    (lambda comp: frequency_table(comp, "v3"), [("h1b", "h2")]),
+    # every frequency underflows, so the validator walks every instrument
+    (lambda comp: validate_composition(dataclasses.replace(comp, base_frequency_hz=1e-320)),
+     [("h1a", "h2"), ("h1b", "h2")]),
+], ids=["resolve", "export-table", "frequency-table", "validate-underflow"])
+def test_regions_are_walked_once_per_binding(monkeypatch, call, bindings):
+    walked = []
+    regions = resolve_module._regions
+
+    def counted(composition, harmony_names):
+        walked.append(harmony_names)
+        return regions(composition, harmony_names)
+
+    comp = two_binding_composition()
+    expected = call(comp)
+    monkeypatch.setattr(resolve_module, "_regions", counted)
+    assert call(comp) == expected
+    assert sorted(walked) == bindings
+
+
+def float_outcome(fn, *args):
+    """The value of ``fn(*args)``, or the message of its OverflowError."""
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        return str(exc)
+
+
+@given(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+       st.integers(1, 10**400), st.integers(1, 10**400))
+def test_hz_is_the_float_of_the_exact_product(base, num, den):
+    base, factor = Fraction(base), Fraction(num, den)
+    assert float_outcome(_hz, base, factor) == float_outcome(lambda: float(base * factor))
