@@ -18,46 +18,49 @@ Typical use::
     composition = parse(Path("piece.dts").read_bytes())
     events = resolve_composition(composition)
     write_wav(synthesize(events), "piece.wav")
+
+Importing the package loads none of its modules: each public name loads
+its module on first use, so ``parse`` does not import the renderer and
+only synthesis and WAV output import numpy.
 """
 
-from .model import (
-    Composition,
-    HarmonicSequence,
-    Instrument,
-    InstrumentScore,
-    Note,
-    TimeInterval,
-    TranspositionTone,
-    Violation,
-    validate_composition,
-)
-from .rational import (
-    InvalidRatioError,
-    Ratio,
-    Scale,
-    builtin_scale,
-    builtin_scales,
-    cents,
-    octave_normalize,
-    ratio,
-)
-from .render import (
-    AudioBuffer,
-    RenderSettings,
-    synthesize,
-    write_wav,
-)
-from .resolve import (
-    ResolutionError,
-    ResolvedEvent,
-    TableRegion,
-    TableRow,
-    export_events,
-    frequency_table,
-    resolve_composition,
-    resolve_note,
-)
-from .scorefile import ParseError, SourcePosition, parse, serialize
+import importlib
+
+# Each public name and the submodule that owns it.  A submodule is
+# imported the first time one of its names is read, so a command loads
+# only the layers it runs.
+_OWNER = {
+    **dict.fromkeys((
+        "Composition", "HarmonicSequence", "Instrument", "InstrumentScore", "Note",
+        "TimeInterval", "TranspositionTone", "Violation", "validate_composition",
+    ), "model"),
+    **dict.fromkeys((
+        "InvalidRatioError", "Ratio", "Scale", "builtin_scale", "builtin_scales", "cents",
+        "octave_normalize", "ratio",
+    ), "rational"),
+    **dict.fromkeys(("AudioBuffer", "RenderSettings", "synthesize", "write_wav"), "render"),
+    **dict.fromkeys((
+        "ResolutionError", "ResolvedEvent", "TableRegion", "TableRow", "export_events",
+        "frequency_table", "resolve_composition", "resolve_note",
+    ), "resolve"),
+    **dict.fromkeys(("ParseError", "SourcePosition", "parse", "serialize"), "scorefile"),
+}
+
+
+def __getattr__(name: str):
+    """The submodule's current value of a public name.  It is read on
+    every access and never stored here, so a name replaced in its
+    submodule (by a test or a tracer) reads as replaced."""
+    try:
+        owner = _OWNER[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{owner}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OWNER})
+
 
 __version__ = "0.1.0"
 

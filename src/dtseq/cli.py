@@ -4,7 +4,9 @@ Diagnostics go to stderr as ``file:line:col: kind: message`` (validation
 findings carry no source position and use 0:0).  Each ``cmd_*`` returns
 its exit code and its stdout text, such as a listing formatted by
 :mod:`dtseq.resolve`; ``main`` alone writes that text, in one write, and
-turns every I/O failure into exit 3.  Exit codes:
+turns every I/O failure into exit 3.  Each command imports the layers it
+runs when it runs, so ``scales`` loads neither the parser nor the
+resolver, and only ``render`` loads numpy.  Exit codes:
 
 - 0 success;
 - 1 parse or validation errors, or a render too long for a WAV file or
@@ -29,12 +31,13 @@ import io
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from typing import TYPE_CHECKING
 
-from .model import ERROR, Composition, validate_composition
 from .rational import builtin_scales, cents, ratio_text
-from .render import RenderSettings, WAVEFORMS, synthesize, write_wav
-from .resolve import export_events, export_table, resolve_composition
-from .scorefile import parse
+from .render import WAVEFORMS
+
+if TYPE_CHECKING:
+    from .model import Composition
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -58,16 +61,26 @@ def _stderr(text: str) -> None:
             _discard(sys.stderr)
 
 
-def _write_diagnostics(path: str, diagnostics) -> None:
-    """Write ``(line, col, kind, message)`` diagnostics to stderr as
-    ``path:line:col: kind: message`` lines, in one write."""
+def _write_diagnostics(path: str, diagnostics=(), violations=()) -> None:
+    """Write diagnostics to stderr in one write, each built in one step
+    as a ``path:line:col: kind: message`` line.  ``diagnostics`` are
+    ``(line, col, kind, message)`` tuples; validation ``violations`` have
+    no source position and use 0:0, and a warning's own kind leads its
+    message."""
+    from .model import ERROR
+
     color = (os.environ.get("DTS_COLOR", "1") != "0" and sys.stderr is not None
              and sys.stderr.isatty())
-    lines = []
-    for line, col, kind, message in diagnostics:
-        if color:
-            kind = f"\x1b[{'33' if kind == 'warning' else '31'}m{kind}\x1b[0m"
-        lines.append(f"{path}:{line}:{col}: {kind}: {message}\n")
+
+    def label(kind: str) -> str:
+        return f"\x1b[{'33' if kind == 'warning' else '31'}m{kind}\x1b[0m" if color else kind
+
+    warning = label("warning")
+    lines = [f"{path}:{line}:{col}: {label(kind)}: {message}\n"
+             for line, col, kind, message in diagnostics]
+    lines += [f"{path}:0:0: {label(v.kind)}: {v.path}: {v.message}\n" if v.severity == ERROR
+              else f"{path}:0:0: {warning}: {v.kind}: {v.path}: {v.message}\n"
+              for v in violations]
     _stderr("".join(lines))
 
 
@@ -77,6 +90,9 @@ def _load(path: str) -> tuple[Composition | None, int]:
     Returns the composition (None when unusable) and the exit code so
     far.  Boundary-crossing warnings are printed but do not fail.
     """
+    from .model import ERROR, validate_composition
+    from .scorefile import parse
+
     with open(path, "rb") as fh:
         result = parse(fh.read())
     if isinstance(result, list):
@@ -85,10 +101,7 @@ def _load(path: str) -> tuple[Composition | None, int]:
         return None, EXIT_INVALID
 
     report = validate_composition(result)
-    _write_diagnostics(path, [
-        (0, 0, v.kind, f"{v.path}: {v.message}") if v.severity == ERROR
-        else (0, 0, "warning", f"{v.kind}: {v.path}: {v.message}")
-        for v in report])
+    _write_diagnostics(path, violations=report)
     if any(v.severity == ERROR for v in report):
         return None, EXIT_INVALID
     return result, EXIT_OK
@@ -100,6 +113,8 @@ def cmd_validate(args) -> tuple[int, str]:
 
 
 def cmd_resolve(args) -> tuple[int, str]:
+    from .resolve import export_events, export_table, resolve_composition
+
     composition, status = _load(args.path)
     if composition is None:
         return status, ""
@@ -108,6 +123,9 @@ def cmd_resolve(args) -> tuple[int, str]:
 
 
 def cmd_render(args) -> tuple[int, str]:
+    from .render import RenderSettings, synthesize, write_wav
+    from .resolve import resolve_composition
+
     try:
         settings = RenderSettings(sample_rate=args.rate, waveform=args.waveform)
     except ValueError as exc:

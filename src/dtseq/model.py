@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .rational import Scale, check_name, ratio_text
+from .rational import Scale, check_name, value_text
 
 DEFAULT_VELOCITY = 96
 
@@ -35,10 +35,11 @@ class TimeInterval:
 
     def __post_init__(self):
         if not isinstance(self.start, int) or self.start < 0:
-            raise ValueError(f"interval start must be a non-negative tick: {_shown(self.start)}")
+            raise ValueError(f"interval start must be a non-negative tick: "
+                             f"{value_text(self.start)}")
         if not isinstance(self.duration, int) or self.duration < 1:
             raise ValueError(f"interval duration must be a positive tick count: "
-                             f"{_shown(self.duration)}")
+                             f"{value_text(self.duration)}")
 
     @property
     def end(self) -> int:
@@ -61,9 +62,10 @@ class Note:
 
     def __post_init__(self):
         if not isinstance(self.key_index, int) or self.key_index < 0:
-            raise ValueError(f"key index must be a non-negative integer: {_shown(self.key_index)}")
+            raise ValueError(f"key index must be a non-negative integer: "
+                             f"{value_text(self.key_index)}")
         if not isinstance(self.velocity, int) or not 1 <= self.velocity <= 127:
-            raise ValueError(f"velocity must be in [1, 127]: {_shown(self.velocity)}")
+            raise ValueError(f"velocity must be in [1, 127]: {value_text(self.velocity)}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,8 @@ class TranspositionTone:
 
     def __post_init__(self):
         if not isinstance(self.key_index, int) or self.key_index < 0:
-            raise ValueError(f"key index must be a non-negative integer: {_shown(self.key_index)}")
+            raise ValueError(f"key index must be a non-negative integer: "
+                             f"{value_text(self.key_index)}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class HarmonicSequence:
         check_name(self.name, "harmony name")
         check_name(self.scale_name, "scale name")
         if not isinstance(self.level, int) or self.level < 1:
-            raise ValueError(f"harmony level must be an integer >= 1: {_shown(self.level)}")
+            raise ValueError(f"harmony level must be an integer >= 1: {value_text(self.level)}")
         object.__setattr__(self, "tones", tuple(self.tones))
 
     @cached_property
@@ -185,18 +188,21 @@ class Composition:
         base = _as_float(self.base_frequency_hz)
         tempo = _as_float(self.tempo_bpm)
         if not base > 0:
-            raise ValueError(f"base frequency must be positive: {_shown(self.base_frequency_hz)}")
+            raise ValueError(f"base frequency must be positive: "
+                             f"{value_text(self.base_frequency_hz)}")
         if base == math.inf:
-            raise ValueError(f"base frequency must be finite: {_shown(self.base_frequency_hz)}")
+            raise ValueError(f"base frequency must be finite: "
+                             f"{value_text(self.base_frequency_hz)}")
         if not isinstance(self.ticks_per_beat, int) or self.ticks_per_beat < 1:
             raise ValueError(f"ticks per beat must be a positive integer: "
-                             f"{_shown(self.ticks_per_beat)}")
+                             f"{value_text(self.ticks_per_beat)}")
         if not tempo > 0:
-            raise ValueError(f"tempo must be positive: {_shown(self.tempo_bpm)}")
+            raise ValueError(f"tempo must be positive: {value_text(self.tempo_bpm)}")
         if tempo == math.inf:
-            raise ValueError(f"tempo must be finite: {_shown(self.tempo_bpm)}")
+            raise ValueError(f"tempo must be finite: {value_text(self.tempo_bpm)}")
         if not isinstance(self.length_ticks, int) or self.length_ticks < 1:
-            raise ValueError(f"length must be a positive tick count: {_shown(self.length_ticks)}")
+            raise ValueError(f"length must be a positive tick count: "
+                             f"{value_text(self.length_ticks)}")
         object.__setattr__(self, "base_frequency_hz", base)
         object.__setattr__(self, "tempo_bpm", tempo)
         object.__setattr__(self, "scales", _named(self.scales, "scale"))
@@ -221,16 +227,6 @@ def _as_float(value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
-
-
-def _shown(value) -> str:
-    """``repr(value)``, with an int or Fraction beyond the int-to-string
-    digit limit written through :func:`ratio_text`, which has none."""
-    try:
-        return repr(value)
-    except ValueError:
-        num, den = ratio_text(Fraction(value)).split("/")
-        return num if isinstance(value, int) else f"Fraction({num}, {den})"
 
 
 def _named(items, what: str) -> dict:
@@ -410,8 +406,6 @@ def _float_range(composition: Composition) -> list[Violation]:
     and every key at the regions of largest and smallest shift
     (``resolve --table``), is checked exactly.
     """
-    from .resolve import _Memo  # resolve imports this module
-
     found: list[Violation] = []
     try:
         finite = math.isfinite(composition.seconds(composition.length_ticks))
@@ -424,7 +418,7 @@ def _float_range(composition: Composition) -> list[Violation]:
         found.append(Violation("overflow", "tempo", "tempo * ppq is beyond the float range"))
 
     base = Fraction(composition.base_frequency_hz)
-    regions = _Memo(composition).regions
+    regions = None
     for inst in composition.instruments:
         keys = composition.scales[inst.scale_name].keys
         high, low = base * max(keys), base * min(keys)
@@ -437,6 +431,9 @@ def _float_range(composition: Composition) -> list[Violation]:
         if _float_kind(high) is None and _float_kind(low) is None:
             continue
         path = f"instrument {inst.name}"
+        if regions is None:
+            from .resolve import _Memo  # resolve imports this module
+            regions = _Memo(composition).regions
         starts, ids, shifts = regions(inst.harmony_names)
         for i, note in enumerate(inst.score.notes):
             shift = shifts[ids[bisect_right(starts, note.interval.start) - 1]]

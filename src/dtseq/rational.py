@@ -5,7 +5,8 @@ represented by :class:`fractions.Fraction` (aliased as ``Ratio``).  Fraction
 already stores values in lowest terms and multiplies exactly with
 arbitrary-precision integers, so cumulative products of scale keys never
 drift and never overflow.  :func:`ratio_text` is the one writer of a
-ratio as ``num/den`` text, at any length.
+ratio as ``num/den`` text, and :func:`value_text` of a number in an
+error message, both at any length.
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ def ratio(numerator: int, denominator: int = 1) -> Fraction:
     rejected because pitch factors are frequency multipliers.
     """
     if not isinstance(numerator, int) or not isinstance(denominator, int):
-        raise InvalidRatioError(
-            f"ratio parts must be integers, got {numerator!r}/{denominator!r}"
-        )
+        raise InvalidRatioError(f"ratio parts must be integers, got "
+                                f"{value_text(numerator)}/{value_text(denominator)}")
     if numerator < 1 or denominator < 1:
         raise InvalidRatioError(
-            f"ratio must be positive: {numerator}/{denominator}"
-        )
+            f"ratio must be positive: {value_text(numerator)}/{value_text(denominator)}")
     return Fraction(numerator, denominator)
 
 
@@ -60,9 +59,9 @@ def as_ratio(value: RatioLike) -> Fraction:
     try:
         f = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidRatioError(f"not a ratio: {value!r}") from exc
+        raise InvalidRatioError(f"not a ratio: {value_text(value)}") from exc
     if f <= 0:
-        raise InvalidRatioError(f"ratio must be positive: {value!r}")
+        raise InvalidRatioError(f"ratio must be positive: {value_text(value)}")
     return f
 
 
@@ -77,6 +76,16 @@ def ratio_text(r: Fraction) -> str:
         return f"{r.numerator}/{r.denominator}"
     except ValueError:
         return f"{Decimal(r.numerator)}/{Decimal(r.denominator)}"
+
+
+def value_text(value) -> str:
+    """``repr(value)``, with an int or Fraction beyond the int-to-string
+    digit limit written through :func:`ratio_text`, which has none."""
+    try:
+        return repr(value)
+    except ValueError:
+        num, den = ratio_text(Fraction(value)).split("/")
+        return num if isinstance(value, int) else f"Fraction({num}, {den})"
 
 
 def octave_normalize(r: RatioLike) -> Fraction:

@@ -1,9 +1,10 @@
 """Audio rendering: oscillator synthesis and WAV output.
 
 The text listings belong to :mod:`dtseq.resolve`; ``export_events`` is
-still importable from here.  ``dtseq render`` exits 1 when
-:func:`synthesize` refuses a mix too long for a WAV file (ValueError) or
-too large for memory (MemoryError), and 3 when :func:`write_wav` fails.
+still importable from here, and reading it imports that module.
+``dtseq render`` exits 1 when :func:`synthesize` refuses a mix too long
+for a WAV file (ValueError) or too large for memory (MemoryError), and 3
+when :func:`write_wav` fails.
 
 Synthesis is deliberately plain.  Each event is an oscillator at its
 resolved frequency, shaped by a linear attack/release envelope, summed
@@ -57,10 +58,10 @@ import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .resolve import ResolvedEvent, export_events  # noqa: F401  (kept for importers)
-
 if TYPE_CHECKING:
     import numpy as np
+
+    from .resolve import ResolvedEvent
 
 WAVEFORMS = ("sine", "additive-4")
 
@@ -72,6 +73,15 @@ MAX_SAMPLES = (2**32 - 37) // 2
 # Samples per row of the oscillator's block grid: an n-sample wave costs
 # at most 2 * _BLOCK + 2 * ceil(n / _BLOCK) sines and cosines.
 _BLOCK = 512
+
+
+def __getattr__(name: str):
+    """``export_events``, read from :mod:`dtseq.resolve` on each access,
+    so that importing this module does not import the resolver."""
+    if name == "export_events":
+        from .resolve import export_events
+        return export_events
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_header(sample_rate, samples: float) -> None:

@@ -107,21 +107,32 @@ class _Parser:
         # block; after a broken or duplicate header the list is None and
         # the name '?', so its lines are checked and dropped.
         self.block: tuple[str, str, list | None, int] | None = None
-        # number and comment-free text of the line being parsed
+        # number and comment-free text of the line being parsed, and the
+        # columns of its tokens once a diagnostic or reference needs one
         self.ln = 0
         self.code = ""
+        self.cols: list[int] | None = None
 
     def error(self, line: int, column: int, kind: str, message: str) -> None:
         self.errors.append(ParseError(SourcePosition(line, column), kind, message))
 
     def column(self, toks: list[str], index: int) -> int:
-        """1-based column of ``toks[index]`` in the current line.  Each
-        token is found after the end of the one before it, so a text
-        repeated on the line is not taken for its earlier occurrence."""
-        end = 0
-        for tok in toks[:index]:
-            end = self.code.find(tok, end) + len(tok)
-        return self.code.find(toks[index], end) + 1
+        """1-based column of ``toks[index]`` in the current line."""
+        if self.cols is None:
+            self.cols = self.columns(toks)
+        return self.cols[index]
+
+    def columns(self, toks: list[str]) -> list[int]:
+        """The 1-based column of each token of the current line, in one
+        walk.  Each token is found after the end of the one before it, so
+        a text repeated on the line is not taken for its earlier
+        occurrence."""
+        cols, end = [], 0
+        for tok in toks:
+            start = self.code.find(tok, end)
+            cols.append(start + 1)
+            end = start + len(tok)
+        return cols
 
     def fail(self, toks: list[str], index: int, kind: str, message: str) -> None:
         """Report an error at ``toks[index]`` of the current line."""
@@ -137,6 +148,7 @@ class _Parser:
             # '@' and '+' are tokens of their own; everything else splits
             # on whitespace.  Columns are found only when a line needs one.
             self.code = raw.partition("#")[0]
+            self.cols = None
             tokens = self.code.replace("@", " @ ").replace("+", " + ").split()
             if tokens:
                 self.dispatch(tokens)

@@ -1,8 +1,9 @@
-"""numpy is loaded by synthesis only: importing dtseq and running the
-symbolic commands must not import it, and rendering must.
+"""Modules load on first use: importing dtseq loads none of its
+submodules, each command loads only the layers it runs, and only
+rendering imports numpy.
 
-Each case runs in a fresh interpreter, because this test process has
-numpy loaded already.
+The command cases run in a fresh interpreter, because this test process
+has every module and numpy loaded already.
 """
 
 import os
@@ -12,17 +13,27 @@ from pathlib import Path
 
 import pytest
 
+import dtseq
+
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "scores" / "reference.dts"
 
 CHECK = """\
 import sys
 import dtseq
+loaded = sorted(m for m in sys.modules if m.startswith("dtseq."))
+assert not loaded, f"import dtseq loaded {loaded}"
 assert "numpy" not in sys.modules, "import dtseq loaded numpy"
 from dtseq.cli import main
 code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "dtseq")),
+      "numpy" in sys.modules)
 """
+
+SCALES = "dtseq dtseq.cli dtseq.rational dtseq.render"
+VALIDATE = f"{SCALES} dtseq.model dtseq.scorefile"
+RESOLVE = f"{VALIDATE} dtseq.resolve"
+LOADS = {"scales": SCALES, "validate": VALIDATE, "resolve": RESOLVE}
 
 
 def run(*args: str) -> str:
@@ -33,6 +44,10 @@ def run(*args: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
+def line(modules: str, numpy: bool) -> str:
+    return f"0 {' '.join(sorted(modules.split()))} {numpy}"
+
+
 @pytest.mark.parametrize("args", [
     ["validate", str(REFERENCE)],
     ["resolve", str(REFERENCE)],
@@ -40,10 +55,59 @@ def run(*args: str) -> str:
     ["scales"],
 ])
 def test_symbolic_commands_do_not_import_numpy(args):
-    assert run(*args) == "0 False"
+    """Nor any layer they do not run."""
+    assert run(*args) == line(LOADS[args[0]], False)
 
 
 def test_render_imports_numpy_and_writes_the_wav(tmp_path):
     out = tmp_path / "reference.wav"
-    assert run("render", str(REFERENCE), "--out", str(out), "--rate", "8000") == "0 True"
+    assert run("render", str(REFERENCE), "--out", str(out), "--rate", "8000") == \
+        line(RESOLVE, True)
     assert out.read_bytes()[:4] == b"RIFF"
+
+
+class TestPackageNames:
+    def test_every_public_name_is_its_submodules_object(self):
+        import importlib
+        for name in dtseq.__all__:
+            owner = importlib.import_module(f"dtseq.{dtseq._OWNER[name]}")
+            assert getattr(dtseq, name) is getattr(owner, name), name
+        assert sorted(dtseq._OWNER) == sorted(dtseq.__all__)
+
+    def test_dir_covers_all(self):
+        assert set(dtseq.__all__) <= set(dir(dtseq))
+        assert "__version__" in dir(dtseq)
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from dtseq import *", namespace)
+        assert {name for name in namespace if name != "__builtins__"} == set(dtseq.__all__)
+        assert namespace["parse"] is dtseq.scorefile.parse
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="'dtseq' has no attribute 'nosuch'"):
+            dtseq.nosuch
+        assert not hasattr(dtseq, "_nosuch")
+
+    def test_a_name_replaced_in_its_submodule_reads_as_replaced(self, monkeypatch):
+        import dtseq.scorefile
+
+        def patched(text):
+            return []
+
+        monkeypatch.setattr(dtseq.scorefile, "parse", patched)
+        assert dtseq.parse is patched
+        monkeypatch.undo()
+        assert dtseq.parse is dtseq.scorefile.parse is not patched
+
+    def test_export_events_from_render_follows_the_resolver(self, monkeypatch):
+        import dtseq.render
+        import dtseq.resolve
+
+        def patched(events):
+            return ""
+
+        monkeypatch.setattr(dtseq.resolve, "export_events", patched)
+        assert dtseq.render.export_events is patched
+        with pytest.raises(AttributeError, match="dtseq.render"):
+            dtseq.render.nosuch

@@ -154,3 +154,23 @@ def test_ratio_text_has_no_digit_limit():
         with pytest.raises(ValueError):
             str(r.numerator)
         assert ratio_text(r) == near_one(700)
+
+
+# numbers beyond the int-to-string digit limit, which repr() and str() refuse
+LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: as_ratio(-10**5000), "ratio must be positive: -" + LONG,
+                 id="as_ratio"),
+    pytest.param(lambda: ratio(-10**5000, 1), f"ratio must be positive: -{LONG}/1",
+                 id="ratio"),
+    pytest.param(lambda: ratio(10**5000, 1.5),
+                 f"ratio parts must be integers, got {LONG}/1.5", id="ratio-float-part"),
+    pytest.param(lambda: Scale("s", [-10**5000]), "ratio must be positive: -" + LONG,
+                 id="Scale"),
+])
+def test_long_numbers_are_written_in_the_message(build, message):
+    with pytest.raises(InvalidRatioError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -310,3 +310,46 @@ class TestSerialize:
             reparsed = parse_ok(text)
             assert reparsed == comp
             assert serialize(reparsed) == text
+
+
+class TestColumnWalk:
+    """Each line's columns come from one walk over its tokens, however
+    many of them a diagnostic or a harmony reference needs."""
+
+    @staticmethod
+    def steps(monkeypatch, text: str) -> int:
+        from dtseq.scorefile import _Parser
+        walked = []
+        columns = _Parser.columns
+
+        def counted(self, toks):
+            walked.append(len(toks))
+            return columns(self, toks)
+
+        monkeypatch.setattr(_Parser, "columns", counted)
+        parse(text)
+        return sum(walked)
+
+    @staticmethod
+    def many_harmonies(n: int) -> str:
+        names = [f"h{i}" for i in range(n)]
+        return "".join([
+            "base 440\nppq 1\ntempo 60\nlength 1\nscale s 1/1\n",
+            *(f"harmony {h} level {i + 1} scale s\n  tone 0 @ 0 +1\nend\n"
+              for i, h in enumerate(names)),
+            f"instrument i scale s harmonies {' '.join(names)}\n  note 0 @ 0 +1\nend\n"])
+
+    def test_a_line_naming_n_harmonies_is_walked_once(self, monkeypatch):
+        steps = {n: self.steps(monkeypatch, self.many_harmonies(n)) for n in (2000, 4000)}
+        # each harmony line walks its 6 tokens once, the instrument line its n + 5
+        assert steps == {2000: 7 * 2000 + 5, 4000: 7 * 4000 + 5}
+
+    def test_a_line_of_n_bad_keys_is_walked_once(self, monkeypatch):
+        steps = {n: self.steps(monkeypatch, "scale s" + " x" * n + "\n") for n in (2000, 4000)}
+        assert steps == {2000: 2002, 4000: 4002}
+
+    def test_columns_of_a_repeated_token(self):
+        errors = parse_errors("scale s 1/1 x x 3/2 x\n")
+        assert [(e.position.column, e.message) for e in errors if e.kind == "bad-ratio"] == [
+            (13, "malformed ratio 'x'"), (15, "malformed ratio 'x'"),
+            (21, "malformed ratio 'x'")]
