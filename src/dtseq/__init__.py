@@ -47,6 +47,11 @@ _OWNER = {
 }
 
 
+# The waveforms dtseq.render synthesises, kept here so that the command
+# line can offer them without loading the renderer.
+WAVEFORMS = ("sine", "additive-4")
+
+
 def __getattr__(name: str):
     """The submodule's current value of a public name.  It is read on
     every access and never stored here, so a name replaced in its
@@ -64,38 +69,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AudioBuffer",
-    "Composition",
-    "HarmonicSequence",
-    "Instrument",
-    "InstrumentScore",
-    "InvalidRatioError",
-    "Note",
-    "ParseError",
-    "Ratio",
-    "RenderSettings",
-    "ResolutionError",
-    "ResolvedEvent",
-    "Scale",
-    "SourcePosition",
-    "TableRegion",
-    "TableRow",
-    "TimeInterval",
-    "TranspositionTone",
-    "Violation",
-    "builtin_scale",
-    "builtin_scales",
-    "cents",
-    "export_events",
-    "frequency_table",
-    "octave_normalize",
-    "parse",
-    "ratio",
-    "resolve_composition",
-    "resolve_note",
-    "serialize",
-    "synthesize",
-    "validate_composition",
-    "write_wav",
-]
+__all__ = sorted(_OWNER)

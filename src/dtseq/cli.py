@@ -33,8 +33,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from typing import TYPE_CHECKING
 
+from . import WAVEFORMS
 from .rational import builtin_scales, cents, ratio_text
-from .render import WAVEFORMS
 
 if TYPE_CHECKING:
     from .model import Composition

@@ -58,12 +58,12 @@ import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from . import WAVEFORMS
+
 if TYPE_CHECKING:
     import numpy as np
 
     from .resolve import ResolvedEvent
-
-WAVEFORMS = ("sine", "additive-4")
 
 # A 16-bit mono WAV header stores the byte rate, 2 * rate, and the RIFF
 # size, 36 + 2 * samples, as unsigned 32-bit fields.

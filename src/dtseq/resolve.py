@@ -12,9 +12,11 @@ instrument follows, cut time into regions over which the product
 ``m1 * ... * mn`` is one exact shift.  :func:`resolve_composition`,
 :func:`frequency_table` and :func:`export_table` read it from one region
 list per distinct binding in the call, so resolving a note is a bisect
-and a multiply.  Instruments with the same scale and binding also share
-each exact pitch, each region's table rows and their text, computed
-once per call; nothing is kept between calls.
+and a multiply.  Building that list costs one pass over the levels per
+region start, and one exact product per new tuple of active keys.
+Instruments with the same scale and binding also share each exact
+pitch, each region's table rows and their text, computed once per call;
+nothing is kept between calls.
 
 Listings: this module owns the two texts ``dtseq resolve`` prints,
 :func:`export_events` and :func:`export_table`; each is built with one
@@ -28,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
 from .model import Composition, Instrument, Note
@@ -113,8 +116,10 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...]
     any tick of the region raises why.
 
     Each bound level's tone starts, tones and scale keys are looked up
-    once, and products are memoised by their tuple of key indices, so a new
-    tuple of active keys costs one exact multiply.
+    once.  Each region start costs one pass over the levels, which yields
+    the tuple of active key indices; only a tuple not seen before costs an
+    exact product, one Fraction from the product of its keys' numerators
+    and that of their denominators.
     """
     bounds = {0, composition.length_ticks}
     levels = []  # (tone starts, tones, scale keys) of each bound level
@@ -127,23 +132,24 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...]
         levels.append(([], (), ()) if hscale is None
                       else (harmony._starts, harmony.tones, hscale.keys))
     starts = sorted(bounds)
-    products: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}  # by key-index prefix
     index_of: dict[tuple[int, ...], int] = {}  # active tone keys -> shift index
     shifts: dict[Fraction, int] = {}           # distinct shift -> its index
     ids: list[int | None] = []
     for tick in starts:
-        keys: tuple[int, ...] = ()
+        active = []  # key index of each level's tone at tick
         for tone_starts, tones, scale_keys in levels:  # as HarmonicSequence.tone_at
             i = bisect_right(tone_starts, tick) - 1
             if i < 0 or not tones[i].interval.contains(tick) or tones[i].key_index >= len(scale_keys):
                 ids.append(None)
                 break
-            keys += (tones[i].key_index,)
-            if keys not in products:
-                products[keys] = products[keys[:-1]] * scale_keys[keys[-1]]
+            active.append(tones[i].key_index)
         else:
+            keys = tuple(active)
             if keys not in index_of:
-                index_of[keys] = shifts.setdefault(products[keys], len(shifts))
+                factors = [level_keys[k] for (_, _, level_keys), k in zip(levels, keys)]
+                shift = Fraction(prod(f.numerator for f in factors),
+                                 prod(f.denominator for f in factors))
+                index_of[keys] = shifts.setdefault(shift, len(shifts))
             ids.append(index_of[keys])
     return starts, ids, list(shifts)
 

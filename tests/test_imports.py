@@ -30,9 +30,10 @@ print(code, " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "dtseq"
       "numpy" in sys.modules)
 """
 
-SCALES = "dtseq dtseq.cli dtseq.rational dtseq.render"
+SCALES = "dtseq dtseq.cli dtseq.rational"
 VALIDATE = f"{SCALES} dtseq.model dtseq.scorefile"
 RESOLVE = f"{VALIDATE} dtseq.resolve"
+RENDER = f"{RESOLVE} dtseq.render"
 LOADS = {"scales": SCALES, "validate": VALIDATE, "resolve": RESOLVE}
 
 
@@ -62,7 +63,7 @@ def test_symbolic_commands_do_not_import_numpy(args):
 def test_render_imports_numpy_and_writes_the_wav(tmp_path):
     out = tmp_path / "reference.wav"
     assert run("render", str(REFERENCE), "--out", str(out), "--rate", "8000") == \
-        line(RESOLVE, True)
+        line(RENDER, True)
     assert out.read_bytes()[:4] == b"RIFF"
 
 
@@ -99,6 +100,10 @@ class TestPackageNames:
         assert dtseq.parse is patched
         monkeypatch.undo()
         assert dtseq.parse is dtseq.scorefile.parse is not patched
+
+    def test_the_renderer_reads_the_packages_waveform_names(self):
+        import dtseq.render
+        assert dtseq.render.WAVEFORMS is dtseq.WAVEFORMS == ("sine", "additive-4")
 
     def test_export_events_from_render_follows_the_resolver(self, monkeypatch):
         import dtseq.render

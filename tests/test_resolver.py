@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -378,12 +379,35 @@ def outcome(fn, *args):
         return ("error", str(exc), exc.instrument, exc.level)
 
 
+def per_region_shifts(composition, harmony_names, starts):
+    """The shift at each of ``starts`` under ``harmony_names``, recomputed
+    level by level through ``tone_at``; None where some level has no tone."""
+    shifts = []
+    for tick in starts:
+        shift = Fraction(1)
+        for name in harmony_names:
+            try:
+                harmony = composition.harmonies[name]
+                shift *= composition.scales[harmony.scale_name].keys[
+                    harmony.tone_at(tick).key_index]
+            except (KeyError, IndexError, ValueError):
+                shift = None
+                break
+        shifts.append(shift)
+    return shifts
+
+
 class TestRegionShiftEquivalence:
     def compositions(self, seed, count=120):
+        """``count`` compositions of up to 3 harmony levels, then half as
+        many of 4 to 8, each level cut on ticks of its own; every other
+        one is broken."""
         rng = random.Random(seed)
-        for n in range(count):
+        for n in range(count + count // 2):
+            deep = n >= count
             comp = random_composition(rng, max_ticks=1500, max_notes=20,
-                                      max_harmonic_levels=3, min_instruments=1)
+                                      max_harmonic_levels=8 if deep else 3,
+                                      min_harmonic_levels=4 if deep else 0, min_instruments=1)
             yield (broken_composition(rng, comp) if n % 2 else comp), bool(n % 2)
 
     def test_resolve_composition_equals_per_note_resolution(self):
@@ -428,6 +452,39 @@ class TestRegionShiftEquivalence:
         assert regions[1].rows is regions[3].rows
         assert regions[0].rows != regions[1].rows
 
+    def test_regions_equal_per_region_recompute(self):
+        gaps = 0
+        for comp, _ in self.compositions(66):
+            for names in {inst.harmony_names for inst in comp.instruments}:
+                starts, ids, shifts = resolve_module._regions(comp, names)
+                assert starts == sorted({0, comp.length_ticks, *(
+                    tick for name in names if name in comp.harmonies
+                    for tone in comp.harmonies[name].tones
+                    for tick in (tone.interval.start, tone.interval.end))})
+                assert len(set(shifts)) == len(shifts)
+                assert [None if i is None else shifts[i] for i in ids] == \
+                    per_region_shifts(comp, names, starts)
+                gaps += None in ids[:-1]
+        assert gaps > 10
+
+    def test_equal_shifts_from_different_keys_share_an_id_and_rows(self):
+        """9/8 * 4/3 in one region and 3/2 * 1/1 in the next are one shift."""
+        comp = Composition(
+            440.0, 480, 120.0, 960,
+            scales=[Scale("inst", ["1/1", "5/4"]), Scale("t", ["1/1", "9/8", "4/3", "3/2"])],
+            harmonies=[HarmonicSequence("H1", 1, "t", [
+                           TranspositionTone(1, TimeInterval(0, 480)),
+                           TranspositionTone(3, TimeInterval(480, 480))]),
+                       HarmonicSequence("H2", 2, "t", [
+                           TranspositionTone(2, TimeInterval(0, 480)),
+                           TranspositionTone(0, TimeInterval(480, 480))])],
+            instruments=[Instrument("i", "inst", ["H1", "H2"], [])])
+        assert resolve_module._regions(comp, ("H1", "H2")) == \
+            ([0, 480, 960], [0, 0, None], [Fraction(3, 2)])
+        first, second = frequency_table(comp, "i")
+        assert first.rows is second.rows
+        assert [row.factor for row in first.rows] == [Fraction(3, 2), Fraction(15, 8)]
+
     def test_note_in_timeline_gap_raises(self):
         comp = Composition(
             440.0, 480, 120.0, 960,
@@ -460,6 +517,44 @@ def test_tone_key_one_past_its_scale_is_an_error_not_a_shift():
     assert outcome(resolve_composition, comp) == expected
     with pytest.raises(ResolutionError, match="level 1: tone key index 2 outside"):
         frequency_table(comp, "i")
+
+
+def level_probe(levels):
+    """``levels`` harmonies of 10 tones each, whose inner boundaries fall on
+    ticks of their own, all followed by one instrument of 100 notes."""
+    rng = random.Random(levels)
+    stride = levels + 10
+    length = 10 * stride
+    harmonies = []
+    for level in range(1, levels + 1):
+        edges = [0, *(i * stride + level for i in range(1, 10)), length]
+        harmonies.append(HarmonicSequence(f"h{level}", level, "ten", [
+            TranspositionTone(rng.randrange(10), TimeInterval(lo, hi - lo))
+            for lo, hi in zip(edges, edges[1:])]))
+    notes = [Note(rng.randrange(10), TimeInterval(rng.randrange(length), 1))
+             for _ in range(100)]
+    return Composition(
+        440.0, 480, 120.0, length,
+        scales=[Scale("ten", ["1/1", "16/15", "9/8", "6/5", "5/4", "4/3", "3/2", "8/5",
+                              "5/3", "15/8"])],
+        harmonies=harmonies,
+        instruments=[Instrument("v", "ten", [h.name for h in harmonies], notes)])
+
+
+def test_region_sweep_memory_is_linear_in_levels():
+    """100 levels, 902 region starts: one key tuple per start takes about
+    0.8 MiB, where memoising the product of every key-index prefix took
+    25 MiB."""
+    comp = level_probe(100)
+    names = comp.instruments[0].harmony_names
+    tracemalloc.start()
+    try:
+        starts, ids, shifts = resolve_module._regions(comp, names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(starts) == 902 and None not in ids[:-1]
+    assert peak < 2.5 * 2**20
 
 
 # Instruments that share a binding, the harmonies they follow, share one
