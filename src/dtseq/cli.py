@@ -84,11 +84,11 @@ def _write_diagnostics(path: str, diagnostics=(), violations=()) -> None:
     _stderr("".join(lines))
 
 
-def _load(path: str) -> tuple[Composition | None, int]:
+def _load(path: str) -> Composition | None:
     """Read, parse and validate a score file, printing diagnostics.
 
-    Returns the composition (None when unusable) and the exit code so
-    far.  Boundary-crossing warnings are printed but do not fail.
+    Returns the composition, or None when it is unusable (exit 1).
+    Boundary-crossing warnings are printed but do not fail.
     """
     from .model import ERROR, validate_composition
     from .scorefile import parse
@@ -98,26 +98,23 @@ def _load(path: str) -> tuple[Composition | None, int]:
     if isinstance(result, list):
         _write_diagnostics(path, [(e.position.line, e.position.column, e.kind, e.message)
                                   for e in result])
-        return None, EXIT_INVALID
+        return None
 
     report = validate_composition(result)
     _write_diagnostics(path, violations=report)
-    if any(v.severity == ERROR for v in report):
-        return None, EXIT_INVALID
-    return result, EXIT_OK
+    return None if any(v.severity == ERROR for v in report) else result
 
 
 def cmd_validate(args) -> tuple[int, str]:
-    _, status = _load(args.path)
-    return status, ""
+    return (EXIT_INVALID if _load(args.path) is None else EXIT_OK), ""
 
 
 def cmd_resolve(args) -> tuple[int, str]:
     from .resolve import export_events, export_table, resolve_composition
 
-    composition, status = _load(args.path)
+    composition = _load(args.path)
     if composition is None:
-        return status, ""
+        return EXIT_INVALID, ""
     return EXIT_OK, (export_table(composition) if args.table
                      else export_events(resolve_composition(composition)))
 
@@ -131,9 +128,9 @@ def cmd_render(args) -> tuple[int, str]:
     except ValueError as exc:
         _stderr(f"dtseq: {exc}\n")
         return EXIT_USAGE, ""
-    composition, status = _load(args.path)
+    composition = _load(args.path)
     if composition is None:
-        return status, ""
+        return EXIT_INVALID, ""
     events = resolve_composition(composition)
     try:
         buffer = synthesize(events, settings)

@@ -285,10 +285,12 @@ def validate_composition(composition: Composition) -> list[Violation]:
         if scale is None:
             add(Violation("bad-reference", path,
                           f"unknown scale {harmony.scale_name!r}"))
-        timeline_ok = True
+        # spanning: starts at 0, each tone where the one before it ends, ends at
+        # the length; exactly then the checks below find no timeline error
+        spanning_ok[harmony.name] = ([*harmony._starts, length]
+                                     == [0, *(tone.interval.end for tone in harmony.tones)])
         if not harmony.tones:
             add(Violation("span", path, "harmony has no tones; it must span the composition"))
-            spanning_ok[harmony.name] = False
             continue
         for i, tone in enumerate(harmony.tones):
             tpath = f"{path} tone {i}"
@@ -300,32 +302,25 @@ def validate_composition(composition: Composition) -> list[Violation]:
                 add(Violation("range", tpath,
                               f"interval [{tone.interval.start}, {tone.interval.end}) "
                               f"exceeds composition length {length}"))
-                timeline_ok = False
             if i == 0:
                 continue
             prev = harmony.tones[i - 1]
             if tone.interval.start < prev.interval.start:
                 add(Violation("order", tpath, "tones are not sorted by start tick"))
-                timeline_ok = False
             elif tone.interval.start < prev.interval.end:
                 add(Violation("overlap", tpath,
                               f"tone starts at {tone.interval.start} before the previous "
                               f"tone ends at {prev.interval.end}"))
-                timeline_ok = False
             elif tone.interval.start > prev.interval.end:
                 add(Violation("gap", f"{path} tones {i - 1}..{i}",
                               f"gap between {prev.interval.end} and {tone.interval.start}"))
-                timeline_ok = False
         if harmony.tones[0].interval.start != 0:
             add(Violation("span", f"{path} tone 0",
                           f"first tone starts at {harmony.tones[0].interval.start}, not 0"))
-            timeline_ok = False
         if harmony.tones[-1].interval.end != length:
             add(Violation("span", f"{path} tone {len(harmony.tones) - 1}",
                           f"last tone ends at {harmony.tones[-1].interval.end}, "
                           f"not at composition length {length}"))
-            timeline_ok = False
-        spanning_ok[harmony.name] = timeline_ok
 
     seen_instruments: set[str] = set()
     for inst in composition.instruments:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable
 
-from .model import Composition, Instrument, Note
+from .model import Composition, Instrument, Note, TimeInterval
 from .rational import ratio_text
 
 
@@ -71,49 +71,13 @@ def _hz(base: Fraction, factor: Fraction) -> float:
     return base.numerator * factor.numerator / (base.denominator * factor.denominator)
 
 
-def _scale_key(composition: Composition, instrument: Instrument, note: Note) -> Fraction:
-    """The instrument key of ``note``: level 0 of its factor."""
-    scale = composition.scales.get(instrument.scale_name)
-    if scale is None:
-        raise _error(instrument, 0, f"unknown scale {instrument.scale_name!r}")
-    if note.key_index >= len(scale):
-        raise _error(instrument, 0, f"key index {note.key_index} outside scale "
-                                    f"{scale.name!r} of {len(scale)} keys")
-    return scale.keys[note.key_index]
-
-
-def _active_tones(composition: Composition, instrument: Instrument,
-                  tick: int) -> list[tuple[tuple[Fraction, ...], int]]:
-    """(scale keys, key index) of the tone each bound harmony sounds at
-    ``tick``, lowest level first.  Raises :class:`ResolutionError` naming
-    the first level that has none."""
-    active = []
-    for level, harmony_name in enumerate(instrument.harmony_names, start=1):
-        harmony = composition.harmonies.get(harmony_name)
-        if harmony is None:
-            raise _error(instrument, level, f"unknown harmony {harmony_name!r}")
-        hscale = composition.scales.get(harmony.scale_name)
-        if hscale is None:
-            raise _error(instrument, level, f"harmony {harmony_name!r} uses unknown "
-                                            f"scale {harmony.scale_name!r}")
-        try:
-            tone = harmony.tone_at(tick)
-        except ValueError as exc:
-            raise _error(instrument, level, exc) from exc
-        if tone.key_index >= len(hscale):
-            raise _error(instrument, level, f"tone key index {tone.key_index} outside "
-                                            f"scale {hscale.name!r}")
-        active.append((hscale.keys, tone.key_index))
-    return active
-
-
 def _regions(composition: Composition, harmony_names: tuple[str, ...]
              ) -> tuple[list[int], list[int | None], list[Fraction]]:
     """Region starts of the binding ``harmony_names`` (0, the length and
     every bound tone's start and end; the last region never ends), each
     region's index into the distinct exact shifts, and those shifts.  The
-    index is None where some level has no tone; :func:`_active_tones` at
-    any tick of the region raises why.
+    index is None where some level has no tone; :func:`resolve_note` on a
+    note with its onset anywhere in the region raises why.
 
     Each bound level's tone starts, tones and scale keys are looked up
     once.  Each region start costs one pass over the levels, which yields
@@ -183,14 +147,36 @@ def resolve_note(composition: Composition, instrument: Instrument,
                  note: Note) -> ResolvedEvent:
     """Resolve one note of one instrument to an event.
 
-    All level lookups use the note's onset tick.  Raises
+    The one walk over a note's levels: the instrument key, then the tone
+    each bound harmony sounds at the note's onset tick.  Raises
     :class:`ResolutionError` naming the failing level for dangling
-    references, out-of-scale keys, or an onset no harmony tone covers.
+    references, out-of-scale keys, or an onset no harmony tone covers;
+    the memoised paths raise their errors by calling it.
     """
     onset = note.interval.start
-    factor = _scale_key(composition, instrument, note)
-    for keys, key_index in _active_tones(composition, instrument, onset):
-        factor *= keys[key_index]
+    scale = composition.scales.get(instrument.scale_name)
+    if scale is None:
+        raise _error(instrument, 0, f"unknown scale {instrument.scale_name!r}")
+    if note.key_index >= len(scale):
+        raise _error(instrument, 0, f"key index {note.key_index} outside scale "
+                                    f"{scale.name!r} of {len(scale)} keys")
+    factor = scale.keys[note.key_index]
+    for level, harmony_name in enumerate(instrument.harmony_names, start=1):
+        harmony = composition.harmonies.get(harmony_name)
+        if harmony is None:
+            raise _error(instrument, level, f"unknown harmony {harmony_name!r}")
+        hscale = composition.scales.get(harmony.scale_name)
+        if hscale is None:
+            raise _error(instrument, level, f"harmony {harmony_name!r} uses unknown "
+                                            f"scale {harmony.scale_name!r}")
+        try:
+            tone = harmony.tone_at(onset)
+        except ValueError as exc:
+            raise _error(instrument, level, exc) from exc
+        if tone.key_index >= len(hscale):
+            raise _error(instrument, level, f"tone key index {tone.key_index} outside "
+                                            f"scale {hscale.name!r}")
+        factor *= hscale.keys[tone.key_index]
     return ResolvedEvent(instrument.name, factor,
                          _hz(Fraction(composition.base_frequency_hz), factor),
                          composition.seconds(onset),
@@ -210,6 +196,8 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
     base, seconds = memo.base, composition.seconds
     events: list[ResolvedEvent] = []
     for inst in composition.instruments:
+        scale = composition.scales.get(inst.scale_name)
+        keys = scale.keys if scale else ()
         starts, ids, shifts = memo.regions(inst.harmony_names)
         # (key index, shift id) -> (factor, frequency); an entry is valid
         # for every instrument with this scale and binding
@@ -219,14 +207,13 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
             sid = ids[bisect_right(starts, onset) - 1]
             pitch = pitches.get((note.key_index, sid))
             if pitch is None:  # first note at this key and shift: check it
-                try:
-                    factor = _scale_key(composition, inst, note)
-                    if sid is None:
-                        _active_tones(composition, inst, onset)  # raises
-                except ResolutionError as exc:
-                    raise ResolutionError(f"note {i} of {exc}", instrument=exc.instrument,
-                                          level=exc.level) from exc
-                factor *= shifts[sid]
+                if sid is None or note.key_index >= len(keys):
+                    try:
+                        resolve_note(composition, inst, note)  # raises
+                    except ResolutionError as exc:
+                        raise ResolutionError(f"note {i} of {exc}", instrument=exc.instrument,
+                                              level=exc.level) from exc
+                factor = keys[note.key_index] * shifts[sid]
                 pitch = pitches[note.key_index, sid] = (factor, _hz(base, factor))
             events.append(ResolvedEvent(inst.name, *pitch, seconds(onset),
                                         seconds(note.interval.duration), note.velocity))
@@ -258,20 +245,20 @@ def _table(memo: _Memo, inst: Instrument
     before the length; regions with equal shifts, of any instrument with
     the same scale and binding, share their rows."""
     composition = memo.composition
-    keys = composition.scales[inst.scale_name].keys
+    scale = composition.scales.get(inst.scale_name)
     starts, ids, shifts = memo.regions(inst.harmony_names)
     rows_of = memo.shared(inst, "rows")
     table = []
     for lo, hi, sid in zip(starts, starts[1:], ids):
         if lo >= composition.length_ticks:
             break
-        if sid is None:
-            _active_tones(composition, inst, lo)  # raises
+        if sid is None or scale is None:
+            resolve_note(composition, inst, Note(0, TimeInterval(lo, 1)))  # raises
         rows = rows_of.get(sid)
         if rows is None:
             shift = shifts[sid]
-            rows = rows_of[sid] = tuple(TableRow(i, factor, _hz(memo.base, factor))
-                                        for i, factor in enumerate(key * shift for key in keys))
+            rows = rows_of[sid] = tuple(TableRow(i, factor, _hz(memo.base, factor)) for i, factor
+                                        in enumerate(key * shift for key in scale.keys))
         table.append((lo, hi, sid, rows))
     return table
 
@@ -282,7 +269,8 @@ def frequency_table(composition: Composition, instrument_name: str) -> list[Tabl
     Region boundaries are the merged tone boundaries of all harmonies the
     instrument follows; within a region each scale key maps to one exact
     factor and frequency, and regions with equal shifts share their rows.
-    Requires a validated composition; raises KeyError for an unknown
+    A composition that fails validation raises :class:`ResolutionError`
+    as :func:`resolve_note` does; KeyError is raised only for an unknown
     instrument name.
     """
     inst = composition.instrument(instrument_name)

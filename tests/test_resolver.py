@@ -614,7 +614,7 @@ class TestSharedBindings:
                 expected = per_region_export(comp)
             except (KeyError, IndexError, ValueError):
                 assert broken
-                with pytest.raises((ResolutionError, KeyError)):
+                with pytest.raises(ResolutionError):
                     export_table(comp)
                 continue
             assert export_table(comp) == expected
@@ -622,6 +622,40 @@ class TestSharedBindings:
                 assert frequency_table(comp, inst.name) == per_region_table(comp, inst.name)
             tabled += broken
         assert tabled > 10
+
+
+def first_region_error(composition, inst):
+    """The reference error for a key-0 note at the first region start of
+    ``inst`` below the length where it raises, or None where none does."""
+    starts = sorted({0, composition.length_ticks, *(
+        tick for name in inst.harmony_names if name in composition.harmonies
+        for tone in composition.harmonies[name].tones
+        for tick in (tone.interval.start, tone.interval.end))})
+    for lo in starts:
+        if lo >= composition.length_ticks:
+            return None
+        result = outcome(reference_resolve_note, composition, inst, Note(0, TimeInterval(lo, 1)))
+        if isinstance(result, tuple):
+            return result
+
+
+@pytest.mark.parametrize("cls, seed", [(TestRegionShiftEquivalence, 67),
+                                       (TestSharedBindings, 68)])
+def test_table_errors_equal_reference(cls, seed):
+    """Each instrument's table raises what the reference raises at its
+    first failing region, and the listing raises the first of those."""
+    errors, unknown_scales = 0, 0
+    for comp, _ in cls().compositions(seed):
+        expected = [first_region_error(comp, inst) for inst in comp.instruments]
+        for inst, error in zip(comp.instruments, expected):
+            table = outcome(frequency_table, comp, inst.name)
+            assert table == error if error else isinstance(table, list)
+            errors += error is not None
+            unknown_scales += error is not None and error[3] == 0  # key 0 is in any scale
+        first = next(filter(None, expected), None)
+        listing = outcome(export_table, comp)
+        assert listing == first if first else isinstance(listing, str)
+    assert errors > 40 and unknown_scales > 3
 
 
 def two_binding_composition():
