@@ -28,6 +28,13 @@ list of errors found, recovering at line granularity so one bad line does
 not hide later ones.  ``serialize`` emits a canonical form (fixed section
 order, entities sorted by name, tones sorted by start, notes in score
 order, ratios reduced) and is a fixpoint under re-parsing.
+
+``parse`` keeps the clean event lines of its previous call, each with the
+Note or TranspositionTone built from it, and reuses those objects for
+lines of the same text inside a block of the same kind; every other line
+takes the token walk.  The result equals a cold parse.  Events may be
+shared between compositions because they are immutable, and the kept
+lines are one score's: each call replaces them with its own.
 """
 
 from __future__ import annotations
@@ -56,10 +63,23 @@ PARSE_ERROR_KINDS = (
 
 _HEADER_FIELDS = ("base", "ppq", "tempo", "length")
 _TOP_DIRECTIVES = {"base", "ppq", "tempo", "length", "scale", "harmony", "instrument"}
-# the event line each block holds besides 'end'
+# the event line each block holds besides 'end', and the type of its event
 _EVENT_WORD = {"harmony": "tone", "instrument": "note"}
+_EVENT_TYPE = {"harmony": TranspositionTone, "instrument": Note}
 
 _RATIO_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
+
+# No line of this many characters or more is reused.  640 is the smallest
+# limit sys.set_int_max_str_digits takes (sys.int_info.
+# str_digits_check_threshold), so every number on a shorter line reads the
+# same under any limit.
+_REUSE_BELOW = 640
+
+# The clean event lines of the most recent parse: raw line text -> the
+# immutable Note or TranspositionTone that event_line built from it.  Each
+# call fills a new dict and only then puts it here, so a parse running in
+# another thread reads a finished one.
+_last_events: dict[str, Note | TranspositionTone] = {}
 
 
 @dataclass(frozen=True)
@@ -83,18 +103,28 @@ def parse(text: str | bytes) -> Composition | list[ParseError]:
     composition (key ranges, timeline coverage) are left to
     ``validate_composition``; a file can parse cleanly and still fail
     validation.
+
+    An event line whose text was a clean event line of the previous call
+    reuses the event built then, so a re-parse after an edit tokenises
+    only the lines the edit changed; the result equals a cold parse.
     """
+    global _last_events
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    parser = _Parser()
+    parser = _Parser(_last_events)
     parser.run(text)
+    _last_events = parser.events
     if parser.errors:
         return sorted(parser.errors, key=lambda e: (e.position.line, e.position.column))
     return parser.build()
 
 
 class _Parser:
-    def __init__(self):
+    def __init__(self, reusable: dict[str, Note | TranspositionTone]):
+        # raw line text -> event: the previous parse's clean event lines,
+        # which this one reuses, and this one's, which the next one will
+        self.reusable = reusable
+        self.events: dict[str, Note | TranspositionTone] = {}
         self.errors: list[ParseError] = []
         self.header: dict[str, float | int | None] = {}  # None: given, with an error
         self.scales: dict[str, Scale] = {}
@@ -144,20 +174,32 @@ class _Parser:
         # Only \n, \r\n and \r end a line: the other separators that
         # str.splitlines() ends one at (\v, \x85, U+2028...) are whitespace.
         lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        reusable, events = self.reusable, self.events
         for self.ln, raw in enumerate(lines, start=1):
+            block = self.block
+            if block is not None:
+                event = reusable.get(raw)
+                if type(event) is _EVENT_TYPE[block[0]]:
+                    events[raw] = event
+                    if block[2] is not None:
+                        block[2].append(event)
+                    continue
             # '@' and '+' are tokens of their own; everything else splits
             # on whitespace.  Columns are found only when a line needs one.
             self.code = raw.partition("#")[0]
             self.cols = None
             tokens = self.code.replace("@", " @ ").replace("+", " + ").split()
             if tokens:
-                self.dispatch(tokens)
+                event = self.dispatch(tokens)
+                if event is not None and len(raw) < _REUSE_BELOW:
+                    events[raw] = event
         if self.block is not None:
             kind, name, _, opened = self.block
             self.error(opened, 1, "syntax", f"{kind} {name!r} is missing its 'end' line")
         self.finalize()
 
-    def dispatch(self, toks: list[str]) -> None:
+    def dispatch(self, toks: list[str]) -> Note | TranspositionTone | None:
+        """Handle one line; return the event of a clean event line."""
         head = toks[0]
         if self.block is not None:
             kind, name, items, _ = self.block
@@ -167,8 +209,10 @@ class _Parser:
                 self.block = None
                 return
             if head == _EVENT_WORD[kind]:
-                self.event_line(toks, items)
-                return
+                event = self.event_line(toks)
+                if event is not None and items is not None:
+                    items.append(event)
+                return event
             if head in _TOP_DIRECTIVES:
                 self.fail(toks, 0, "syntax", f"missing 'end' for {kind} {name!r} before {head!r}")
                 self.block = None
@@ -346,10 +390,10 @@ class _Parser:
                     return name, notes
         return "?", None
 
-    def event_line(self, toks: list[str], items: list | None) -> None:
+    def event_line(self, toks: list[str]) -> Note | TranspositionTone | None:
         """A 'tone' or 'note' line, 'KEY @ START +DURATION': a tone takes
-        nothing after it, a note an optional 'vel V'.  The event goes to
-        ``items`` unless the line has an error or ``items`` is None."""
+        nothing after it, a note an optional 'vel V'.  Returns the event,
+        or None when the line has an error."""
         word = toks[0]
         if len(toks) < 6:
             self.fail(toks, -1, "syntax", f"expected '{word} KEY @ START +DURATION'")
@@ -380,10 +424,9 @@ class _Parser:
             if velocity > 127:
                 self.fail(toks, 7, "range", f"velocity {velocity} must be in [1, 127]")
                 return
-        if items is not None:
-            interval = TimeInterval(start, duration)
-            items.append(TranspositionTone(key, interval) if word == "tone"
-                         else Note(key, interval, velocity))
+        interval = TimeInterval(start, duration)
+        return (TranspositionTone(key, interval) if word == "tone"
+                else Note(key, interval, velocity))
 
     # Whole-file checks and assembly
 

@@ -1,6 +1,6 @@
 """Shared test fixtures: the reference score, a brute-force frequency
-oracle, a randomized composition generator, and ratios too long for the
-interpreter's int-to-string digit limit.
+oracle, a randomized composition generator, ratios too long for the
+interpreter's int-to-string digit limit, and a parse with nothing reused.
 
 The oracle deliberately avoids the library's lookup code: it finds the
 active tone of each level by linear scan at every single tick, so any
@@ -26,6 +26,7 @@ from dtseq import (
     TimeInterval,
     TranspositionTone,
 )
+from dtseq import scorefile
 
 REFERENCE_SCORE = """\
 # header
@@ -70,6 +71,21 @@ def int_digit_limit(digits: int):
         yield
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def cold_parse(text):
+    """``parse`` with no event lines kept from an earlier call, as in a
+    fresh process."""
+    scorefile._last_events = {}
+    return scorefile.parse(text)
+
+
+def outcome(result):
+    """A parse result to compare: the Composition, or each error's
+    ``(line, column, kind, message)``."""
+    if isinstance(result, Composition):
+        return result
+    return [(e.position.line, e.position.column, e.kind, e.message) for e in result]
 
 
 # Brute-force oracle

@@ -4,6 +4,8 @@ Both must return an equal Composition, or the same list of
 ``(line, column, kind, message)`` errors, on line soups built from the
 grammar's pieces (well-formed and broken lines of every directive), on
 free text, on the checked-in scores and on serialized random compositions.
+Each text is parsed with the event lines of the previous example kept,
+again with its own kept, and cold.
 """
 
 import random
@@ -13,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_parser
-from dtseq import Composition, parse, serialize
+from dtseq import parse, serialize
 from dtseq.scorefile import PARSE_ERROR_KINDS
-from support import random_composition
+from support import cold_parse, outcome, random_composition
 
 SCORES = Path(__file__).resolve().parent.parent / "scores"
 
@@ -68,17 +70,13 @@ PIECES = (HEADER + BROKEN_HEADER + SCALES + HARMONIES + INSTRUMENTS + MISC + SEP
           + [e.format(w=w) for e in ALL_EVENTS for w in ("tone", "note")])
 
 
-def outcome(result):
-    if isinstance(result, Composition):
-        return result
-    return [(e.position.line, e.position.column, e.kind, e.message) for e in result]
-
-
 def assert_same(text):
-    result = parse(text)
-    assert outcome(result) == outcome(reference_parser.parse(text)), text
-    if isinstance(result, list):
-        assert {e.kind for e in result} <= set(PARSE_ERROR_KINDS)
+    """Warm from the previous example, warm from this text, then cold."""
+    expected = outcome(reference_parser.parse(text))
+    for result in (parse(text), parse(text), cold_parse(text)):
+        assert outcome(result) == expected, text
+        if isinstance(result, list):
+            assert {e.kind for e in result} <= set(PARSE_ERROR_KINDS)
 
 
 @st.composite

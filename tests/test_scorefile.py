@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,8 +15,16 @@ from dtseq import (
     serialize,
     validate_composition,
 )
+from dtseq import scorefile
 from dtseq.scorefile import PARSE_ERROR_KINDS
-from support import REFERENCE_SCORE, int_digit_limit, near_one, random_composition
+from support import (
+    REFERENCE_SCORE,
+    cold_parse,
+    int_digit_limit,
+    near_one,
+    outcome,
+    random_composition,
+)
 
 
 def parse_ok(text) -> Composition:
@@ -353,3 +363,123 @@ class TestColumnWalk:
         assert [(e.position.column, e.message) for e in errors if e.kind == "bad-ratio"] == [
             (13, "malformed ratio 'x'"), (15, "malformed ratio 'x'"),
             (21, "malformed ratio 'x'")]
+
+
+def edit(rng: random.Random, text: str) -> str:
+    """``text`` with one tone's key changed, one note moved, or one line
+    broken."""
+    lines = text.split("\n")
+    tones = [i for i, line in enumerate(lines) if line.startswith("  tone ")]
+    notes = [i for i, line in enumerate(lines) if line.startswith("  note ")]
+    kind = rng.choice(["break"] + ["tone"] * bool(tones) + ["note"] * bool(notes))
+    if kind == "tone":
+        i = rng.choice(tones)
+        fields = lines[i].split(" ")  # ['', '', 'tone', KEY, '@', START, +DURATION]
+        fields[3] = str(rng.randrange(8))
+        lines[i] = " ".join(fields)
+    elif kind == "note":
+        i = rng.choice(notes)
+        if rng.random() < 0.5:  # to any line, inside a block of either kind or none
+            lines.insert(rng.randrange(len(lines)), lines.pop(i))
+        else:  # to another start
+            fields = lines[i].split(" ")
+            fields[5] = str(rng.randrange(2000))
+            lines[i] = " ".join(fields)
+    else:
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        lines[i] = rng.choice([line[:rng.randrange(len(line) + 1)], line + " x", "bogus", "",
+                               "  note 1/2 @ 0 +1", "  tone 0 @ 0 +0", "end",
+                               line.replace("@", "")])
+    return "\n".join(lines)
+
+
+class TestReuse:
+    """``parse`` reuses the events of its previous call's clean event
+    lines; whatever came before, its result equals a cold parse."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, database=None)
+    def test_a_parse_after_an_edit_equals_a_cold_parse(self, seed):
+        rng = random.Random(seed)
+        before = serialize(random_composition(rng, max_ticks=2000))
+        after = edit(rng, before)
+        parse(before)
+        warm = parse(after)
+        assert outcome(warm) == outcome(cold_parse(after)), after
+
+    def test_a_reparse_reuses_every_event(self):
+        first, second = parse_ok(REFERENCE_SCORE), parse_ok(REFERENCE_SCORE)
+        events = [*first.harmonies["H1"].tones, *first.instruments[0].score.notes]
+        again = [*second.harmonies["H1"].tones, *second.instruments[0].score.notes]
+        assert len(events) == 5
+        assert all(a is b for a, b in zip(events, again))
+
+    def test_reuse_does_not_depend_on_the_digit_limit(self):
+        long = "1" + "0" * 699  # a 700-digit tick count
+        text = (f"base 440\nppq 480\ntempo 120\nlength {long}\nscale s 1/1 3/2\n"
+                f"harmony H level 1 scale s\n  tone 0 @ 0 +{long}\nend\n"
+                f"instrument i scale s harmonies H\n  note 1 @ 0 +{long}\nend\n")
+        with int_digit_limit(0):
+            parse_ok(text)
+        with int_digit_limit(640):
+            errors = parse_errors(text)
+            assert [(e.position.line, e.message) for e in errors] == [
+                (line, f"expected an integer, got {long!r}") for line in (4, 7, 10)]
+            assert outcome(errors) == outcome(cold_parse(text))
+
+    def test_a_kept_note_line_in_a_harmony_block_is_an_error_at_its_place(self):
+        parse_ok(REFERENCE_SCORE)  # keeps '  note 0 @ 0    +480  vel 96'
+        text = REFERENCE_SCORE.replace("  tone 0 @ 0    +960",
+                                       "  tone 0 @ 0    +960\n  note 0 @ 0    +480  vel 96")
+        errors = parse_errors(text)
+        assert outcome(errors) == [
+            (12, 3, "syntax", "expected 'tone' or 'end' inside harmony block, got 'note'")]
+        assert outcome(errors) == outcome(cold_parse(text))
+
+    def test_only_the_last_scores_event_lines_are_kept(self):
+        rng = random.Random(5)
+        parse_ok(serialize(random_composition(rng, min_instruments=4, min_notes=10)))
+        assert len(scorefile._last_events) > 10
+        parse("base 440\n")
+        assert scorefile._last_events == {}
+        parse_ok(REFERENCE_SCORE)
+        assert sorted(scorefile._last_events) == sorted(
+            line for line in REFERENCE_SCORE.split("\n") if line.startswith("  "))
+
+    def test_errors_after_reused_lines_keep_their_lines(self):
+        parse_ok(REFERENCE_SCORE)
+        text = REFERENCE_SCORE.replace("  note 4 @ 960  +960  vel 112",
+                                       "  note 4 @ 960  +960  vel 112\n  note 5 @ x +1\nbogus")
+        errors = parse_errors(text)
+        assert outcome(errors) == [
+            (19, 12, "syntax", "expected an integer, got 'x'"),
+            (20, 1, "syntax", "expected 'note' or 'end' inside instrument block, got 'bogus'")]
+        assert outcome(errors) == outcome(cold_parse(text))
+
+    def test_parses_in_threads_equal_cold_parses(self):
+        rng = random.Random(9)
+        texts = [serialize(random_composition(rng, min_instruments=2, min_notes=5))
+                 for _ in range(4)]
+        texts += [edit(rng, text) for text in texts]
+        expected = [outcome(cold_parse(text)) for text in texts]
+        wrong = []
+
+        def work(offset):
+            for i in range(60):
+                k = (offset + i) % len(texts)
+                if outcome(parse(texts[k])) != expected[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
