@@ -245,7 +245,7 @@ def _named(items, what: str) -> dict:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # the validator keeps its last report: no dict each
 class Violation:
     """One problem found by validation.
 
@@ -264,6 +264,14 @@ class Violation:
     severity: str = ERROR
 
 
+# The note-loop findings of the most recent validate_composition call, by
+# instrument name: (everything that loop read besides the notes, the notes,
+# the range and boundary-crossing violations it found, in order).  Each
+# call fills a new dict and only then puts it here, so a call running in
+# another thread reads a finished one.
+_last_findings: dict[str, tuple[tuple, tuple[Note, ...], list[Violation]]] = {}
+
+
 def validate_composition(composition: Composition) -> list[Violation]:
     """Check every cross-object rule and report all problems found.
 
@@ -273,10 +281,22 @@ def validate_composition(composition: Composition) -> list[Violation]:
     ``tempo * ppq`` beyond it, are looked for once no other error is
     found.  Pure function: validating the same composition twice yields
     identical reports.
+
+    The per-note findings of an instrument whose notes, scale name and
+    size, length and bound harmony timelines equal those of the previous
+    call are that call's findings, so a re-validation after an edit of
+    one transposition tone's key walks no note again; the report equals a
+    cold call's.  Only the previous call's findings are kept, and sharing
+    them is safe because a Violation is immutable.  Every number in a
+    message is written by :func:`value_text`, so a kept finding reads the
+    same under any ``sys.set_int_max_str_digits`` limit.
     """
+    global _last_findings
+    findings: dict[str, tuple] = {}
     report: list[Violation] = []
     add = report.append
     length = composition.length_ticks
+    length_text = value_text(length)
     spanning_ok: dict[str, bool] = {}
 
     for harmony in composition.harmonies.values():
@@ -296,12 +316,13 @@ def validate_composition(composition: Composition) -> list[Violation]:
             tpath = f"{path} tone {i}"
             if scale is not None and tone.key_index >= len(scale):
                 add(Violation("range", tpath,
-                              f"key index {tone.key_index} outside scale "
+                              f"key index {value_text(tone.key_index)} outside scale "
                               f"{scale.name!r} of {len(scale)} keys"))
             if tone.interval.end > length:
                 add(Violation("range", tpath,
-                              f"interval [{tone.interval.start}, {tone.interval.end}) "
-                              f"exceeds composition length {length}"))
+                              f"interval [{value_text(tone.interval.start)}, "
+                              f"{value_text(tone.interval.end)}) "
+                              f"exceeds composition length {length_text}"))
             if i == 0:
                 continue
             prev = harmony.tones[i - 1]
@@ -309,18 +330,20 @@ def validate_composition(composition: Composition) -> list[Violation]:
                 add(Violation("order", tpath, "tones are not sorted by start tick"))
             elif tone.interval.start < prev.interval.end:
                 add(Violation("overlap", tpath,
-                              f"tone starts at {tone.interval.start} before the previous "
-                              f"tone ends at {prev.interval.end}"))
+                              f"tone starts at {value_text(tone.interval.start)} before the "
+                              f"previous tone ends at {value_text(prev.interval.end)}"))
             elif tone.interval.start > prev.interval.end:
                 add(Violation("gap", f"{path} tones {i - 1}..{i}",
-                              f"gap between {prev.interval.end} and {tone.interval.start}"))
+                              f"gap between {value_text(prev.interval.end)} and "
+                              f"{value_text(tone.interval.start)}"))
         if harmony.tones[0].interval.start != 0:
             add(Violation("span", f"{path} tone 0",
-                          f"first tone starts at {harmony.tones[0].interval.start}, not 0"))
+                          f"first tone starts at {value_text(harmony.tones[0].interval.start)}, "
+                          f"not 0"))
         if harmony.tones[-1].interval.end != length:
             add(Violation("span", f"{path} tone {len(harmony.tones) - 1}",
-                          f"last tone ends at {harmony.tones[-1].interval.end}, "
-                          f"not at composition length {length}"))
+                          f"last tone ends at {value_text(harmony.tones[-1].interval.end)}, "
+                          f"not at composition length {length_text}"))
 
     seen_instruments: set[str] = set()
     for inst in composition.instruments:
@@ -344,7 +367,7 @@ def validate_composition(composition: Composition) -> list[Violation]:
             if harmony.level != pos + 1:
                 add(Violation("level-gap", f"{path} harmony {hname}",
                               f"expected level {pos + 1} at position {pos}, "
-                              f"got level {harmony.level}"))
+                              f"got level {value_text(harmony.level)}"))
 
         # A spanning timeline's starts strictly increase from 0, and the
         # length closes it, so the first boundary after the onset of a note
@@ -352,26 +375,38 @@ def validate_composition(composition: Composition) -> list[Violation]:
         timelines = [([*h._starts, length], f"note sustains across the {h.name} boundary at tick ")
                      for h in bound if spanning_ok.get(h.name)]
         size = len(scale) if scale is not None else math.inf  # no range check without one
-        for i, note in enumerate(inst.score.notes):
+        key, notes = (inst.scale_name, size, length, timelines), inst.score.notes
+        kept = _last_findings.get(inst.name)
+        if kept is not None and kept[0] == key and kept[1] == notes:
+            report += kept[2]
+            findings[inst.name] = kept
+            continue
+        first = len(report)
+        for i, note in enumerate(notes):
             onset, end = note.interval.start, note.interval.end
-            npath = f"{path} note {i}"
+            npath = None  # built at the note's first finding
             if note.key_index >= size:
+                npath = f"{path} note {i}"
                 add(Violation("range", npath,
-                              f"key index {note.key_index} outside scale "
+                              f"key index {value_text(note.key_index)} outside scale "
                               f"{scale.name!r} of {size} keys"))
             if end > length:
-                add(Violation("range", npath,
-                              f"interval [{onset}, {end}) "
-                              f"exceeds composition length {length}"))
+                add(Violation("range", npath or f"{path} note {i}",
+                              f"interval [{value_text(onset)}, {value_text(end)}) "
+                              f"exceeds composition length {length_text}"))
                 continue
             for starts, crossing in timelines:
                 boundary = starts[bisect_right(starts, onset)]
                 if boundary < end:
+                    npath = npath or f"{path} note {i}"
                     add(Violation("boundary-crossing", npath,
-                                  f"{crossing}{boundary}; it keeps its onset pitch", WARNING))
+                                  f"{crossing}{value_text(boundary)}; it keeps its onset pitch",
+                                  WARNING))
+        findings[inst.name] = (key, notes, report[first:])
 
     if not any(v.severity == ERROR for v in report):
         report.extend(_float_range(composition))
+    _last_findings = findings
     return report
 
 
@@ -427,8 +462,8 @@ def _float_range(composition: Composition) -> list[Violation]:
             continue
         path = f"instrument {inst.name}"
         if regions is None:
-            from .resolve import _Memo  # resolve imports this module
-            regions = _Memo(composition).regions
+            from .resolve import _memo  # resolve imports this module
+            regions = _memo(composition).regions
         starts, ids, shifts = regions(inst.harmony_names)
         for i, note in enumerate(inst.score.notes):
             shift = shifts[ids[bisect_right(starts, note.interval.start) - 1]]

@@ -11,12 +11,20 @@ Region shifts: the tone boundaries of a binding, the harmonies an
 instrument follows, cut time into regions over which the product
 ``m1 * ... * mn`` is one exact shift.  :func:`resolve_composition`,
 :func:`frequency_table` and :func:`export_table` read it from one region
-list per distinct binding in the call, so resolving a note is a bisect
-and a multiply.  Building that list costs one pass over the levels per
-region start, and one exact product per new tuple of active keys.
-Instruments with the same scale and binding also share each exact
-pitch, each region's table rows and their text, computed once per call;
-nothing is kept between calls.
+list per distinct binding, so resolving a note is a bisect and a
+multiply.  Building that list costs one pass over the levels per region
+start, and one exact product per new tuple of active keys.  Instruments
+with the same scale and binding also share each exact pitch, each
+region's table rows and their text.
+
+Reuse: that work is kept for the composition of the most recent call,
+so calls on the same composition share it; and
+:func:`resolve_composition` keeps the events of its most recent call
+that returned, so a re-resolve after an edit of one transposition tone
+builds only the events of notes whose region shift changed.  Each call
+replaces what it finds with its own, so what is kept is one score's.
+Every result equals a cold call's, and sharing it is safe because
+compositions, events and rows are immutable.
 
 Listings: this module owns the two texts ``dtseq resolve`` prints,
 :func:`export_events` and :func:`export_table`; each is built with one
@@ -47,7 +55,7 @@ class ResolutionError(Exception):
         self.level = level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # the resolver keeps its last events: no dict each
 class ResolvedEvent:
     """One playable sound: exact pitch factor plus real-time placement."""
 
@@ -119,11 +127,13 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...]
 
 
 class _Memo:
-    """One call's work by binding, shared by every instrument that has
-    it: the :func:`_regions` triple of each tuple of harmony names, and
-    under each (scale name, harmony names) a memo of each kind of result
-    built from those regions.  Each call builds its own, so nothing
-    outlives it."""
+    """The work by binding on one composition, shared by every instrument
+    that has it: the :func:`_regions` triple of each tuple of harmony
+    names, and under each (scale name, harmony names) a memo of each kind
+    of result built from those regions.  :func:`_memo` keeps the one of
+    the most recent composition, so calls on the same composition share
+    it; every entry is computed from the composition alone, and the
+    composition is immutable."""
 
     def __init__(self, composition: Composition):
         self.composition = composition
@@ -141,6 +151,27 @@ class _Memo:
         """The memo of ``kind`` for ``instrument``'s scale and binding."""
         return self._shared.setdefault((kind, instrument.scale_name,
                                         instrument.harmony_names), {})
+
+
+_last_memo: _Memo | None = None
+
+
+def _memo(composition: Composition) -> _Memo:
+    """The :class:`_Memo` of ``composition``: the kept one when it was
+    built for this very object, else a new one, which is kept instead."""
+    global _last_memo
+    memo = _last_memo
+    if memo is None or memo.composition is not composition:
+        memo = _last_memo = _Memo(composition)
+    return memo
+
+
+# The events of the most recent resolve_composition call that returned, by
+# instrument name: (base, tempo, ppq, scale keys and region starts; the
+# notes; each region's shift id and the distinct shifts; the events in
+# note order).  Each call fills a new dict and only then puts it here, so
+# a call running in another thread reads a finished one.
+_last_events: dict[str, tuple] = {}
 
 
 def resolve_note(composition: Composition, instrument: Instrument,
@@ -191,20 +222,45 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
     by (start, instrument name, frequency, velocity).  Notes with equal
     keys and region shifts share one factor and one float conversion,
     across instruments with the same scale and binding too.
+
+    An instrument whose name, notes, scale keys and region starts, and
+    the base, tempo and ppq, equal those of the previous call that
+    returned reuses that call's event for each note whose region has the
+    same shift; every other note is resolved, and may raise, as in a cold
+    call.  A call that raises keeps nothing.
     """
-    memo = _Memo(composition)
+    global _last_events
+    memo = _memo(composition)
     base, seconds = memo.base, composition.seconds
+    per_instrument: dict[str, tuple] = {}
     events: list[ResolvedEvent] = []
     for inst in composition.instruments:
         scale = composition.scales.get(inst.scale_name)
         keys = scale.keys if scale else ()
         starts, ids, shifts = memo.regions(inst.harmony_names)
+        key = (composition.base_frequency_hz, composition.tempo_bpm,
+               composition.ticks_per_beat, keys, starts)
+        notes = inst.score.notes
+        # same[r]: region r has the shift it had in the previous call, whose
+        # events for notes with their onset in it are still right
+        same, kept = (), _last_events.get(inst.name)
+        if kept is not None and kept[0] == key and kept[1] == notes:
+            # shifts are reduced, so equal ones have equal ratios, which hash fast
+            was = {shift.as_integer_ratio(): i for i, shift in enumerate(kept[3])}
+            was_id = [was.get(shift.as_integer_ratio(), -1) for shift in shifts]  # -1: new
+            same = [sid is not None and was_id[sid] == old for sid, old in zip(ids, kept[2])]
+            reused = kept[4]
         # (key index, shift id) -> (factor, frequency); an entry is valid
         # for every instrument with this scale and binding
         pitches = memo.shared(inst, "pitches")
-        for i, note in enumerate(inst.score.notes):
+        first = len(events)
+        for i, note in enumerate(notes):
             onset = note.interval.start
-            sid = ids[bisect_right(starts, onset) - 1]
+            region = bisect_right(starts, onset) - 1
+            if same and same[region]:
+                events.append(reused[i])
+                continue
+            sid = ids[region]
             pitch = pitches.get((note.key_index, sid))
             if pitch is None:  # first note at this key and shift: check it
                 if sid is None or note.key_index >= len(keys):
@@ -217,7 +273,9 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
                 pitch = pitches[note.key_index, sid] = (factor, _hz(base, factor))
             events.append(ResolvedEvent(inst.name, *pitch, seconds(onset),
                                         seconds(note.interval.duration), note.velocity))
+        per_instrument[inst.name] = (key, notes, ids, shifts, events[first:])
     events.sort(key=lambda e: (e.start_sec, e.instrument, e.frequency_hz, e.velocity))
+    _last_events = per_instrument
     return events
 
 
@@ -248,6 +306,7 @@ def _table(memo: _Memo, inst: Instrument
     scale = composition.scales.get(inst.scale_name)
     starts, ids, shifts = memo.regions(inst.harmony_names)
     rows_of = memo.shared(inst, "rows")
+    pitches = memo.shared(inst, "pitches")  # as in resolve_composition
     table = []
     for lo, hi, sid in zip(starts, starts[1:], ids):
         if lo >= composition.length_ticks:
@@ -257,8 +316,14 @@ def _table(memo: _Memo, inst: Instrument
         rows = rows_of.get(sid)
         if rows is None:
             shift = shifts[sid]
-            rows = rows_of[sid] = tuple(TableRow(i, factor, _hz(memo.base, factor)) for i, factor
-                                        in enumerate(key * shift for key in scale.keys))
+            rows = []
+            for i, key in enumerate(scale.keys):
+                pitch = pitches.get((i, sid))
+                if pitch is None:
+                    factor = key * shift
+                    pitch = pitches[i, sid] = (factor, _hz(memo.base, factor))
+                rows.append(TableRow(i, *pitch))
+            rows = rows_of[sid] = tuple(rows)
         table.append((lo, hi, sid, rows))
     return table
 
@@ -274,7 +339,7 @@ def frequency_table(composition: Composition, instrument_name: str) -> list[Tabl
     instrument name.
     """
     inst = composition.instrument(instrument_name)
-    return [TableRegion(lo, hi, rows) for lo, hi, _, rows in _table(_Memo(composition), inst)]
+    return [TableRegion(lo, hi, rows) for lo, hi, _, rows in _table(_memo(composition), inst)]
 
 
 def export_events(events: Iterable[ResolvedEvent]) -> str:
@@ -297,7 +362,7 @@ def export_table(composition: Composition) -> str:
     """Tab-separated :func:`frequency_table` of every instrument, one line
     per key per region after a header; ticks print as ``[start,end)`` and
     factors and frequencies as in :func:`export_events`."""
-    memo = _Memo(composition)
+    memo = _memo(composition)
     lines = ["instrument\tticks\tkey\tfactor\tfrequency_hz"]
     for inst in composition.instruments:
         texts = memo.shared(inst, "texts")  # shift id -> its rows after the ticks

@@ -1,6 +1,7 @@
 """Shared test fixtures: the reference score, a brute-force frequency
-oracle, a randomized composition generator, ratios too long for the
-interpreter's int-to-string digit limit, and a parse with nothing reused.
+oracle, a randomized composition generator and editor, ratios too long
+for the interpreter's int-to-string digit limit, and a parse, validate
+and resolve with nothing reused.
 
 The oracle deliberately avoids the library's lookup code: it finds the
 active tone of each level by linear scan at every single tick, so any
@@ -26,7 +27,7 @@ from dtseq import (
     TimeInterval,
     TranspositionTone,
 )
-from dtseq import scorefile
+from dtseq import model, resolve, scorefile
 
 REFERENCE_SCORE = """\
 # header
@@ -78,6 +79,23 @@ def cold_parse(text):
     fresh process."""
     scorefile._last_events = {}
     return scorefile.parse(text)
+
+
+def cold_validate(composition):
+    """``validate_composition`` with nothing kept from an earlier call of
+    it or of the resolver, as in a fresh process."""
+    model._last_findings = {}
+    resolve._last_memo = None
+    return model.validate_composition(composition)
+
+
+def cold_resolve(call, composition, *args):
+    """``call(composition, *args)``, a function of :mod:`dtseq.resolve`,
+    with nothing kept from an earlier resolver call, as in a fresh
+    process."""
+    resolve._last_events = {}
+    resolve._last_memo = None
+    return call(composition, *args)
 
 
 def outcome(result):
@@ -303,3 +321,117 @@ def broken_composition(rng: random.Random, composition: Composition) -> Composit
     return Composition(
         composition.base_frequency_hz, composition.ticks_per_beat,
         composition.tempo_bpm, length, composition.scales, harmonies, instruments)
+
+
+EDITS = ("tone key", "tone timing", "add note", "drop note", "move note", "scale key",
+         "base", "tempo", "ppq", "length", "rename instrument", "duplicate name",
+         "instrument scale", "rename scale", "rename harmony")
+
+
+def edited_composition(rng: random.Random, composition: Composition, edit: str) -> Composition:
+    """A copy of ``composition`` with one edit of the kind ``edit`` (one of
+    :data:`EDITS`), which may break it; every object the edit does not
+    touch is shared.  Unchanged when the composition has nothing to edit."""
+    base, ppq, tempo = (composition.base_frequency_hz, composition.ticks_per_beat,
+                        composition.tempo_bpm)
+    length = composition.length_ticks
+    scales, harmonies = dict(composition.scales), dict(composition.harmonies)
+    instruments = list(composition.instruments)
+    if edit in ("tone key", "tone timing") and harmonies:
+        h = harmonies[rng.choice(sorted(harmonies))]
+        tones = list(h.tones)
+        i = rng.randrange(len(tones))
+        key, span = tones[i].key_index, tones[i].interval
+        if edit == "tone key":
+            key = rng.randrange(len(scales[h.scale_name]) + 1 if h.scale_name in scales else 4)
+        elif i + 1 < len(tones) and rng.random() < 0.5:  # move a cut, keeping the timeline
+            nxt = tones[i + 1].interval
+            if nxt.end - span.start > 1:
+                cut = rng.randrange(span.start + 1, nxt.end)
+                span = TimeInterval(span.start, cut - span.start)
+                tones[i + 1] = TranspositionTone(tones[i + 1].key_index,
+                                                 TimeInterval(cut, nxt.end - cut))
+        else:
+            span = TimeInterval(max(0, span.start + rng.randint(-30, 30)),
+                                max(1, span.duration + rng.randint(-30, 30)))
+        tones[i] = TranspositionTone(key, span)
+        harmonies[h.name] = HarmonicSequence(h.name, h.level, h.scale_name, tones)
+    elif edit.endswith(" note") and instruments:
+        j = rng.randrange(len(instruments))
+        inst = instruments[j]
+        notes = list(inst.score)
+        if notes and edit != "add note":
+            note = notes.pop(rng.randrange(len(notes)))
+            if edit == "move note":
+                start = rng.randrange(length)
+                notes.append(Note(note.key_index,
+                                  TimeInterval(start, rng.randint(1, length - start + 20)),
+                                  note.velocity))
+        elif edit == "add note":
+            start = rng.randrange(length + 10)
+            notes.append(Note(rng.randrange(7), TimeInterval(start, rng.randint(1, 60))))
+        instruments[j] = Instrument(inst.name, inst.scale_name, inst.harmony_names, notes)
+    elif edit == "scale key":
+        scale = scales[rng.choice(sorted(scales))]
+        keys = list(scale.keys)
+        spare = [Fraction(a, b) for a, b in RATIO_POOL + [(11, 8), (13, 8), (7, 6)]
+                 if Fraction(a, b) not in keys]
+        op = rng.randrange(3)
+        if op == 0:
+            keys[rng.randrange(len(keys))] = rng.choice(spare)
+        elif op == 1:
+            keys.append(rng.choice(spare))
+        elif len(keys) > 1:
+            del keys[rng.randrange(len(keys))]
+        scales[scale.name] = Scale(scale.name, keys)
+    elif edit == "base":
+        base = rng.choice([b for b in (110.0, 220.0, 261.63, 432.0, 440.0, 1e-320) if b != base])
+    elif edit == "tempo":
+        tempo = rng.choice([t for t in (60.0, 90.0, 120.0, 140.0, 1e308) if t != tempo])
+    elif edit == "ppq":
+        ppq = rng.choice([q for q in (96, 240, 480, 960) if q != ppq])
+    elif edit == "length":
+        length = max(1, length + rng.choice([-1, 1]) * rng.randint(1, max(1, length // 2)))
+    elif edit in ("rename instrument", "duplicate name", "instrument scale") and instruments:
+        j = rng.randrange(len(instruments))
+        inst = instruments[j]
+        name, scale_name = inst.name, inst.scale_name
+        if edit == "rename instrument":
+            name = f"{name}x"
+        elif edit == "duplicate name":
+            name = rng.choice(instruments).name
+        else:
+            scale_name = rng.choice(sorted(scales) + ["nosuch"])
+        instruments[j] = Instrument(name, scale_name, inst.harmony_names, inst.score)
+    elif edit == "rename scale":
+        old = rng.choice(sorted(scales))
+        new = f"{old}x"
+        scales = {(new if k == old else k): (Scale(new, v.keys) if k == old else v)
+                  for k, v in scales.items()}
+        harmonies = {k: (HarmonicSequence(k, h.level, new, h.tones) if h.scale_name == old else h)
+                     for k, h in harmonies.items()}
+        instruments = [Instrument(i.name, new, i.harmony_names, i.score)
+                       if i.scale_name == old else i for i in instruments]
+    elif edit == "rename harmony" and harmonies:
+        old = rng.choice(sorted(harmonies))
+        new = f"{old}x"
+        harmonies = {(new if k == old else k):
+                     (HarmonicSequence(new, h.level, h.scale_name, h.tones) if k == old else h)
+                     for k, h in harmonies.items()}
+        instruments = [Instrument(i.name, i.scale_name,
+                                  [new if n == old else n for n in i.harmony_names], i.score)
+                       if old in i.harmony_names else i for i in instruments]
+    return Composition(base, ppq, tempo, length, scales, harmonies, instruments)
+
+
+def edit_pairs(seed: int, count: int):
+    """``count`` triples ``(a, b, edit)``: a random composition ``a``, every
+    other one broken, and ``b``, ``a`` after one edit, taking each kind of
+    :data:`EDITS` in turn."""
+    rng = random.Random(seed)
+    for n in range(count):
+        a = random_composition(rng, max_ticks=2000, max_notes=12, min_instruments=1)
+        if n % 2:
+            a = broken_composition(rng, a)
+        edit = EDITS[n % len(EDITS)]
+        yield a, edited_composition(rng, a, edit), edit

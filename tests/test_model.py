@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,16 @@ from dtseq import (
     serialize,
     validate_composition,
 )
+from dtseq import model as model_module
 from dtseq.model import ERROR, WARNING, Violation
-from support import REFERENCE_SCORE, broken_composition, random_composition
+from support import (
+    REFERENCE_SCORE,
+    broken_composition,
+    cold_validate,
+    edit_pairs,
+    int_digit_limit,
+    random_composition,
+)
 
 
 def tone(key, start, duration):
@@ -611,3 +620,77 @@ class TestConstructors:
         with pytest.raises(error) as exc:
             build()
         assert type(exc.value) is error and str(exc.value) == message
+
+
+def long_int_composition():
+    """Every number validate writes into a message, 5,001 digits long."""
+    big = 10 ** 5000
+    half = big // 2
+    return Composition(
+        440.0, 480, 120.0, big,
+        scales=[Scale("s", ["1/1", "3/2"])],
+        harmonies=[HarmonicSequence("h", 1, "s", [tone(0, 0, half), tone(big, half, half)]),
+                   HarmonicSequence("g", big, "s", [tone(0, 0, half), tone(0, big, 1)])],
+        instruments=[Instrument("v", "s", ["h", "g"], [
+            Note(big, TimeInterval(0, 1)),           # outside its scale
+            Note(1, TimeInterval(half - 1, 2)),      # crosses h's boundary at half
+            Note(0, TimeInterval(big - 1, 2))])])    # ends past the length
+
+
+class TestLongIntegers:
+    """Numbers longer than ``sys.get_int_max_str_digits()`` allows ``str``
+    to write: validate reports them instead of raising ValueError."""
+
+    def expected(self):
+        with int_digit_limit(0):
+            return [(v.kind, v.path, v.message) for v in cold_validate(long_int_composition())]
+
+    @pytest.mark.parametrize("limit", [getattr(sys.int_info, "default_max_str_digits", 4300),
+                                       640])
+    def test_report_reads_the_same_under_any_digit_limit(self, limit):
+        expected = self.expected()
+        big = 10 ** 5000
+        with int_digit_limit(0):
+            assert [(kind, path) for kind, path, _ in expected] == [
+                ("range", "harmony h tone 1"),
+                ("range", "harmony g tone 1"),
+                ("gap", "harmony g tones 0..1"),
+                ("span", "harmony g tone 1"),
+                ("level-gap", "instrument v harmony g"),
+                ("range", "instrument v note 0"),
+                ("boundary-crossing", "instrument v note 1"),
+                ("range", "instrument v note 2")]
+            assert expected[-1][2] == (f"interval [{big - 1}, {big + 1}) "
+                                       f"exceeds composition length {big}")
+        with int_digit_limit(limit):
+            assert [(v.kind, v.path, v.message)
+                    for v in cold_validate(long_int_composition())] == expected
+        with int_digit_limit(0):  # findings kept under no limit read the same under 640
+            validate_composition(long_int_composition())
+        with int_digit_limit(limit):
+            assert [(v.kind, v.path, v.message)
+                    for v in validate_composition(long_int_composition())] == expected
+
+
+class TestWarmValidate:
+    """A validation that reuses the previous call's findings reports what
+    a cold one does."""
+
+    def test_edit_after_validation_equals_cold(self):
+        reused = 0
+        for a, b, edit in edit_pairs(71, 600):
+            expected = cold_validate(b)
+            first = cold_validate(a)
+            report = validate_composition(b)
+            assert report == expected, edit
+            assert validate_composition(b) == expected, edit
+            reused += bool({id(v) for v in first} & {id(v) for v in report})
+        assert reused > 100
+
+    def test_findings_of_one_score_are_kept(self):
+        rng = random.Random(5)
+        comp = random_composition(rng, min_instruments=3, min_notes=3)
+        validate_composition(comp)
+        assert sorted(model_module._last_findings) == sorted(i.name for i in comp.instruments)
+        validate_composition(Composition(440.0, 480, 120.0, 10))
+        assert model_module._last_findings == {}

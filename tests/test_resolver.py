@@ -1,5 +1,6 @@
-import dataclasses
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -30,9 +31,14 @@ from dtseq import resolve as resolve_module
 from dtseq.rational import ratio_text
 from dtseq.resolve import _hz, export_table
 from support import (
+    EDITS,
     REFERENCE_SCORE,
     all_level_factors,
     broken_composition,
+    cold_resolve,
+    cold_validate,
+    edit_pairs,
+    edited_composition,
     oracle_note_factor,
     random_composition,
     scaled_tone_composition,
@@ -658,14 +664,14 @@ def test_table_errors_equal_reference(cls, seed):
     assert errors > 40 and unknown_scales > 3
 
 
-def two_binding_composition():
+def two_binding_composition(base: float = 440.0):
     """Four instruments under two bindings; v2 has v0's binding under
     another scale."""
     h1a, h1b = ([TranspositionTone(k, TimeInterval(i * 240, 240)) for i, k in enumerate(keys)]
                 for keys in ([0, 1, 2, 1], [2, 0, 0, 1]))
     notes = [Note(k % 2, TimeInterval(t, 180)) for k, t in enumerate(range(0, 720, 120))]
     return Composition(
-        440.0, 480, 120.0, 960,
+        base, 480, 120.0, 960,
         scales=[Scale("inst", ["1/1", "5/4"]), Scale("other", ["1/1", "6/5"]),
                 Scale("t", ["1/1", "3/2", "2/1"])],
         harmonies=[HarmonicSequence("h1a", 1, "t", h1a), HarmonicSequence("h1b", 1, "t", h1b),
@@ -676,15 +682,16 @@ def two_binding_composition():
                      Instrument("v3", "inst", ["h1b", "h2"], notes[::2])])
 
 
-@pytest.mark.parametrize("call,bindings", [
-    (resolve_composition, [("h1a", "h2"), ("h1b", "h2")]),
-    (export_table, [("h1a", "h2"), ("h1b", "h2")]),
-    (lambda comp: frequency_table(comp, "v3"), [("h1b", "h2")]),
+@pytest.mark.parametrize("call,base,bindings", [
+    (resolve_composition, 440.0, [("h1a", "h2"), ("h1b", "h2")]),
+    (export_table, 440.0, [("h1a", "h2"), ("h1b", "h2")]),
+    (lambda comp: frequency_table(comp, "v3"), 440.0, [("h1b", "h2")]),
     # every frequency underflows, so the validator walks every instrument
-    (lambda comp: validate_composition(dataclasses.replace(comp, base_frequency_hz=1e-320)),
-     [("h1a", "h2"), ("h1b", "h2")]),
+    (validate_composition, 1e-320, [("h1a", "h2"), ("h1b", "h2")]),
 ], ids=["resolve", "export-table", "frequency-table", "validate-underflow"])
-def test_regions_are_walked_once_per_binding(monkeypatch, call, bindings):
+def test_regions_are_walked_once_per_binding(monkeypatch, call, base, bindings):
+    """Once per binding on a composition first seen, and not at all on
+    the one seen last."""
     walked = []
     regions = resolve_module._regions
 
@@ -692,11 +699,14 @@ def test_regions_are_walked_once_per_binding(monkeypatch, call, bindings):
         walked.append(harmony_names)
         return regions(composition, harmony_names)
 
-    comp = two_binding_composition()
-    expected = call(comp)
+    expected = call(two_binding_composition(base))
     monkeypatch.setattr(resolve_module, "_regions", counted)
+    comp = two_binding_composition(base)
     assert call(comp) == expected
     assert sorted(walked) == bindings
+    walked.clear()
+    assert call(comp) == expected
+    assert walked == []
 
 
 def float_outcome(fn, *args):
@@ -712,3 +722,101 @@ def float_outcome(fn, *args):
 def test_hz_is_the_float_of_the_exact_product(base, num, den):
     base, factor = Fraction(base), Fraction(num, den)
     assert float_outcome(_hz, base, factor) == float_outcome(lambda: float(base * factor))
+
+
+def shared(first, then):
+    """Whether two results share an object, as a reused one does."""
+    return (isinstance(first, list) and isinstance(then, list)
+            and bool({id(x) for x in first} & {id(x) for x in then}))
+
+
+class TestWarmEqualsCold:
+    """Resolving, tabulating and validating an edit of the previous
+    composition, reusing what the previous calls kept, gives what a
+    fresh process gives."""
+
+    def test_resolve_after_an_edit(self):
+        reused = 0
+        for a, b, edit in edit_pairs(72, 600):
+            expected = outcome(cold_resolve, resolve_composition, b)
+            first = outcome(cold_resolve, resolve_composition, a)
+            events = outcome(resolve_composition, b)
+            assert events == expected, edit
+            assert outcome(resolve_composition, b) == expected, edit
+            reused += shared(first, events)
+        assert reused > 150
+
+    @staticmethod
+    def calls(composition):
+        """(what, call) of every call on ``composition``: validate, resolve,
+        the table listing and the table of each instrument."""
+        return [("validate", validate_composition), ("resolve", resolve_composition),
+                ("listing", export_table)] + [
+                    (inst.name, lambda comp, name=inst.name: frequency_table(comp, name))
+                    for inst in composition.instruments]
+
+    def test_every_call_on_an_edit_in_any_order(self):
+        rng = random.Random(73)
+        for a, b, edit in edit_pairs(74, 450):
+            calls = self.calls(b)
+            expected = {what: cold_validate(b) if what == "validate"
+                        else outcome(cold_resolve, call, b) for what, call in calls}
+            cold_validate(a)
+            outcome(cold_resolve, resolve_composition, a)
+            for _, call in self.calls(a)[2:]:  # the tables, after a cold resolve
+                outcome(call, a)
+            rng.shuffle(calls)
+            for what, call in calls:
+                assert outcome(call, b) == expected[what], (edit, what)
+
+    def test_a_call_that_raises_keeps_nothing(self):
+        rng = random.Random(75)
+        raised = 0
+        for a, b, _ in edit_pairs(76, 300):
+            if not isinstance(outcome(cold_resolve, resolve_composition, b), tuple):
+                continue
+            raised += 1
+            c = edited_composition(rng, a, rng.choice(EDITS))
+            expected = outcome(cold_resolve, resolve_composition, c)
+            outcome(cold_resolve, resolve_composition, a)
+            kept = resolve_module._last_events
+            assert isinstance(outcome(resolve_composition, b), tuple)
+            assert resolve_module._last_events is kept
+            assert outcome(resolve_composition, c) == expected
+        assert raised > 50
+
+    def test_events_of_one_score_are_kept(self):
+        comp = two_binding_composition()
+        resolve_composition(comp)
+        assert sorted(resolve_module._last_events) == ["v0", "v1", "v2", "v3"]
+        assert resolve_module._last_memo.composition is comp
+        resolve_composition(Composition(440.0, 480, 120.0, 10))
+        assert resolve_module._last_events == {}
+
+    def test_calls_in_threads_equal_cold_calls(self):
+        pairs = list(edit_pairs(78, 8))
+        comps = [comp for pair in pairs for comp in pair[:2]]
+        calls = (validate_composition, resolve_composition, export_table)
+        expected = [[cold_validate(comp) if call is validate_composition
+                     else outcome(cold_resolve, call, comp) for call in calls] for comp in comps]
+        wrong = []
+
+        def work(offset):
+            for i in range(40):
+                k = (offset + i) % len(comps)
+                for j, call in enumerate(calls):
+                    if outcome(call, comps[k]) != expected[k][j]:
+                        wrong.append((k, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
