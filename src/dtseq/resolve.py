@@ -17,14 +17,12 @@ start, and one exact product per new tuple of active keys.  Instruments
 with the same scale and binding also share each exact pitch, each
 region's table rows and their text.
 
-Reuse: that work is kept for the composition of the most recent call,
-so calls on the same composition share it; and
-:func:`resolve_composition` keeps the events of its most recent call
-that returned, so a re-resolve after an edit of one transposition tone
-builds only the events of notes whose region shift changed.  Each call
-replaces what it finds with its own, so what is kept is one score's.
-Every result equals a cold call's, and sharing it is safe because
-compositions, events and rows are immutable.
+Reuse: that work, and the events of the last :func:`resolve_composition`
+call that returned, is kept for the most recent composition, and the
+memo of a new one starts from it: a result built from the same objects,
+or from equal values under an unchanged base and scale, is reused.
+Every result equals a cold call's; compositions, events and rows are
+immutable, so sharing them is safe.
 
 Listings: this module owns the two texts ``dtseq resolve`` prints,
 :func:`export_events` and :func:`export_table`; each is built with one
@@ -79,6 +77,14 @@ def _hz(base: Fraction, factor: Fraction) -> float:
     return base.numerator * factor.numerator / (base.denominator * factor.denominator)
 
 
+def _frequency(instrument: Instrument, base: Fraction, factor: Fraction) -> float:
+    """:func:`_hz`, with a :class:`ResolutionError` for its OverflowError."""
+    try:
+        return _hz(base, factor)
+    except OverflowError:
+        raise _error(instrument, 0, "resolved frequency is beyond the float range") from None
+
+
 def _regions(composition: Composition, harmony_names: tuple[str, ...]
              ) -> tuple[list[int], list[int | None], list[Fraction]]:
     """Region starts of the binding ``harmony_names`` (0, the length and
@@ -129,17 +135,30 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...]
 class _Memo:
     """The work by binding on one composition, shared by every instrument
     that has it: the :func:`_regions` triple of each tuple of harmony
-    names, and under each (scale name, harmony names) a memo of each kind
-    of result built from those regions.  :func:`_memo` keeps the one of
-    the most recent composition, so calls on the same composition share
-    it; every entry is computed from the composition alone, and the
-    composition is immutable."""
+    names, a memo of each kind of result built from them under each
+    (kind, scale name, harmony names), and ``events``, those of the last
+    :func:`resolve_composition` on it that returned.  ``last``, the memo
+    this one replaces, lends it copies, never itself: its events as
+    ``kept`` under equal tempo and ppq, and under an equal base each
+    result memo whose scale keys are equal, for :meth:`shared`."""
 
-    def __init__(self, composition: Composition):
-        self.composition = composition
-        self.base = Fraction(composition.base_frequency_hz)
+    def __init__(self, composition: Composition, last: _Memo | None = None):
+        self.composition, self.base = composition, Fraction(composition.base_frequency_hz)
         self._regions: dict[tuple[str, ...], tuple] = {}
         self._shared: dict[tuple, dict] = {}
+        self.events: dict[str, tuple] = {}  # instrument name -> (notes, their events)
+        self.kept, self._last = {}, {}      # _last: key of _shared -> (shifts, results)
+        was = last.composition if last else None
+        if was and (was.tempo_bpm, was.ticks_per_beat) == (composition.tempo_bpm,
+                                                           composition.ticks_per_beat):
+            self.kept = last.events
+        if was and last.base == self.base:
+            # one-step copies, as other threads may add to them; a result follows its regions
+            shared, regions = last._shared.copy(), last._regions.copy()
+            for key, results in shared.items():
+                scale, old = composition.scales.get(key[1]), was.scales.get(key[1])
+                if scale and old and scale.keys == old.keys and key[2] in regions:
+                    self._last[key] = (regions[key[2]][2], results.copy())
 
     def regions(self, harmony_names: tuple[str, ...]
                 ) -> tuple[list[int], list[int | None], list[Fraction]]:
@@ -148,9 +167,20 @@ class _Memo:
         return self._regions[harmony_names]
 
     def shared(self, instrument: Instrument, kind: str) -> dict:
-        """The memo of ``kind`` for ``instrument``'s scale and binding."""
-        return self._shared.setdefault((kind, instrument.scale_name,
-                                        instrument.harmony_names), {})
+        """The memo of ``kind`` for ``instrument``'s scale and binding, keyed
+        by shift id (pitches by key and shift id), begun with ``last``'s."""
+        key = (kind, instrument.scale_name, instrument.harmony_names)
+        if key not in self._shared:
+            shifts, old = self._last.get(key, ((), {}))
+            index = {shift.as_integer_ratio(): i for i, shift in  # reduced: equal ratios
+                     enumerate(self.regions(instrument.harmony_names)[2] if old else ())}
+            new = [index.get(shift.as_integer_ratio()) for shift in shifts]  # old id -> new
+            if kind == "pitches":
+                results = {(k, new[s]): v for (k, s), v in old.items() if new[s] is not None}
+            else:
+                results = {new[s]: v for s, v in old.items() if new[s] is not None}
+            self._shared.setdefault(key, results)
+        return self._shared[key]
 
 
 _last_memo: _Memo | None = None
@@ -158,20 +188,12 @@ _last_memo: _Memo | None = None
 
 def _memo(composition: Composition) -> _Memo:
     """The :class:`_Memo` of ``composition``: the kept one when it was
-    built for this very object, else a new one, which is kept instead."""
+    built for this very object, else a new one from it, kept instead."""
     global _last_memo
     memo = _last_memo
     if memo is None or memo.composition is not composition:
-        memo = _last_memo = _Memo(composition)
+        memo = _last_memo = _Memo(composition, memo)
     return memo
-
-
-# The events of the most recent resolve_composition call that returned, by
-# instrument name: (base, tempo, ppq, scale keys and region starts; the
-# notes; each region's shift id and the distinct shifts; the events in
-# note order).  Each call fills a new dict and only then puts it here, so
-# a call running in another thread reads a finished one.
-_last_events: dict[str, tuple] = {}
 
 
 def resolve_note(composition: Composition, instrument: Instrument,
@@ -209,7 +231,7 @@ def resolve_note(composition: Composition, instrument: Instrument,
                                             f"scale {hscale.name!r}")
         factor *= hscale.keys[tone.key_index]
     return ResolvedEvent(instrument.name, factor,
-                         _hz(Fraction(composition.base_frequency_hz), factor),
+                         _frequency(instrument, Fraction(composition.base_frequency_hz), factor),
                          composition.seconds(onset),
                          composition.seconds(note.interval.duration), note.velocity)
 
@@ -223,59 +245,44 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
     keys and region shifts share one factor and one float conversion,
     across instruments with the same scale and binding too.
 
-    An instrument whose name, notes, scale keys and region starts, and
-    the base, tempo and ppq, equal those of the previous call that
-    returned reuses that call's event for each note whose region has the
-    same shift; every other note is resolved, and may raise, as in a cold
-    call.  A call that raises keeps nothing.
+    A kept event is reused at its place in the instrument of its name when
+    that is the very note object it was built from and the note's pitch the
+    very tuple it took; every other note is resolved, and may raise, as in
+    a cold call.  A call that raises keeps no events.
     """
-    global _last_events
     memo = _memo(composition)
-    base, seconds = memo.base, composition.seconds
+    base, seconds, last = memo.base, composition.seconds, memo.events or memo.kept
     per_instrument: dict[str, tuple] = {}
     events: list[ResolvedEvent] = []
     for inst in composition.instruments:
         scale = composition.scales.get(inst.scale_name)
         keys = scale.keys if scale else ()
         starts, ids, shifts = memo.regions(inst.harmony_names)
-        key = (composition.base_frequency_hz, composition.tempo_bpm,
-               composition.ticks_per_beat, keys, starts)
+        was_notes, was_events = last.get(inst.name, ((), ()))
         notes = inst.score.notes
-        # same[r]: region r has the shift it had in the previous call, whose
-        # events for notes with their onset in it are still right
-        same, kept = (), _last_events.get(inst.name)
-        if kept is not None and kept[0] == key and kept[1] == notes:
-            # shifts are reduced, so equal ones have equal ratios, which hash fast
-            was = {shift.as_integer_ratio(): i for i, shift in enumerate(kept[3])}
-            was_id = [was.get(shift.as_integer_ratio(), -1) for shift in shifts]  # -1: new
-            same = [sid is not None and was_id[sid] == old for sid, old in zip(ids, kept[2])]
-            reused = kept[4]
-        # (key index, shift id) -> (factor, frequency); an entry is valid
-        # for every instrument with this scale and binding
-        pitches = memo.shared(inst, "pitches")
+        pitches = memo.shared(inst, "pitches")  # (factor, frequency) of (key, shift id)
         first = len(events)
         for i, note in enumerate(notes):
             onset = note.interval.start
-            region = bisect_right(starts, onset) - 1
-            if same and same[region]:
-                events.append(reused[i])
-                continue
-            sid = ids[region]
+            sid = ids[bisect_right(starts, onset) - 1]
             pitch = pitches.get((note.key_index, sid))
             if pitch is None:  # first note at this key and shift: check it
-                if sid is None or note.key_index >= len(keys):
-                    try:
+                try:
+                    if sid is None or note.key_index >= len(keys):
                         resolve_note(composition, inst, note)  # raises
-                    except ResolutionError as exc:
-                        raise ResolutionError(f"note {i} of {exc}", instrument=exc.instrument,
-                                              level=exc.level) from exc
-                factor = keys[note.key_index] * shifts[sid]
-                pitch = pitches[note.key_index, sid] = (factor, _hz(base, factor))
-            events.append(ResolvedEvent(inst.name, *pitch, seconds(onset),
-                                        seconds(note.interval.duration), note.velocity))
-        per_instrument[inst.name] = (key, notes, ids, shifts, events[first:])
+                    factor = keys[note.key_index] * shifts[sid]
+                    pitch = pitches[note.key_index, sid] = (factor, _frequency(inst, base, factor))
+                except ResolutionError as exc:
+                    raise ResolutionError(f"note {i} of {exc}", instrument=exc.instrument,
+                                          level=exc.level) from exc
+            if i < len(was_notes) and was_notes[i] is note and was_events[i].factor is pitch[0]:
+                events.append(was_events[i])
+            else:
+                events.append(ResolvedEvent(inst.name, *pitch, seconds(onset),
+                                            seconds(note.interval.duration), note.velocity))
+        per_instrument[inst.name] = (notes, events[first:])
     events.sort(key=lambda e: (e.start_sec, e.instrument, e.frequency_hz, e.velocity))
-    _last_events = per_instrument
+    memo.events = per_instrument
     return events
 
 
@@ -306,7 +313,6 @@ def _table(memo: _Memo, inst: Instrument
     scale = composition.scales.get(inst.scale_name)
     starts, ids, shifts = memo.regions(inst.harmony_names)
     rows_of = memo.shared(inst, "rows")
-    pitches = memo.shared(inst, "pitches")  # as in resolve_composition
     table = []
     for lo, hi, sid in zip(starts, starts[1:], ids):
         if lo >= composition.length_ticks:
@@ -315,15 +321,9 @@ def _table(memo: _Memo, inst: Instrument
             resolve_note(composition, inst, Note(0, TimeInterval(lo, 1)))  # raises
         rows = rows_of.get(sid)
         if rows is None:
-            shift = shifts[sid]
-            rows = []
-            for i, key in enumerate(scale.keys):
-                pitch = pitches.get((i, sid))
-                if pitch is None:
-                    factor = key * shift
-                    pitch = pitches[i, sid] = (factor, _hz(memo.base, factor))
-                rows.append(TableRow(i, *pitch))
-            rows = rows_of[sid] = tuple(rows)
+            factors = [key * shifts[sid] for key in scale.keys]
+            rows = rows_of[sid] = tuple(TableRow(i, factor, _frequency(inst, memo.base, factor))
+                                        for i, factor in enumerate(factors))
         table.append((lo, hi, sid, rows))
     return table
 

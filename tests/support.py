@@ -93,7 +93,6 @@ def cold_resolve(call, composition, *args):
     """``call(composition, *args)``, a function of :mod:`dtseq.resolve`,
     with nothing kept from an earlier resolver call, as in a fresh
     process."""
-    resolve._last_events = {}
     resolve._last_memo = None
     return call(composition, *args)
 
@@ -325,7 +324,7 @@ def broken_composition(rng: random.Random, composition: Composition) -> Composit
 
 EDITS = ("tone key", "tone timing", "add note", "drop note", "move note", "scale key",
          "base", "tempo", "ppq", "length", "rename instrument", "duplicate name",
-         "instrument scale", "rename scale", "rename harmony")
+         "instrument scale", "rename scale", "rename harmony", "rebind")
 
 
 def edited_composition(rng: random.Random, composition: Composition, edit: str) -> Composition:
@@ -412,6 +411,12 @@ def edited_composition(rng: random.Random, composition: Composition, edit: str) 
                      for k, h in harmonies.items()}
         instruments = [Instrument(i.name, new, i.harmony_names, i.score)
                        if i.scale_name == old else i for i in instruments]
+    elif edit == "rebind" and instruments:  # another instrument's binding, or one level less
+        j = rng.randrange(len(instruments))
+        inst = instruments[j]
+        others = sorted({i.harmony_names for i in instruments} - {inst.harmony_names})
+        names = rng.choice(others) if others and rng.random() < 0.5 else inst.harmony_names[:-1]
+        instruments[j] = Instrument(inst.name, inst.scale_name, names, inst.score)
     elif edit == "rename harmony" and harmonies:
         old = rng.choice(sorted(harmonies))
         new = f"{old}x"

@@ -1,7 +1,9 @@
+import gc
 import random
 import sys
 import threading
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -724,6 +726,39 @@ def test_hz_is_the_float_of_the_exact_product(base, num, den):
     assert float_outcome(_hz, base, factor) == float_outcome(lambda: float(base * factor))
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_frequency_beyond_the_float_range_is_a_resolution_error(warm):
+    comp = Composition(1e308, 1, 60.0, 4, scales=[Scale("s", ["1/1", "4/1"])],
+                       instruments=[Instrument("a", "s", (), [Note(1, TimeInterval(0, 1))])])
+    assert [v.kind for v in validate_composition(comp)] == ["overflow", "overflow"]
+    inst = comp.instruments[0]
+    beyond = "instrument 'a': resolved frequency is beyond the float range"
+    for call, args, message in [(resolve_note, (inst, inst.score.notes[0]), beyond),
+                                (resolve_composition, (), f"note 0 of {beyond}"),
+                                (frequency_table, ("a",), beyond), (export_table, (), beyond)]:
+        got = outcome(call, comp, *args) if warm else outcome(cold_resolve, call, comp, *args)
+        assert got == ("error", message, "a", 0)
+
+
+def reachable(root):
+    """The ids of every object reachable from ``root`` through containers
+    and instances, but not through types, modules or functions."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(obj, (type, types.ModuleType,
+                                                         types.FunctionType)):
+            seen.add(id(obj))
+            todo.extend(gc.get_referents(obj))
+    return seen
+
+
+def region_rows(table):
+    """The rows of each region of a :func:`frequency_table` result, or
+    its error outcome."""
+    return [region.rows for region in table] if isinstance(table, list) else table
+
+
 def shared(first, then):
     """Whether two results share an object, as a reused one does."""
     return (isinstance(first, list) and isinstance(then, list)
@@ -769,7 +804,47 @@ class TestWarmEqualsCold:
             for what, call in calls:
                 assert outcome(call, b) == expected[what], (edit, what)
 
-    def test_a_call_that_raises_keeps_nothing(self):
+    def test_table_after_a_tone_key_edit_shares_rows(self):
+        rng = random.Random(81)
+        reused = 0
+        for _ in range(150):
+            a = random_composition(rng, max_ticks=2000, min_instruments=1, min_harmonic_levels=1)
+            b = edited_composition(rng, a, "tone key")
+            for inst in b.instruments:
+                expected = outcome(cold_resolve, frequency_table, b, inst.name)
+                first = outcome(cold_resolve, frequency_table, a, inst.name)
+                table = outcome(frequency_table, b, inst.name)
+                assert table == expected
+                reused += shared(region_rows(first), region_rows(table))
+        assert reused > 200
+
+    @pytest.mark.parametrize("edit", ["base", "scale key"])
+    def test_a_changed_base_or_scale_takes_nothing_over(self, edit):
+        """An instrument whose base or scale keys changed reuses none of
+        its events or table rows, and gets what a cold call gets."""
+        rng = random.Random(82)
+        checked = 0
+        for _ in range(150):
+            a = random_composition(rng, max_ticks=2000, min_instruments=1, min_notes=1)
+            b = edited_composition(rng, a, edit)
+            for inst in b.instruments:
+                keys = [comp.scales[inst.scale_name].keys for comp in (a, b)]
+                if edit == "scale key" and keys[0] == keys[1]:
+                    continue
+                expected = [outcome(cold_resolve, resolve_composition, b),
+                            outcome(cold_resolve, frequency_table, b, inst.name)]
+                first = [outcome(cold_resolve, resolve_composition, a),
+                         outcome(frequency_table, a, inst.name)]
+                got = [outcome(resolve_composition, b), outcome(frequency_table, b, inst.name)]
+                assert got == expected
+                if isinstance(got[0], list):
+                    assert not shared(*[[ev for ev in events if ev.instrument == inst.name]
+                                        for events in (first[0], got[0])])
+                assert not shared(region_rows(first[1]), region_rows(got[1]))
+                checked += isinstance(got[1], list)
+        assert checked > 100
+
+    def test_a_call_that_raises_keeps_no_events(self):
         rng = random.Random(75)
         raised = 0
         for a, b, _ in edit_pairs(76, 300):
@@ -779,19 +854,23 @@ class TestWarmEqualsCold:
             c = edited_composition(rng, a, rng.choice(EDITS))
             expected = outcome(cold_resolve, resolve_composition, c)
             outcome(cold_resolve, resolve_composition, a)
-            kept = resolve_module._last_events
             assert isinstance(outcome(resolve_composition, b), tuple)
-            assert resolve_module._last_events is kept
+            assert resolve_module._last_memo.composition is b
+            assert resolve_module._last_memo.events == {}
             assert outcome(resolve_composition, c) == expected
         assert raised > 50
 
-    def test_events_of_one_score_are_kept(self):
-        comp = two_binding_composition()
-        resolve_composition(comp)
-        assert sorted(resolve_module._last_events) == ["v0", "v1", "v2", "v3"]
-        assert resolve_module._last_memo.composition is comp
-        resolve_composition(Composition(440.0, 480, 120.0, 10))
-        assert resolve_module._last_events == {}
+    def test_nothing_of_an_older_score_is_kept(self):
+        """After resolving x, then y, then z, nothing of x that y does not
+        share is reachable from the kept memo."""
+        rng = random.Random(77)
+        for x, y, _ in edit_pairs(78, 120):
+            z = edited_composition(rng, y, rng.choice(EDITS))
+            x_events, y_events = (outcome(resolve_composition, comp) for comp in (x, y))
+            outcome(resolve_composition, z)
+            x_only = {id(x)} | {id(ev) for ev in x_events if isinstance(x_events, list)}
+            x_only -= {id(ev) for ev in y_events if isinstance(y_events, list)}
+            assert not x_only & reachable(resolve_module._last_memo)
 
     def test_calls_in_threads_equal_cold_calls(self):
         pairs = list(edit_pairs(78, 8))
@@ -802,11 +881,14 @@ class TestWarmEqualsCold:
         wrong = []
 
         def work(offset):
-            for i in range(40):
-                k = (offset + i) % len(comps)
-                for j, call in enumerate(calls):
-                    if outcome(call, comps[k]) != expected[k][j]:
-                        wrong.append((k, j))
+            try:
+                for i in range(40):
+                    k = (offset + i) % len(comps)
+                    for j, call in enumerate(calls):
+                        if outcome(call, comps[k]) != expected[k][j]:
+                            wrong.append((k, j))
+            except Exception as exc:  # a worker that raises fails the test too
+                wrong.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -466,10 +466,13 @@ class TestReuse:
         wrong = []
 
         def work(offset):
-            for i in range(60):
-                k = (offset + i) % len(texts)
-                if outcome(parse(texts[k])) != expected[k]:
-                    wrong.append(k)
+            try:
+                for i in range(60):
+                    k = (offset + i) % len(texts)
+                    if outcome(parse(texts[k])) != expected[k]:
+                        wrong.append(k)
+            except Exception as exc:  # a worker that raises fails the test too
+                wrong.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
