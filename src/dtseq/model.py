@@ -85,16 +85,19 @@ class TranspositionTone:
 class InstrumentScore:
     """The note timeline of one instrument.  Overlaps (chords) are allowed.
 
-    Canonical from any iterable of notes: exact duplicates dropped, then
-    sorted by (start, key_index, duration, velocity), so equal note sets
-    compare equal and every layer numbers the notes alike."""
+    Canonical from any iterable of notes: of equal notes only the first
+    is kept, told apart by (start, key_index, duration, velocity) without
+    hashing a note, and the notes are sorted by that tuple, so equal note
+    sets compare equal and every layer numbers the notes alike."""
 
     notes: tuple[Note, ...] = ()
 
     def __post_init__(self):
-        ordered = sorted(dict.fromkeys(self.notes), key=lambda n: (
-            n.interval.start, n.key_index, n.interval.duration, n.velocity))
-        object.__setattr__(self, "notes", tuple(ordered))
+        by_key: dict[tuple[int, int, int, int], Note] = {}
+        for note in self.notes:
+            span = note.interval
+            by_key.setdefault((span.start, note.key_index, span.duration, note.velocity), note)
+        object.__setattr__(self, "notes", tuple(map(by_key.__getitem__, sorted(by_key))))
 
     def normalized(self) -> "InstrumentScore":
         """The score itself, which is canonical from construction."""
@@ -266,10 +269,11 @@ class Violation:
 
 # The note-loop findings of the most recent validate_composition call, by
 # instrument name: (everything that loop read besides the notes, the notes,
-# the range and boundary-crossing violations it found, in order).  Each
-# call fills a new dict and only then puts it here, so a call running in
-# another thread reads a finished one.
-_last_findings: dict[str, tuple[tuple, tuple[Note, ...], list[Violation]]] = {}
+# the range and boundary-crossing violations it found, in order, and
+# whether one of them is an error).  Each call fills a new dict and only
+# then puts it here, so a call running in another thread reads a finished
+# one.
+_last_findings: dict[str, tuple[tuple, tuple[Note, ...], list[Violation], bool]] = {}
 
 
 def validate_composition(composition: Composition) -> list[Violation]:
@@ -345,9 +349,11 @@ def validate_composition(composition: Composition) -> list[Violation]:
                           f"last tone ends at {value_text(harmony.tones[-1].interval.end)}, "
                           f"not at composition length {length_text}"))
 
+    failed = any(v.severity == ERROR for v in report)  # the float-range gate
     seen_instruments: set[str] = set()
     for inst in composition.instruments:
         path = f"instrument {inst.name}"
+        mark = len(report)
         if inst.name in seen_instruments:
             add(Violation("duplicate-name", path, "instrument name already used"))
         seen_instruments.add(inst.name)
@@ -369,6 +375,7 @@ def validate_composition(composition: Composition) -> list[Violation]:
                               f"expected level {pos + 1} at position {pos}, "
                               f"got level {value_text(harmony.level)}"))
 
+        failed = failed or any(v.severity == ERROR for v in report[mark:])
         # A spanning timeline's starts strictly increase from 0, and the
         # length closes it, so the first boundary after the onset of a note
         # that ends in time is one bisect away.
@@ -380,6 +387,7 @@ def validate_composition(composition: Composition) -> list[Violation]:
         if kept is not None and kept[0] == key and kept[1] == notes:
             report += kept[2]
             findings[inst.name] = kept
+            failed = failed or kept[3]
             continue
         first = len(report)
         for i, note in enumerate(notes):
@@ -402,9 +410,12 @@ def validate_composition(composition: Composition) -> list[Violation]:
                     add(Violation("boundary-crossing", npath,
                                   f"{crossing}{value_text(boundary)}; it keeps its onset pitch",
                                   WARNING))
-        findings[inst.name] = (key, notes, report[first:])
+        found = report[first:]
+        erred = any(v.severity == ERROR for v in found)
+        findings[inst.name] = (key, notes, found, erred)
+        failed = failed or erred
 
-    if not any(v.severity == ERROR for v in report):
+    if not failed:
         report.extend(_float_range(composition))
     _last_findings = findings
     return report

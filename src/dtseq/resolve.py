@@ -15,13 +15,16 @@ list per distinct binding, so resolving a note is a bisect and a
 multiply.  Building that list costs one pass over the levels per region
 start, and one exact product per new tuple of active keys.  Instruments
 with the same scale and binding also share each exact pitch, each
-region's table rows and their text.
+region's table rows and their text, all kept by shift id.
 
 Reuse: that work, and the events of the last :func:`resolve_composition`
 call that returned, is kept for the most recent composition, and the
-memo of a new one starts from it: a result built from the same objects,
-or from equal values under an unchanged base and scale, is reused.
-Every result equals a cold call's; compositions, events and rows are
+memo of a new one starts from copies of it: a result built from the same
+objects, or from equal values under an unchanged base and scale, is
+reused.  A binding's sweep keeps its shift ids while its scales' keys
+are equal, and so the results kept by them, and after an edit of tone
+keys it walks only the regions of the tones that are new objects.  Every
+result equals a cold call's; compositions, events and rows are
 immutable, so sharing them is safe.
 
 Listings: this module owns the two texts ``dtseq resolve`` prints,
@@ -33,7 +36,7 @@ every exit code).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -85,7 +88,26 @@ def _frequency(instrument: Instrument, base: Fraction, factor: Fraction) -> floa
         raise _error(instrument, 0, "resolved frequency is beyond the float range") from None
 
 
-def _regions(composition: Composition, harmony_names: tuple[str, ...]
+class _Sweep:
+    """The state of one binding's :func:`_regions` sweep on one
+    composition, from which the sweep of the next one starts: ``length``,
+    ``levels`` (each bound level's tone starts, tones and scale keys; None
+    before the first sweep), ``starts``, ``ids`` and ``shifts`` (what it
+    returned), ``index_of`` and ``id_of`` (the shift id of each tuple of
+    active key indices and of each shift), and ``carried``: whether its ids
+    extend those of the sweep it started from."""
+
+    levels = None
+
+    def copy(self) -> _Sweep:
+        """A copy that shares no list or dict with this sweep."""
+        new = _Sweep()
+        new.__dict__.update((name, value.copy() if isinstance(value, (list, dict)) else value)
+                            for name, value in vars(self).items())
+        return new
+
+
+def _regions(composition: Composition, harmony_names: tuple[str, ...], sweep: _Sweep | None = None
              ) -> tuple[list[int], list[int | None], list[Fraction]]:
     """Region starts of the binding ``harmony_names`` (0, the length and
     every bound tone's start and end; the last region never ends), each
@@ -93,32 +115,53 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...]
     index is None where some level has no tone; :func:`resolve_note` on a
     note with its onset anywhere in the region raises why.
 
-    Each bound level's tone starts, tones and scale keys are looked up
-    once.  Each region start costs one pass over the levels, which yields
+    Each region start walked costs one pass over the levels, which yields
     the tuple of active key indices; only a tuple not seen before costs an
     exact product, one Fraction from the product of its keys' numerators
-    and that of their denominators.
+    and that of their denominators.  ``sweep``, the state of the sweep of
+    an earlier composition, is updated to this one's.  It keeps its maps,
+    and so its shift ids, while every level's scale keys are equal and the
+    key-tuple map stays within two tuples per region start.  When the
+    length and every tone's interval are equal too, it walks again only
+    the region starts inside tones that are not the very objects it read.
     """
-    bounds = {0, composition.length_ticks}
+    sweep = sweep or _Sweep()
+    length, old = composition.length_ticks, sweep.levels
     levels = []  # (tone starts, tones, scale keys) of each bound level
     for name in harmony_names:
         harmony = composition.harmonies.get(name)
         hscale = composition.scales.get(harmony.scale_name) if harmony else None
-        if harmony:
-            bounds.update(harmony._starts, [tone.interval.end for tone in harmony.tones])
-        # a level whose harmony or scale is unknown sounds no tone anywhere
-        levels.append(([], (), ()) if hscale is None
-                      else (harmony._starts, harmony.tones, hscale.keys))
-    starts = sorted(bounds)
-    index_of: dict[tuple[int, ...], int] = {}  # active tone keys -> shift index
-    shifts: dict[Fraction, int] = {}           # distinct shift -> its index
-    ids: list[int | None] = []
-    for tick in starts:
+        # an unknown harmony sounds no tone, and one with an unknown scale no key of it
+        levels.append((harmony._starts, harmony.tones, hscale.keys if hscale else ())
+                      if harmony else ((), (), ()))
+    same_keys = old is not None and [lv[2] for lv in levels] == [lv[2] for lv in old]
+    walk = None  # the positions of the region starts to walk
+    if same_keys and length == sweep.length and all(lv[0] == o[0] for lv, o in zip(levels, old)):
+        changed = [(tone, was) for lv, o in zip(levels, old)
+                   for tone, was in zip(lv[1], o[1]) if tone is not was]
+        if all(tone.interval == was.interval for tone, was in changed):  # the same regions
+            starts = sweep.starts
+            walk = sorted({p for tone, _ in changed for p in range(
+                bisect_left(starts, tone.interval.start), bisect_left(starts, tone.interval.end))})
+    if walk is None:
+        bounds = {0, length}
+        for tone_starts, tones, _ in levels:
+            bounds.update(tone_starts, [tone.interval.end for tone in tones])
+        sweep.starts = sorted(bounds)
+        sweep.ids = [None] * len(sweep.starts)
+        walk = range(len(sweep.starts))
+    starts, ids = sweep.starts, sweep.ids
+    sweep.carried = same_keys and len(sweep.index_of) + len(walk) <= 2 * len(starts)
+    if not sweep.carried:
+        sweep.index_of, sweep.id_of, walk = {}, {}, range(len(starts))
+    index_of, id_of = sweep.index_of, sweep.id_of
+    for p in walk:
+        tick = starts[p]
         active = []  # key index of each level's tone at tick
         for tone_starts, tones, scale_keys in levels:  # as HarmonicSequence.tone_at
             i = bisect_right(tone_starts, tick) - 1
             if i < 0 or not tones[i].interval.contains(tick) or tones[i].key_index >= len(scale_keys):
-                ids.append(None)
+                ids[p] = None
                 break
             active.append(tones[i].key_index)
         else:
@@ -127,59 +170,60 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...]
                 factors = [level_keys[k] for (_, _, level_keys), k in zip(levels, keys)]
                 shift = Fraction(prod(f.numerator for f in factors),
                                  prod(f.denominator for f in factors))
-                index_of[keys] = shifts.setdefault(shift, len(shifts))
-            ids.append(index_of[keys])
-    return starts, ids, list(shifts)
+                index_of[keys] = id_of.setdefault(shift, len(id_of))
+            ids[p] = index_of[keys]
+    sweep.length, sweep.levels, sweep.shifts = length, levels, list(id_of)
+    return starts, ids, sweep.shifts
 
 
 class _Memo:
     """The work by binding on one composition, shared by every instrument
-    that has it: the :func:`_regions` triple of each tuple of harmony
-    names, a memo of each kind of result built from them under each
-    (kind, scale name, harmony names), and ``events``, those of the last
+    that has it: the :class:`_Sweep` of each tuple of harmony names, a memo
+    of each kind of result built from its regions under each (kind, scale
+    name, harmony names), and ``events``, those of the last
     :func:`resolve_composition` on it that returned.  ``last``, the memo
     this one replaces, lends it copies, never itself: its events as
-    ``kept`` under equal tempo and ppq, and under an equal base each
-    result memo whose scale keys are equal, for :meth:`shared`."""
+    ``kept`` under equal tempo and ppq, each of its sweeps to start this
+    composition's from, and under an equal base each result memo whose
+    scale keys are equal, which :meth:`shared` takes where the sweep kept
+    its shift ids."""
 
     def __init__(self, composition: Composition, last: _Memo | None = None):
         self.composition, self.base = composition, Fraction(composition.base_frequency_hz)
-        self._regions: dict[tuple[str, ...], tuple] = {}
+        self._regions: dict[tuple[str, ...], _Sweep] = {}
         self._shared: dict[tuple, dict] = {}
         self.events: dict[str, tuple] = {}  # instrument name -> (notes, their events)
-        self.kept, self._last = {}, {}      # _last: key of _shared -> (shifts, results)
+        self.kept, self._last, self._carried = {}, {}, {}  # _last: key of _shared -> results
         was = last.composition if last else None
         if was and (was.tempo_bpm, was.ticks_per_beat) == (composition.tempo_bpm,
                                                            composition.ticks_per_beat):
-            self.kept = last.events
+            self.kept = last.events.copy()
+        if was:  # copies: other threads may add to last's, and sweeps are updated in place
+            shared, sweeps = last._shared.copy(), last._regions.copy()
+            self._carried = {names: sweep.copy() for names, sweep in sweeps.items()}
         if was and last.base == self.base:
-            # one-step copies, as other threads may add to them; a result follows its regions
-            shared, regions = last._shared.copy(), last._regions.copy()
             for key, results in shared.items():
                 scale, old = composition.scales.get(key[1]), was.scales.get(key[1])
-                if scale and old and scale.keys == old.keys and key[2] in regions:
-                    self._last[key] = (regions[key[2]][2], results.copy())
+                if scale and old and scale.keys == old.keys:
+                    self._last[key] = results.copy()
 
     def regions(self, harmony_names: tuple[str, ...]
                 ) -> tuple[list[int], list[int | None], list[Fraction]]:
-        if harmony_names not in self._regions:
-            self._regions[harmony_names] = _regions(self.composition, harmony_names)
-        return self._regions[harmony_names]
+        sweep = self._regions.get(harmony_names)
+        if sweep is None:  # one thread takes the carried sweep over; the first stored stays
+            sweep = self._carried.pop(harmony_names, None) or _Sweep()
+            _regions(self.composition, harmony_names, sweep)
+            sweep = self._regions.setdefault(harmony_names, sweep)
+        return sweep.starts, sweep.ids, sweep.shifts
 
     def shared(self, instrument: Instrument, kind: str) -> dict:
         """The memo of ``kind`` for ``instrument``'s scale and binding, keyed
         by shift id (pitches by key and shift id), begun with ``last``'s."""
         key = (kind, instrument.scale_name, instrument.harmony_names)
         if key not in self._shared:
-            shifts, old = self._last.get(key, ((), {}))
-            index = {shift.as_integer_ratio(): i for i, shift in  # reduced: equal ratios
-                     enumerate(self.regions(instrument.harmony_names)[2] if old else ())}
-            new = [index.get(shift.as_integer_ratio()) for shift in shifts]  # old id -> new
-            if kind == "pitches":
-                results = {(k, new[s]): v for (k, s), v in old.items() if new[s] is not None}
-            else:
-                results = {new[s]: v for s, v in old.items() if new[s] is not None}
-            self._shared.setdefault(key, results)
+            self.regions(instrument.harmony_names)
+            carried = self._regions[instrument.harmony_names].carried
+            self._shared.setdefault(key, self._last.get(key, {}) if carried else {})
         return self._shared[key]
 
 
@@ -280,7 +324,7 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
             else:
                 events.append(ResolvedEvent(inst.name, *pitch, seconds(onset),
                                             seconds(note.interval.duration), note.velocity))
-        per_instrument[inst.name] = (notes, events[first:])
+        per_instrument[inst.name] = (notes, tuple(events[first:]))
     events.sort(key=lambda e: (e.start_sec, e.instrument, e.frequency_hz, e.velocity))
     memo.events = per_instrument
     return events
@@ -369,8 +413,8 @@ def export_table(composition: Composition) -> str:
         for lo, hi, sid, rows in _table(memo, inst):
             block = texts.get(sid)
             if block is None:
-                block = texts[sid] = [f"\t{row.key_index}\t{ratio_text(row.factor)}\t"
-                                      f"{row.frequency_hz:.6g}" for row in rows]
+                block = texts[sid] = tuple(f"\t{row.key_index}\t{ratio_text(row.factor)}\t"
+                                           f"{row.frequency_hz:.6g}" for row in rows)
             ticks = f"{inst.name}\t[{lo},{hi})"
             lines += [ticks + row for row in block]
     return "\n".join(lines) + "\n"

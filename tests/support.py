@@ -324,7 +324,7 @@ def broken_composition(rng: random.Random, composition: Composition) -> Composit
 
 EDITS = ("tone key", "tone timing", "add note", "drop note", "move note", "scale key",
          "base", "tempo", "ppq", "length", "rename instrument", "duplicate name",
-         "instrument scale", "rename scale", "rename harmony", "rebind")
+         "instrument scale", "rename scale", "rename harmony", "rebind", "split tone")
 
 
 def edited_composition(rng: random.Random, composition: Composition, edit: str) -> Composition:
@@ -336,12 +336,17 @@ def edited_composition(rng: random.Random, composition: Composition, edit: str) 
     length = composition.length_ticks
     scales, harmonies = dict(composition.scales), dict(composition.harmonies)
     instruments = list(composition.instruments)
-    if edit in ("tone key", "tone timing") and harmonies:
+    if edit in ("tone key", "tone timing", "split tone") and harmonies:
         h = harmonies[rng.choice(sorted(harmonies))]
         tones = list(h.tones)
         i = rng.randrange(len(tones))
         key, span = tones[i].key_index, tones[i].interval
-        if edit == "tone key":
+        if edit == "split tone":  # into two at a cut, or dropped when the cut is its start
+            cut = rng.randrange(span.start, span.end)
+            tones[i:i + 1] = [TranspositionTone(key, TimeInterval(span.start, cut - span.start)),
+                              TranspositionTone(key, TimeInterval(cut, span.end - cut))
+                              ] if cut > span.start else []
+        elif edit == "tone key":
             key = rng.randrange(len(scales[h.scale_name]) + 1 if h.scale_name in scales else 4)
         elif i + 1 < len(tones) and rng.random() < 0.5:  # move a cut, keeping the timeline
             nxt = tones[i + 1].interval
@@ -353,7 +358,8 @@ def edited_composition(rng: random.Random, composition: Composition, edit: str) 
         else:
             span = TimeInterval(max(0, span.start + rng.randint(-30, 30)),
                                 max(1, span.duration + rng.randint(-30, 30)))
-        tones[i] = TranspositionTone(key, span)
+        if edit != "split tone":
+            tones[i] = TranspositionTone(key, span)
         harmonies[h.name] = HarmonicSequence(h.name, h.level, h.scale_name, tones)
     elif edit.endswith(" note") and instruments:
         j = rng.randrange(len(instruments))

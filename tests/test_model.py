@@ -417,6 +417,19 @@ class TestNormalizeScore:
         assert (InstrumentScore(shuffled).normalized()
                 == InstrumentScore(note_list).normalized())
 
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(1, 3),
+                              st.sampled_from([40, 96])), max_size=30), st.booleans())
+    def test_keeps_the_first_of_equal_notes_in_canonical_order(self, fields, as_iterator):
+        """Equal notes built one by one are distinct objects: the score holds
+        the first of each, sorted, as deduplicating by note equality does."""
+        note_list = [Note(key, TimeInterval(start, duration), velocity)
+                     for key, start, duration, velocity in fields]
+        expected = tuple(sorted(dict.fromkeys(note_list), key=lambda n: (
+            n.interval.start, n.key_index, n.interval.duration, n.velocity)))
+        got = InstrumentScore(iter(note_list) if as_iterator else note_list).notes
+        assert got == expected
+        assert all(kept is first for kept, first in zip(got, expected))
+
 
 class TestCanonicalScore:
     """Scores are canonical at construction, so every layer agrees on them."""

@@ -684,31 +684,123 @@ def two_binding_composition(base: float = 440.0):
                      Instrument("v3", "inst", ["h1b", "h2"], notes[::2])])
 
 
-@pytest.mark.parametrize("call,base,bindings", [
+# each call that sweeps regions, with the bindings it sweeps
+SWEEPING_CALLS = pytest.mark.parametrize("call,base,bindings", [
     (resolve_composition, 440.0, [("h1a", "h2"), ("h1b", "h2")]),
     (export_table, 440.0, [("h1a", "h2"), ("h1b", "h2")]),
     (lambda comp: frequency_table(comp, "v3"), 440.0, [("h1b", "h2")]),
     # every frequency underflows, so the validator walks every instrument
     (validate_composition, 1e-320, [("h1a", "h2"), ("h1b", "h2")]),
 ], ids=["resolve", "export-table", "frequency-table", "validate-underflow"])
+
+
+@SWEEPING_CALLS
 def test_regions_are_walked_once_per_binding(monkeypatch, call, base, bindings):
     """Once per binding on a composition first seen, and not at all on
     the one seen last."""
     walked = []
     regions = resolve_module._regions
 
-    def counted(composition, harmony_names):
+    def counted(composition, harmony_names, *sweep):
         walked.append(harmony_names)
-        return regions(composition, harmony_names)
+        return regions(composition, harmony_names, *sweep)
 
     expected = call(two_binding_composition(base))
     monkeypatch.setattr(resolve_module, "_regions", counted)
     comp = two_binding_composition(base)
+    resolve_module._last_memo = None
     assert call(comp) == expected
     assert sorted(walked) == bindings
     walked.clear()
     assert call(comp) == expected
     assert walked == []
+
+
+def with_tones(composition, harmony_name, tones):
+    """``composition`` with new tones for one harmony; every other object
+    is shared, as ``parse`` shares those of unchanged lines."""
+    harmony = composition.harmonies[harmony_name]
+    harmonies = {**composition.harmonies, harmony_name: HarmonicSequence(
+        harmony.name, harmony.level, harmony.scale_name, tones)}
+    return Composition(composition.base_frequency_hz, composition.ticks_per_beat,
+                       composition.tempo_bpm, composition.length_ticks, composition.scales,
+                       harmonies, composition.instruments)
+
+
+def with_tone_key(composition, harmony_name, index, key):
+    """``composition`` with the key of one tone changed (see :func:`with_tones`)."""
+    tones = list(composition.harmonies[harmony_name].tones)
+    tones[index] = TranspositionTone(key, tones[index].interval)
+    return with_tones(composition, harmony_name, tones)
+
+
+@SWEEPING_CALLS
+def test_a_tone_key_edit_walks_only_that_tones_regions(monkeypatch, call, base, bindings):
+    """h1b's tone 1 spans [240, 480), which holds one region start of its
+    binding: after an edit of its key, that start is the only one walked
+    again, once per level, and the result equals a cold call's."""
+    before = two_binding_composition(base)
+    after = with_tone_key(before, "h1b", 1, 2)
+    expected = outcome(cold_resolve, call, after)
+    outcome(cold_resolve, call, before)
+    ticks = []
+    contains = TimeInterval.contains
+
+    def counted(interval, tick):
+        ticks.append(tick)
+        return contains(interval, tick)
+
+    monkeypatch.setattr(TimeInterval, "contains", counted)
+    assert outcome(call, after) == expected
+    assert ticks == [240, 240]
+
+
+@SWEEPING_CALLS
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_a_tone_dropped_or_added_at_the_end_is_swept_again(call, base, bindings, change):
+    """The tones before it are the very objects the last sweep read, but
+    the region starts are not the same."""
+    before = two_binding_composition(base)
+    tones = before.harmonies["h1b"].tones
+    tones = tones[:-1] if change == "drop" else (*tones, TranspositionTone(0, TimeInterval(960, 40)))
+    after = with_tones(before, "h1b", tones)
+    expected = outcome(cold_resolve, call, after)
+    outcome(cold_resolve, call, before)
+    assert outcome(call, after) == expected
+
+
+def test_carried_maps_stay_within_two_tuples_per_region_start():
+    """Three levels of 6-key scales cut into 8 region starts, edited one
+    tone key at a time: the key tuples and shifts a sweep carries over
+    grow past a cold sweep's and are cut back, never past 16, and every
+    call equals a cold call."""
+    rng = random.Random(90)
+    keys = ["1/1", "9/8", "5/4", "4/3", "3/2", "5/3"]
+    comp = Composition(
+        440.0, 480, 120.0, 600, scales=[Scale("six", keys)],
+        harmonies=[HarmonicSequence(f"h{level}", level, "six", [
+            TranspositionTone(rng.randrange(6), TimeInterval(lo, hi - lo))
+            for lo, hi in zip([0, 100 + level, 300 + level], [100 + level, 300 + level, 600])])
+            for level in (1, 2, 3)],
+        instruments=[Instrument("v", "six", ["h1", "h2", "h3"],
+                                [Note(rng.randrange(6), TimeInterval(t, 50))
+                                 for t in range(0, 600, 25)])])
+    chain = [comp]
+    for _ in range(1000):
+        name = rng.choice(sorted(comp.harmonies))
+        comp = with_tone_key(comp, name, rng.randrange(3), rng.randrange(6))
+        chain.append(comp)
+    expected = [[cold_resolve(call, comp) for call in (resolve_composition, export_table)]
+                for comp in chain]
+    sizes = []
+    for comp, (events, listing) in zip(chain, expected):
+        assert resolve_composition(comp) == events
+        assert export_table(comp) == listing
+        sweep = resolve_module._last_memo._regions["h1", "h2", "h3"]
+        assert len(sweep.shifts) <= len(sweep.index_of) <= 2 * len(sweep.starts) == 16
+        sizes.append(len(sweep.index_of))
+    assert max(sizes) > 8
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
 
 def float_outcome(fn, *args):
@@ -871,6 +963,82 @@ class TestWarmEqualsCold:
             x_only = {id(x)} | {id(ev) for ev in x_events if isinstance(x_events, list)}
             x_only -= {id(ev) for ev in y_events if isinstance(y_events, list)}
             assert not x_only & reachable(resolve_module._last_memo)
+
+    def test_a_chain_of_edits(self):
+        """300 successive edits of one composition, most of them of a tone
+        key, so that what the memos carry builds up; each edit is made to
+        the last composition that validated clean.  Every call on every
+        composition equals a cold call."""
+        rng = random.Random(79)
+        comp = random_composition(rng, max_ticks=2000, max_notes=12, min_instruments=2,
+                                  min_harmonic_levels=2)
+        chain, clean = [], comp
+        for _ in range(300):
+            edit = rng.choices(["tone key", "tone timing", "split tone", "scale key", "length",
+                                "rebind"], [12, 2, 1, 2, 1, 2])[0]
+            comp = edited_composition(rng, clean, edit)
+            expected = {what: cold_validate(comp) if what == "validate"
+                        else outcome(cold_resolve, call, comp) for what, call in self.calls(comp)}
+            chain.append((comp, edit, expected))
+            if not any(v.severity == "error" for v in expected["validate"]):
+                clean = comp
+        assert sum(comp is not clean for comp, _, _ in chain) > 20  # broken ones too
+        for comp, edit, expected in chain:
+            for what, call in self.calls(comp):
+                assert outcome(call, comp) == expected[what], (edit, what)
+
+    def test_a_new_memo_shares_no_list_or_dict_with_the_one_it_replaces(self):
+        """Another thread may add to the old memo while the new one takes
+        over from it, so the new one takes copies: no dict or list that is
+        not part of a composition is reachable from both."""
+        def containers(memo):
+            seen, todo = {}, list(vars(memo).values())
+            while todo:
+                obj = todo.pop()
+                if isinstance(obj, resolve_module._Sweep):
+                    todo.extend(vars(obj).values())
+                elif isinstance(obj, (dict, list, tuple)) and id(obj) not in seen:
+                    seen[id(obj)] = obj  # held, so that no id is reused
+                    todo.extend([*obj.keys(), *obj.values()] if isinstance(obj, dict) else obj)
+            return {key for key, obj in seen.items() if not isinstance(obj, tuple)}
+
+        taken = 0
+        for a, b, edit in edit_pairs(80, 200):
+            outcome(cold_resolve, resolve_composition, a)
+            outcome(export_table, a)
+            old = resolve_module._last_memo
+            new = resolve_module._Memo(b, old)
+            inputs = reachable(a) | reachable(b)
+            assert not (containers(new) & containers(old)) - inputs, edit
+            outcome(resolve_composition, b)  # the memo of b is new
+            assert not (containers(resolve_module._last_memo) & containers(old)) - inputs, edit
+            taken += bool(new._carried) + bool(new._last)
+        assert taken > 200
+
+    def test_the_first_sweep_stored_is_the_one_read(self, monkeypatch):
+        """A call on a new composition that runs in full while another call
+        on it sweeps a binding, as one in another thread may, stores its
+        sweep first: the other call then reads that sweep, by whose shift
+        ids the results are kept, and not the one it made itself.  Here the
+        two sweeps number the shifts of h1a's new keys apart: the first
+        cold, the other from the ids of the composition before."""
+        regions = resolve_module._regions
+        nested = []
+
+        def interleaved(composition, harmony_names, sweep):
+            if not nested:  # the first sweep: run the other call, which sweeps as well
+                nested.append(None)
+                nested[0] = outcome(resolve_composition, composition)
+            return regions(composition, harmony_names, sweep)
+
+        before = two_binding_composition()
+        after = with_tones(before, "h1a", [TranspositionTone(key, tone.interval) for key, tone
+                                           in zip([2, 1, 0, 1], before.harmonies["h1a"].tones)])
+        expected = outcome(cold_resolve, resolve_composition, after)
+        outcome(cold_resolve, resolve_composition, before)
+        monkeypatch.setattr(resolve_module, "_regions", interleaved)
+        assert outcome(resolve_composition, after) == expected
+        assert nested == [expected]
 
     def test_calls_in_threads_equal_cold_calls(self):
         pairs = list(edit_pairs(78, 8))
