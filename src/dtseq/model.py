@@ -317,13 +317,12 @@ def validate_composition(composition: Composition) -> list[Violation]:
             add(Violation("span", path, "harmony has no tones; it must span the composition"))
             continue
         for i, tone in enumerate(harmony.tones):
-            tpath = f"{path} tone {i}"
             if scale is not None and tone.key_index >= len(scale):
-                add(Violation("range", tpath,
+                add(Violation("range", f"{path} tone {i}",
                               f"key index {value_text(tone.key_index)} outside scale "
                               f"{scale.name!r} of {len(scale)} keys"))
             if tone.interval.end > length:
-                add(Violation("range", tpath,
+                add(Violation("range", f"{path} tone {i}",
                               f"interval [{value_text(tone.interval.start)}, "
                               f"{value_text(tone.interval.end)}) "
                               f"exceeds composition length {length_text}"))
@@ -331,9 +330,9 @@ def validate_composition(composition: Composition) -> list[Violation]:
                 continue
             prev = harmony.tones[i - 1]
             if tone.interval.start < prev.interval.start:
-                add(Violation("order", tpath, "tones are not sorted by start tick"))
+                add(Violation("order", f"{path} tone {i}", "tones are not sorted by start tick"))
             elif tone.interval.start < prev.interval.end:
-                add(Violation("overlap", tpath,
+                add(Violation("overlap", f"{path} tone {i}",
                               f"tone starts at {value_text(tone.interval.start)} before the "
                               f"previous tone ends at {value_text(prev.interval.end)}"))
             elif tone.interval.start > prev.interval.end:
@@ -459,7 +458,6 @@ def _float_range(composition: Composition) -> list[Violation]:
         found.append(Violation("overflow", "tempo", "tempo * ppq is beyond the float range"))
 
     base = Fraction(composition.base_frequency_hz)
-    regions = None
     for inst in composition.instruments:
         keys = composition.scales[inst.scale_name].keys
         high, low = base * max(keys), base * min(keys)
@@ -472,17 +470,16 @@ def _float_range(composition: Composition) -> list[Violation]:
         if _float_kind(high) is None and _float_kind(low) is None:
             continue
         path = f"instrument {inst.name}"
-        if regions is None:
-            from .resolve import _memo  # resolve imports this module
-            regions = _memo(composition).regions
-        starts, ids, shifts = regions(inst.harmony_names)
-        for i, note in enumerate(inst.score.notes):
-            shift = shifts[ids[bisect_right(starts, note.interval.start) - 1]]
-            kind = _float_kind(base * keys[note.key_index] * shift)
-            if kind:
-                found.append(Violation(kind, f"{path} note {i}",
-                                       f"resolved frequency is {_BEYOND[kind]}"))
-        live = [shifts[i] for lo, i in zip(starts, ids) if lo < composition.length_ticks]
+        from .resolve import _memo  # resolve imports this module
+        with _memo(composition) as memo:  # held while the sweep's lists are read
+            starts, ids, shifts = memo.regions(inst.harmony_names)
+            for i, note in enumerate(inst.score.notes):
+                shift = shifts[ids[bisect_right(starts, note.interval.start) - 1]]
+                kind = _float_kind(base * keys[note.key_index] * shift)
+                if kind:
+                    found.append(Violation(kind, f"{path} note {i}",
+                                           f"resolved frequency is {_BEYOND[kind]}"))
+            live = [shifts[i] for lo, i in zip(starts, ids) if lo < composition.length_ticks]
         extremes = (("overflow", max(live)), ("underflow", min(live)))
         for k, key in enumerate(keys):
             for kind, shift in extremes:

@@ -17,15 +17,15 @@ start, and one exact product per new tuple of active keys.  Instruments
 with the same scale and binding also share each exact pitch, each
 region's table rows and their text, all kept by shift id.
 
-Reuse: that work, and the events of the last :func:`resolve_composition`
-call that returned, is kept for the most recent composition, and the
-memo of a new one starts from copies of it: a result built from the same
-objects, or from equal values under an unchanged base and scale, is
-reused.  A binding's sweep keeps its shift ids while its scales' keys
-are equal, and so the results kept by them, and after an edit of tone
-keys it walks only the regions of the tones that are new objects.  Every
-result equals a cold call's; compositions, events and rows are
-immutable, so sharing them is safe.
+Reuse: one memo keeps that work, and the events of the last
+:func:`resolve_composition` call that returned, for the composition seen
+last.  Each call holds a lock while it reads and changes the memo in
+place, so calls run one at a time; a call on a new composition first
+drops what no longer holds (see :meth:`_Memo.see`).  A binding's sweep
+keeps its shift ids while its scales' keys are equal, and so the results
+kept by them, and after an edit of tone keys it walks only the regions
+of the tones that are new objects.  Every result equals a cold call's;
+compositions, events and rows are immutable, so sharing them is safe.
 
 Listings: this module owns the two texts ``dtseq resolve`` prints,
 :func:`export_events` and :func:`export_table`; each is built with one
@@ -37,10 +37,12 @@ every exit code).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable
+from threading import Lock
+from typing import Iterable, Iterator
 
 from .model import Composition, Instrument, Note, TimeInterval
 from .rational import ratio_text
@@ -89,22 +91,16 @@ def _frequency(instrument: Instrument, base: Fraction, factor: Fraction) -> floa
 
 
 class _Sweep:
-    """The state of one binding's :func:`_regions` sweep on one
-    composition, from which the sweep of the next one starts: ``length``,
-    ``levels`` (each bound level's tone starts, tones and scale keys; None
-    before the first sweep), ``starts``, ``ids`` and ``shifts`` (what it
-    returned), ``index_of`` and ``id_of`` (the shift id of each tuple of
-    active key indices and of each shift), and ``carried``: whether its ids
-    extend those of the sweep it started from."""
+    """The state of one binding's :func:`_regions` sweep, from which the
+    next one starts: ``length``, ``levels`` (each bound level's tone
+    starts, tones and scale keys; None before the first sweep),
+    ``starts``, ``ids`` and ``shifts`` (what it returned), ``index_of`` and
+    ``id_of`` (the shift id of each tuple of active key indices and of each
+    shift), ``results`` (a memo of each kind of result under each (kind,
+    scale name), by shift id, cleared with the two maps), and ``stale``:
+    whether it was swept on an earlier composition than the memo's."""
 
-    levels = None
-
-    def copy(self) -> _Sweep:
-        """A copy that shares no list or dict with this sweep."""
-        new = _Sweep()
-        new.__dict__.update((name, value.copy() if isinstance(value, (list, dict)) else value)
-                            for name, value in vars(self).items())
-        return new
+    levels, stale = None, True
 
 
 def _regions(composition: Composition, harmony_names: tuple[str, ...], sweep: _Sweep | None = None
@@ -120,10 +116,11 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...], sweep: _S
     exact product, one Fraction from the product of its keys' numerators
     and that of their denominators.  ``sweep``, the state of the sweep of
     an earlier composition, is updated to this one's.  It keeps its maps,
-    and so its shift ids, while every level's scale keys are equal and the
-    key-tuple map stays within two tuples per region start.  When the
-    length and every tone's interval are equal too, it walks again only
-    the region starts inside tones that are not the very objects it read.
+    and so its shift ids and its results, while every level's scale keys
+    are equal and the key-tuple map stays within two tuples per region
+    start.  When the length and every tone's interval are equal too, it
+    walks again only the region starts inside tones that are not the very
+    objects it read.
     """
     sweep = sweep or _Sweep()
     length, old = composition.length_ticks, sweep.levels
@@ -151,9 +148,8 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...], sweep: _S
         sweep.ids = [None] * len(sweep.starts)
         walk = range(len(sweep.starts))
     starts, ids = sweep.starts, sweep.ids
-    sweep.carried = same_keys and len(sweep.index_of) + len(walk) <= 2 * len(starts)
-    if not sweep.carried:
-        sweep.index_of, sweep.id_of, walk = {}, {}, range(len(starts))
+    if not (same_keys and len(sweep.index_of) + len(walk) <= 2 * len(starts)):
+        sweep.index_of, sweep.id_of, sweep.results, walk = {}, {}, {}, range(len(starts))
     index_of, id_of = sweep.index_of, sweep.id_of
     for p in walk:
         tick = starts[p]
@@ -177,67 +173,62 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...], sweep: _S
 
 
 class _Memo:
-    """The work by binding on one composition, shared by every instrument
-    that has it: the :class:`_Sweep` of each tuple of harmony names, a memo
-    of each kind of result built from its regions under each (kind, scale
-    name, harmony names), and ``events``, those of the last
-    :func:`resolve_composition` on it that returned.  ``last``, the memo
-    this one replaces, lends it copies, never itself: its events as
-    ``kept`` under equal tempo and ppq, each of its sweeps to start this
-    composition's from, and under an equal base each result memo whose
-    scale keys are equal, which :meth:`shared` takes where the sweep kept
-    its shift ids."""
+    """What the resolver keeps of the composition it saw last, changed in
+    place only while ``_lock`` is held: ``composition``, its ``base``, the
+    :class:`_Sweep` of each binding, and ``events``, by instrument name the
+    notes and events of the last :func:`resolve_composition` that
+    returned."""
 
-    def __init__(self, composition: Composition, last: _Memo | None = None):
-        self.composition, self.base = composition, Fraction(composition.base_frequency_hz)
-        self._regions: dict[tuple[str, ...], _Sweep] = {}
-        self._shared: dict[tuple, dict] = {}
-        self.events: dict[str, tuple] = {}  # instrument name -> (notes, their events)
-        self.kept, self._last, self._carried = {}, {}, {}  # _last: key of _shared -> results
-        was = last.composition if last else None
-        if was and (was.tempo_bpm, was.ticks_per_beat) == (composition.tempo_bpm,
-                                                           composition.ticks_per_beat):
-            self.kept = last.events.copy()
-        if was:  # copies: other threads may add to last's, and sweeps are updated in place
-            shared, sweeps = last._shared.copy(), last._regions.copy()
-            self._carried = {names: sweep.copy() for names, sweep in sweeps.items()}
-        if was and last.base == self.base:
-            for key, results in shared.items():
-                scale, old = composition.scales.get(key[1]), was.scales.get(key[1])
-                if scale and old and scale.keys == old.keys:
-                    self._last[key] = results.copy()
+    composition = base = None
+
+    def __init__(self):
+        self.sweeps: dict[tuple[str, ...], _Sweep] = {}
+        self.events: dict[str, tuple] = {}
+
+    def see(self, new: Composition) -> None:
+        """Take ``new``, a new object, for the composition seen last: keep
+        the events only under equal tempo and ppq, and the sweeps only of
+        bindings it has, each stale and with its results only under an
+        equal base and equal scales."""
+        was, self.composition = self.composition or new, new
+        base, self.base = self.base, Fraction(new.base_frequency_hz)
+        if (was.tempo_bpm, was.ticks_per_beat) != (new.tempo_bpm, new.ticks_per_beat):
+            self.events = {}
+        keep = base == self.base and was.scales == new.scales
+        bindings = {inst.harmony_names for inst in new.instruments}
+        self.sweeps = {names: sweep for names, sweep in self.sweeps.items() if names in bindings}
+        for sweep in self.sweeps.values():
+            sweep.stale, sweep.results = True, sweep.results if keep else {}
 
     def regions(self, harmony_names: tuple[str, ...]
                 ) -> tuple[list[int], list[int | None], list[Fraction]]:
-        sweep = self._regions.get(harmony_names)
-        if sweep is None:  # one thread takes the carried sweep over; the first stored stays
-            sweep = self._carried.pop(harmony_names, None) or _Sweep()
+        sweep = self.sweeps.pop(harmony_names, None) or _Sweep()
+        if sweep.stale:
             _regions(self.composition, harmony_names, sweep)
-            sweep = self._regions.setdefault(harmony_names, sweep)
+            sweep.stale = False
+        self.sweeps[harmony_names] = sweep  # only now: a sweep that raises is not kept
         return sweep.starts, sweep.ids, sweep.shifts
 
     def shared(self, instrument: Instrument, kind: str) -> dict:
-        """The memo of ``kind`` for ``instrument``'s scale and binding, keyed
-        by shift id (pitches by key and shift id), begun with ``last``'s."""
-        key = (kind, instrument.scale_name, instrument.harmony_names)
-        if key not in self._shared:
-            self.regions(instrument.harmony_names)
-            carried = self._regions[instrument.harmony_names].carried
-            self._shared.setdefault(key, self._last.get(key, {}) if carried else {})
-        return self._shared[key]
+        """The memo of ``kind`` for ``instrument``'s scale, kept in its
+        binding's sweep by shift id (pitches by key and shift id)."""
+        self.regions(instrument.harmony_names)
+        results = self.sweeps[instrument.harmony_names].results
+        return results.setdefault((kind, instrument.scale_name), {})
 
 
-_last_memo: _Memo | None = None
+_lock = Lock()
+_the_memo = _Memo()
 
 
-def _memo(composition: Composition) -> _Memo:
-    """The :class:`_Memo` of ``composition``: the kept one when it was
-    built for this very object, else a new one from it, kept instead."""
-    global _last_memo
-    memo = _last_memo
-    if memo is None or memo.composition is not composition:
-        memo = _last_memo = _Memo(composition, memo)
-    return memo
+@contextmanager
+def _memo(composition: Composition) -> Iterator[_Memo]:
+    """Hold ``_lock`` and give the memo, taken for ``composition`` first
+    when that is a new object."""
+    with _lock:
+        if _the_memo.composition is not composition:
+            _the_memo.see(composition)
+        yield _the_memo
 
 
 def resolve_note(composition: Composition, instrument: Instrument,
@@ -294,39 +285,39 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
     very tuple it took; every other note is resolved, and may raise, as in
     a cold call.  A call that raises keeps no events.
     """
-    memo = _memo(composition)
-    base, seconds, last = memo.base, composition.seconds, memo.events or memo.kept
-    per_instrument: dict[str, tuple] = {}
-    events: list[ResolvedEvent] = []
-    for inst in composition.instruments:
-        scale = composition.scales.get(inst.scale_name)
-        keys = scale.keys if scale else ()
-        starts, ids, shifts = memo.regions(inst.harmony_names)
-        was_notes, was_events = last.get(inst.name, ((), ()))
-        notes = inst.score.notes
-        pitches = memo.shared(inst, "pitches")  # (factor, frequency) of (key, shift id)
-        first = len(events)
-        for i, note in enumerate(notes):
-            onset = note.interval.start
-            sid = ids[bisect_right(starts, onset) - 1]
-            pitch = pitches.get((note.key_index, sid))
-            if pitch is None:  # first note at this key and shift: check it
-                try:
-                    if sid is None or note.key_index >= len(keys):
-                        resolve_note(composition, inst, note)  # raises
-                    factor = keys[note.key_index] * shifts[sid]
-                    pitch = pitches[note.key_index, sid] = (factor, _frequency(inst, base, factor))
-                except ResolutionError as exc:
-                    raise ResolutionError(f"note {i} of {exc}", instrument=exc.instrument,
-                                          level=exc.level) from exc
-            if i < len(was_notes) and was_notes[i] is note and was_events[i].factor is pitch[0]:
-                events.append(was_events[i])
-            else:
-                events.append(ResolvedEvent(inst.name, *pitch, seconds(onset),
-                                            seconds(note.interval.duration), note.velocity))
-        per_instrument[inst.name] = (notes, tuple(events[first:]))
+    with _memo(composition) as memo:
+        base, seconds, last, memo.events = memo.base, composition.seconds, memo.events, {}
+        per_instrument: dict[str, tuple] = {}
+        events: list[ResolvedEvent] = []
+        for inst in composition.instruments:
+            scale = composition.scales.get(inst.scale_name)
+            keys = scale.keys if scale else ()
+            starts, ids, shifts = memo.regions(inst.harmony_names)
+            was_notes, was = last.get(inst.name, ((), ()))
+            notes = inst.score.notes
+            pitches = memo.shared(inst, "pitches")  # (factor, frequency) of (key, shift id)
+            first = len(events)
+            for i, note in enumerate(notes):
+                onset, key = note.interval.start, note.key_index
+                sid = ids[bisect_right(starts, onset) - 1]
+                pitch = pitches.get((key, sid))
+                if pitch is None:  # first note at this key and shift: check it
+                    try:
+                        if sid is None or key >= len(keys):
+                            resolve_note(composition, inst, note)  # raises
+                        factor = keys[key] * shifts[sid]
+                        pitch = pitches[key, sid] = (factor, _frequency(inst, base, factor))
+                    except ResolutionError as exc:
+                        raise ResolutionError(f"note {i} of {exc}", instrument=exc.instrument,
+                                              level=exc.level) from exc
+                if i < len(was_notes) and was_notes[i] is note and was[i].factor is pitch[0]:
+                    events.append(was[i])
+                else:
+                    events.append(ResolvedEvent(inst.name, *pitch, seconds(onset),
+                                                seconds(note.interval.duration), note.velocity))
+            per_instrument[inst.name] = (notes, tuple(events[first:]))
+        memo.events = per_instrument
     events.sort(key=lambda e: (e.start_sec, e.instrument, e.frequency_hz, e.velocity))
-    memo.events = per_instrument
     return events
 
 
@@ -383,7 +374,8 @@ def frequency_table(composition: Composition, instrument_name: str) -> list[Tabl
     instrument name.
     """
     inst = composition.instrument(instrument_name)
-    return [TableRegion(lo, hi, rows) for lo, hi, _, rows in _table(_memo(composition), inst)]
+    with _memo(composition) as memo:
+        return [TableRegion(lo, hi, rows) for lo, hi, _, rows in _table(memo, inst)]
 
 
 def export_events(events: Iterable[ResolvedEvent]) -> str:
@@ -406,15 +398,15 @@ def export_table(composition: Composition) -> str:
     """Tab-separated :func:`frequency_table` of every instrument, one line
     per key per region after a header; ticks print as ``[start,end)`` and
     factors and frequencies as in :func:`export_events`."""
-    memo = _memo(composition)
-    lines = ["instrument\tticks\tkey\tfactor\tfrequency_hz"]
-    for inst in composition.instruments:
-        texts = memo.shared(inst, "texts")  # shift id -> its rows after the ticks
-        for lo, hi, sid, rows in _table(memo, inst):
-            block = texts.get(sid)
-            if block is None:
-                block = texts[sid] = tuple(f"\t{row.key_index}\t{ratio_text(row.factor)}\t"
-                                           f"{row.frequency_hz:.6g}" for row in rows)
-            ticks = f"{inst.name}\t[{lo},{hi})"
-            lines += [ticks + row for row in block]
+    with _memo(composition) as memo:
+        lines = ["instrument\tticks\tkey\tfactor\tfrequency_hz"]
+        for inst in composition.instruments:
+            texts = memo.shared(inst, "texts")  # shift id -> its rows after the ticks
+            for lo, hi, sid, rows in _table(memo, inst):
+                block = texts.get(sid)
+                if block is None:
+                    block = texts[sid] = tuple(f"\t{row.key_index}\t{ratio_text(row.factor)}\t"
+                                               f"{row.frequency_hz:.6g}" for row in rows)
+                ticks = f"{inst.name}\t[{lo},{hi})"
+                lines += [ticks + row for row in block]
     return "\n".join(lines) + "\n"

@@ -85,7 +85,7 @@ def cold_validate(composition):
     """``validate_composition`` with nothing kept from an earlier call of
     it or of the resolver, as in a fresh process."""
     model._last_findings = {}
-    resolve._last_memo = None
+    resolve._the_memo = resolve._Memo()
     return model.validate_composition(composition)
 
 
@@ -93,7 +93,7 @@ def cold_resolve(call, composition, *args):
     """``call(composition, *args)``, a function of :mod:`dtseq.resolve`,
     with nothing kept from an earlier resolver call, as in a fresh
     process."""
-    resolve._last_memo = None
+    resolve._the_memo = resolve._Memo()
     return call(composition, *args)
 
 

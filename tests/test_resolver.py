@@ -708,7 +708,7 @@ def test_regions_are_walked_once_per_binding(monkeypatch, call, base, bindings):
     expected = call(two_binding_composition(base))
     monkeypatch.setattr(resolve_module, "_regions", counted)
     comp = two_binding_composition(base)
-    resolve_module._last_memo = None
+    resolve_module._the_memo = resolve_module._Memo()
     assert call(comp) == expected
     assert sorted(walked) == bindings
     walked.clear()
@@ -796,7 +796,7 @@ def test_carried_maps_stay_within_two_tuples_per_region_start():
     for comp, (events, listing) in zip(chain, expected):
         assert resolve_composition(comp) == events
         assert export_table(comp) == listing
-        sweep = resolve_module._last_memo._regions["h1", "h2", "h3"]
+        sweep = resolve_module._the_memo.sweeps["h1", "h2", "h3"]
         assert len(sweep.shifts) <= len(sweep.index_of) <= 2 * len(sweep.starts) == 16
         sizes.append(len(sweep.index_of))
     assert max(sizes) > 8
@@ -910,6 +910,20 @@ class TestWarmEqualsCold:
                 reused += shared(region_rows(first), region_rows(table))
         assert reused > 200
 
+    def test_rows_kept_through_an_edit_that_does_not_tabulate_them(self):
+        """v0's table, then v1's after an edit of a tone key, then v0's
+        after another: the last shares v0's rows with the first, and equals
+        a cold call's."""
+        a = two_binding_composition()
+        b = with_tone_key(a, "h1b", 1, 2)
+        c = with_tone_key(b, "h1b", 2, 1)
+        expected = outcome(cold_resolve, frequency_table, c, "v0")
+        first = outcome(cold_resolve, frequency_table, a, "v0")
+        outcome(frequency_table, b, "v1")
+        table = outcome(frequency_table, c, "v0")
+        assert table == expected
+        assert shared(region_rows(first), region_rows(table))
+
     @pytest.mark.parametrize("edit", ["base", "scale key"])
     def test_a_changed_base_or_scale_takes_nothing_over(self, edit):
         """An instrument whose base or scale keys changed reuses none of
@@ -947,8 +961,8 @@ class TestWarmEqualsCold:
             expected = outcome(cold_resolve, resolve_composition, c)
             outcome(cold_resolve, resolve_composition, a)
             assert isinstance(outcome(resolve_composition, b), tuple)
-            assert resolve_module._last_memo.composition is b
-            assert resolve_module._last_memo.events == {}
+            assert resolve_module._the_memo.composition is b
+            assert resolve_module._the_memo.events == {}
             assert outcome(resolve_composition, c) == expected
         assert raised > 50
 
@@ -962,7 +976,7 @@ class TestWarmEqualsCold:
             outcome(resolve_composition, z)
             x_only = {id(x)} | {id(ev) for ev in x_events if isinstance(x_events, list)}
             x_only -= {id(ev) for ev in y_events if isinstance(y_events, list)}
-            assert not x_only & reachable(resolve_module._last_memo)
+            assert not x_only & reachable(resolve_module._the_memo)
 
     def test_a_chain_of_edits(self):
         """300 successive edits of one composition, most of them of a tone
@@ -987,58 +1001,29 @@ class TestWarmEqualsCold:
             for what, call in self.calls(comp):
                 assert outcome(call, comp) == expected[what], (edit, what)
 
-    def test_a_new_memo_shares_no_list_or_dict_with_the_one_it_replaces(self):
-        """Another thread may add to the old memo while the new one takes
-        over from it, so the new one takes copies: no dict or list that is
-        not part of a composition is reachable from both."""
-        def containers(memo):
-            seen, todo = {}, list(vars(memo).values())
-            while todo:
-                obj = todo.pop()
-                if isinstance(obj, resolve_module._Sweep):
-                    todo.extend(vars(obj).values())
-                elif isinstance(obj, (dict, list, tuple)) and id(obj) not in seen:
-                    seen[id(obj)] = obj  # held, so that no id is reused
-                    todo.extend([*obj.keys(), *obj.values()] if isinstance(obj, dict) else obj)
-            return {key for key, obj in seen.items() if not isinstance(obj, tuple)}
-
-        taken = 0
-        for a, b, edit in edit_pairs(80, 200):
-            outcome(cold_resolve, resolve_composition, a)
-            outcome(export_table, a)
-            old = resolve_module._last_memo
-            new = resolve_module._Memo(b, old)
-            inputs = reachable(a) | reachable(b)
-            assert not (containers(new) & containers(old)) - inputs, edit
-            outcome(resolve_composition, b)  # the memo of b is new
-            assert not (containers(resolve_module._last_memo) & containers(old)) - inputs, edit
-            taken += bool(new._carried) + bool(new._last)
-        assert taken > 200
-
-    def test_the_first_sweep_stored_is_the_one_read(self, monkeypatch):
-        """A call on a new composition that runs in full while another call
-        on it sweeps a binding, as one in another thread may, stores its
-        sweep first: the other call then reads that sweep, by whose shift
-        ids the results are kept, and not the one it made itself.  Here the
-        two sweeps number the shifts of h1a's new keys apart: the first
-        cold, the other from the ids of the composition before."""
-        regions = resolve_module._regions
-        nested = []
+    def test_one_resolver_call_at_a_time(self, monkeypatch):
+        """A call on another composition, started in a thread while a call
+        sweeps, waits until that call has returned; then both equal cold
+        calls.  Every join is bounded, so a deadlock fails the test."""
+        a = two_binding_composition()
+        b = with_tone_key(a, "h1b", 1, 2)
+        expected = [outcome(cold_resolve, resolve_composition, comp) for comp in (a, b)]
+        regions, got, waited = resolve_module._regions, [], []
+        other = threading.Thread(target=lambda: got.append(outcome(resolve_composition, b)))
 
         def interleaved(composition, harmony_names, sweep):
-            if not nested:  # the first sweep: run the other call, which sweeps as well
-                nested.append(None)
-                nested[0] = outcome(resolve_composition, composition)
+            if composition is a and not waited:
+                other.start()
+                other.join(timeout=1)
+                waited.append(other.is_alive())
             return regions(composition, harmony_names, sweep)
 
-        before = two_binding_composition()
-        after = with_tones(before, "h1a", [TranspositionTone(key, tone.interval) for key, tone
-                                           in zip([2, 1, 0, 1], before.harmonies["h1a"].tones)])
-        expected = outcome(cold_resolve, resolve_composition, after)
-        outcome(cold_resolve, resolve_composition, before)
         monkeypatch.setattr(resolve_module, "_regions", interleaved)
-        assert outcome(resolve_composition, after) == expected
-        assert nested == [expected]
+        first = outcome(resolve_composition, a)
+        other.join(timeout=60)
+        assert not other.is_alive()
+        assert waited == [True]
+        assert [first, *got] == expected
 
     def test_calls_in_threads_equal_cold_calls(self):
         pairs = list(edit_pairs(78, 8))
