@@ -270,10 +270,10 @@ class Violation:
 # The note-loop findings of the most recent validate_composition call, by
 # instrument name: (everything that loop read besides the notes, the notes,
 # the range and boundary-crossing violations it found, in order, and
-# whether one of them is an error).  Each call fills a new dict and only
+# how many of them are warnings).  Each call fills a new dict and only
 # then puts it here, so a call running in another thread reads a finished
 # one.
-_last_findings: dict[str, tuple[tuple, tuple[Note, ...], list[Violation], bool]] = {}
+_last_findings: dict[str, tuple[tuple, tuple[Note, ...], list[Violation], int]] = {}
 
 
 def validate_composition(composition: Composition) -> list[Violation]:
@@ -301,58 +301,56 @@ def validate_composition(composition: Composition) -> list[Violation]:
     add = report.append
     length = composition.length_ticks
     length_text = value_text(length)
-    spanning_ok: dict[str, bool] = {}
+    # each spanning harmony's timeline and crossing message: it starts at 0, each tone
+    # where the one before ends, and it ends at the length; exactly then no timeline error
+    spanning: dict[str, tuple[list[int], str]] = {}
 
     for harmony in composition.harmonies.values():
         path = f"harmony {harmony.name}"
         scale = composition.scales.get(harmony.scale_name)
         if scale is None:
-            add(Violation("bad-reference", path,
-                          f"unknown scale {harmony.scale_name!r}"))
-        # spanning: starts at 0, each tone where the one before it ends, ends at
-        # the length; exactly then the checks below find no timeline error
-        spanning_ok[harmony.name] = ([*harmony._starts, length]
-                                     == [0, *(tone.interval.end for tone in harmony.tones)])
-        if not harmony.tones:
+            add(Violation("bad-reference", path, f"unknown scale {harmony.scale_name!r}"))
+        starts = harmony._starts
+        ends = [tone.interval.end for tone in harmony.tones]
+        if (timeline := [*starts, length]) == [0, *ends]:
+            spanning[harmony.name] = (
+                timeline, f"note sustains across the {harmony.name} boundary at tick ")
+        if not ends:
             add(Violation("span", path, "harmony has no tones; it must span the composition"))
             continue
-        for i, tone in enumerate(harmony.tones):
-            if scale is not None and tone.key_index >= len(scale):
+        size = len(scale) if scale is not None else math.inf  # no range check without one
+        for i, (tone, start, end) in enumerate(zip(harmony.tones, starts, ends)):
+            if tone.key_index >= size:
                 add(Violation("range", f"{path} tone {i}",
                               f"key index {value_text(tone.key_index)} outside scale "
-                              f"{scale.name!r} of {len(scale)} keys"))
-            if tone.interval.end > length:
+                              f"{scale.name!r} of {size} keys"))
+            if end > length:
                 add(Violation("range", f"{path} tone {i}",
-                              f"interval [{value_text(tone.interval.start)}, "
-                              f"{value_text(tone.interval.end)}) "
+                              f"interval [{value_text(start)}, {value_text(end)}) "
                               f"exceeds composition length {length_text}"))
             if i == 0:
                 continue
-            prev = harmony.tones[i - 1]
-            if tone.interval.start < prev.interval.start:
+            if start < starts[i - 1]:
                 add(Violation("order", f"{path} tone {i}", "tones are not sorted by start tick"))
-            elif tone.interval.start < prev.interval.end:
+            elif start < ends[i - 1]:
                 add(Violation("overlap", f"{path} tone {i}",
-                              f"tone starts at {value_text(tone.interval.start)} before the "
-                              f"previous tone ends at {value_text(prev.interval.end)}"))
-            elif tone.interval.start > prev.interval.end:
+                              f"tone starts at {value_text(start)} before the "
+                              f"previous tone ends at {value_text(ends[i - 1])}"))
+            elif start > ends[i - 1]:
                 add(Violation("gap", f"{path} tones {i - 1}..{i}",
-                              f"gap between {value_text(prev.interval.end)} and "
-                              f"{value_text(tone.interval.start)}"))
-        if harmony.tones[0].interval.start != 0:
+                              f"gap between {value_text(ends[i - 1])} and {value_text(start)}"))
+        if starts[0] != 0:
             add(Violation("span", f"{path} tone 0",
-                          f"first tone starts at {value_text(harmony.tones[0].interval.start)}, "
-                          f"not 0"))
-        if harmony.tones[-1].interval.end != length:
-            add(Violation("span", f"{path} tone {len(harmony.tones) - 1}",
-                          f"last tone ends at {value_text(harmony.tones[-1].interval.end)}, "
+                          f"first tone starts at {value_text(starts[0])}, not 0"))
+        if ends[-1] != length:
+            add(Violation("span", f"{path} tone {len(ends) - 1}",
+                          f"last tone ends at {value_text(ends[-1])}, "
                           f"not at composition length {length_text}"))
 
-    failed = any(v.severity == ERROR for v in report)  # the float-range gate
+    crossings = 0  # the report's warnings; every other finding is an error
     seen_instruments: set[str] = set()
     for inst in composition.instruments:
         path = f"instrument {inst.name}"
-        mark = len(report)
         if inst.name in seen_instruments:
             add(Violation("duplicate-name", path, "instrument name already used"))
         seen_instruments.add(inst.name)
@@ -361,32 +359,28 @@ def validate_composition(composition: Composition) -> list[Violation]:
         if scale is None:
             add(Violation("bad-reference", path, f"unknown scale {inst.scale_name!r}"))
 
-        bound: list[HarmonicSequence] = []
         for pos, hname in enumerate(inst.harmony_names):
             harmony = composition.harmonies.get(hname)
             if harmony is None:
                 add(Violation("bad-reference", f"{path} harmony {hname}",
                               f"unknown harmony {hname!r}"))
                 continue
-            bound.append(harmony)
             if harmony.level != pos + 1:
                 add(Violation("level-gap", f"{path} harmony {hname}",
                               f"expected level {pos + 1} at position {pos}, "
                               f"got level {value_text(harmony.level)}"))
 
-        failed = failed or any(v.severity == ERROR for v in report[mark:])
         # A spanning timeline's starts strictly increase from 0, and the
         # length closes it, so the first boundary after the onset of a note
         # that ends in time is one bisect away.
-        timelines = [([*h._starts, length], f"note sustains across the {h.name} boundary at tick ")
-                     for h in bound if spanning_ok.get(h.name)]
+        timelines = [spanning[h] for h in inst.harmony_names if h in spanning]
         size = len(scale) if scale is not None else math.inf  # no range check without one
         key, notes = (inst.scale_name, size, length, timelines), inst.score.notes
         kept = _last_findings.get(inst.name)
         if kept is not None and kept[0] == key and kept[1] == notes:
             report += kept[2]
             findings[inst.name] = kept
-            failed = failed or kept[3]
+            crossings += kept[3]
             continue
         first = len(report)
         for i, note in enumerate(notes):
@@ -402,19 +396,19 @@ def validate_composition(composition: Composition) -> list[Violation]:
                               f"interval [{value_text(onset)}, {value_text(end)}) "
                               f"exceeds composition length {length_text}"))
                 continue
-            for starts, crossing in timelines:
-                boundary = starts[bisect_right(starts, onset)]
+            for timeline, crossing in timelines:
+                boundary = timeline[bisect_right(timeline, onset)]
                 if boundary < end:
                     npath = npath or f"{path} note {i}"
                     add(Violation("boundary-crossing", npath,
                                   f"{crossing}{value_text(boundary)}; it keeps its onset pitch",
                                   WARNING))
         found = report[first:]
-        erred = any(v.severity == ERROR for v in found)
-        findings[inst.name] = (key, notes, found, erred)
-        failed = failed or erred
+        warned = sum(v.severity == WARNING for v in found)
+        findings[inst.name] = (key, notes, found, warned)
+        crossings += warned
 
-    if not failed:
+    if len(report) == crossings:  # no error so far
         report.extend(_float_range(composition))
     _last_findings = findings
     return report
@@ -440,11 +434,11 @@ def _float_range(composition: Composition) -> list[Violation]:
     Needs a composition with no other error.  Every note ends within the
     length, so a length whose seconds are a finite float, over a finite
     ``tempo * ppq``, bounds every event's start and duration.  An
-    instrument is walked only when one of the bounds ``base * largest key
-    * product of each bound harmony's largest used tone key``, and the
-    same with the smallest keys, has no normal float: then every note,
-    and every key at the regions of largest and smallest shift
-    (``resolve --table``), is checked exactly.
+    instrument is walked only when ``base`` times the largest keys of its
+    scale and of each bound harmony's scale, or times the smallest ones,
+    has no normal float: then every note, and every key at the regions of
+    largest and smallest shift (``resolve --table``), is checked exactly.
+    Every finding comes from that walk; a key no tone uses can start one.
     """
     found: list[Violation] = []
     try:
@@ -458,17 +452,16 @@ def _float_range(composition: Composition) -> list[Violation]:
         found.append(Violation("overflow", "tempo", "tempo * ppq is beyond the float range"))
 
     base = Fraction(composition.base_frequency_hz)
+    largest = {name: max(scale.keys) for name, scale in composition.scales.items()}
+    smallest = {name: min(scale.keys) for name, scale in composition.scales.items()}
     for inst in composition.instruments:
-        keys = composition.scales[inst.scale_name].keys
-        high, low = base * max(keys), base * min(keys)
-        for name in inst.harmony_names:
-            harmony = composition.harmonies[name]
-            hkeys = composition.scales[harmony.scale_name].keys
-            used = [hkeys[k] for k in {t.key_index for t in harmony.tones}]
-            high *= max(used)
-            low *= min(used)
+        names = [inst.scale_name, *(composition.harmonies[h].scale_name
+                                    for h in inst.harmony_names)]
+        high = base * math.prod(largest[name] for name in names)
+        low = base * math.prod(smallest[name] for name in names)
         if _float_kind(high) is None and _float_kind(low) is None:
             continue
+        keys = composition.scales[inst.scale_name].keys
         path = f"instrument {inst.name}"
         from .resolve import _memo  # resolve imports this module
         with _memo(composition) as memo:  # held while the sweep's lists are read

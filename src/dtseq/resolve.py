@@ -75,17 +75,13 @@ def _error(instrument: Instrument, level: int, problem: object) -> ResolutionErr
     return ResolutionError(f"{where}: {problem}", instrument=instrument.name, level=level)
 
 
-def _hz(base: Fraction, factor: Fraction) -> float:
+def _frequency(instrument: Instrument, base: Fraction, factor: Fraction) -> float:
     """``float(base * factor)`` without the reduced product: int true
     division rounds a quotient correctly, so the unreduced one gives the
-    same float (or the same OverflowError)."""
-    return base.numerator * factor.numerator / (base.denominator * factor.denominator)
-
-
-def _frequency(instrument: Instrument, base: Fraction, factor: Fraction) -> float:
-    """:func:`_hz`, with a :class:`ResolutionError` for its OverflowError."""
+    same float, and a :class:`ResolutionError` where ``float`` raises
+    OverflowError."""
     try:
-        return _hz(base, factor)
+        return base.numerator * factor.numerator / (base.denominator * factor.denominator)
     except OverflowError:
         raise _error(instrument, 0, "resolved frequency is beyond the float range") from None
 

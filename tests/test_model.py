@@ -25,6 +25,7 @@ from dtseq import (
     validate_composition,
 )
 from dtseq import model as model_module
+from dtseq import resolve as resolve_module
 from dtseq.model import ERROR, WARNING, Violation
 from support import (
     REFERENCE_SCORE,
@@ -207,6 +208,28 @@ class TestValidation:
         comp = harmony_comp([tone(0, 0, 480), tone(1, 400, 560)])
         assert validate_composition(comp) == validate_composition(comp)
 
+    def test_every_harmony_finding_reads_exactly(self):
+        comp = Composition(
+            440.0, 480, 120.0, 960, scales=[Scale("t", ["1/1", "3/2"])],
+            harmonies=[HarmonicSequence("A", 1, "missing", [tone(0, 0, 960)]),
+                       HarmonicSequence("B", 1, "t", [tone(0, 0, 400), tone(2, 300, 200),
+                                                      tone(1, 100, 100), tone(0, 600, 400)]),
+                       HarmonicSequence("C", 1, "t", [tone(0, 10, 950)]),
+                       HarmonicSequence("D", 1, "t", [])])
+        expected = [
+            ("bad-reference", "harmony A", "unknown scale 'missing'"),
+            ("range", "harmony B tone 1", "key index 2 outside scale 't' of 2 keys"),
+            ("overlap", "harmony B tone 1",
+             "tone starts at 300 before the previous tone ends at 400"),
+            ("order", "harmony B tone 2", "tones are not sorted by start tick"),
+            ("range", "harmony B tone 3", "interval [600, 1000) exceeds composition length 960"),
+            ("gap", "harmony B tones 2..3", "gap between 200 and 600"),
+            ("span", "harmony B tone 3", "last tone ends at 1000, not at composition length 960"),
+            ("span", "harmony C tone 0", "first tone starts at 10, not 0"),
+            ("span", "harmony D", "harmony has no tones; it must span the composition")]
+        for report in cold_validate(comp), validate_composition(comp):
+            assert [(v.kind, v.path, v.message) for v in report] == expected
+
 
 def scan_boundary_crossings(composition):
     """Reference for the boundary-crossing warnings: for each note that
@@ -320,6 +343,18 @@ class TestOverflow:
             harmonies=[HarmonicSequence("H", 1, "t", [tone(0, 0, length)])],
             instruments=[Instrument("lead", "t", ["H"], [Note(1, TimeInterval(0, 480))])])
         assert [(v.kind, v.path) for v in validate_composition(comp)] == [("overflow", path)]
+
+    def test_unused_extreme_harmony_key_walks_and_finds_nothing(self, monkeypatch):
+        # the bound reads the scale's largest key, which no tone uses
+        walked = []
+        regions = resolve_module._Memo.regions
+        monkeypatch.setattr(resolve_module._Memo, "regions",
+                            lambda memo, names: walked.append(names) or regions(memo, names))
+        comp = overflow_comp([1, 2], [Note(1, TimeInterval(0, 480))],
+                             tone_keys=("1/1", "3/2", 10**400))
+        assert cold_validate(comp) == []
+        assert validate_composition(comp) == []
+        assert walked == [("H",), ("H",)]
 
     def test_only_checked_once_other_errors_are_gone(self):
         comp = overflow_comp([1, self.HUGE], [Note(1, TimeInterval(0, 480)),

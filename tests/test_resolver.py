@@ -31,7 +31,7 @@ from dtseq import (
 )
 from dtseq import resolve as resolve_module
 from dtseq.rational import ratio_text
-from dtseq.resolve import _hz, export_table
+from dtseq.resolve import _frequency, export_table
 from support import (
     EDITS,
     REFERENCE_SCORE,
@@ -803,19 +803,16 @@ def test_carried_maps_stay_within_two_tuples_per_region_start():
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
 
-def float_outcome(fn, *args):
-    """The value of ``fn(*args)``, or the message of its OverflowError."""
-    try:
-        return fn(*args)
-    except OverflowError as exc:
-        return str(exc)
-
-
 @given(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
        st.integers(1, 10**400), st.integers(1, 10**400))
 def test_hz_is_the_float_of_the_exact_product(base, num, den):
     base, factor = Fraction(base), Fraction(num, den)
-    assert float_outcome(_hz, base, factor) == float_outcome(lambda: float(base * factor))
+    try:
+        expected = float(base * factor)
+    except OverflowError:
+        expected = ("error", "instrument 'a': resolved frequency is beyond the float range",
+                    "a", 0)
+    assert outcome(_frequency, Instrument("a", "s"), base, factor) == expected
 
 
 @pytest.mark.parametrize("warm", [False, True])
