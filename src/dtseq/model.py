@@ -270,10 +270,12 @@ class Violation:
 # The note-loop findings of the most recent validate_composition call, by
 # instrument name: (everything that loop read besides the notes, the notes,
 # the range and boundary-crossing violations it found, in order, and
-# how many of them are warnings).  Each call fills a new dict and only
-# then puts it here, so a call running in another thread reads a finished
-# one.
+# how many of them are warnings); and by harmony name, (the harmony, the
+# length and scale size, and what _harmony_findings found).  Each call fills
+# new dicts and only then puts them here, so a call running in another
+# thread reads finished ones.
 _last_findings: dict[str, tuple[tuple, tuple[Note, ...], list[Violation], int]] = {}
+_last_harmonies: dict[str, tuple] = {}
 
 
 def validate_composition(composition: Composition) -> list[Violation]:
@@ -286,66 +288,38 @@ def validate_composition(composition: Composition) -> list[Violation]:
     found.  Pure function: validating the same composition twice yields
     identical reports.
 
-    The per-note findings of an instrument whose notes, scale name and
-    size, length and bound harmony timelines equal those of the previous
-    call are that call's findings, so a re-validation after an edit of
-    one transposition tone's key walks no note again; the report equals a
-    cold call's.  Only the previous call's findings are kept, and sharing
-    them is safe because a Violation is immutable.  Every number in a
-    message is written by :func:`value_text`, so a kept finding reads the
-    same under any ``sys.set_int_max_str_digits`` limit.
+    A harmony that is the very object of the previous call, under an equal
+    length and scale size, takes that call's findings and timeline; the
+    per-note findings of an instrument whose notes, scale name and size,
+    length and bound harmony timelines equal those of the previous call
+    are that call's findings.  So a re-validation after an edit of one
+    transposition tone's key walks the tones of that harmony alone, and
+    no note; the report equals a cold call's.  Only the previous call's
+    findings are kept, and sharing them is safe because a Violation is
+    immutable.  Every number in a message is written by
+    :func:`value_text`, so a kept finding reads the same under any
+    ``sys.set_int_max_str_digits`` limit.
     """
-    global _last_findings
+    global _last_findings, _last_harmonies
     findings: dict[str, tuple] = {}
+    harmonies: dict[str, tuple] = {}
     report: list[Violation] = []
     add = report.append
     length = composition.length_ticks
     length_text = value_text(length)
-    # each spanning harmony's timeline and crossing message: it starts at 0, each tone
-    # where the one before ends, and it ends at the length; exactly then no timeline error
+    # each spanning harmony's timeline and crossing message (see _harmony_findings)
     spanning: dict[str, tuple[list[int], str]] = {}
 
     for harmony in composition.harmonies.values():
-        path = f"harmony {harmony.name}"
         scale = composition.scales.get(harmony.scale_name)
-        if scale is None:
-            add(Violation("bad-reference", path, f"unknown scale {harmony.scale_name!r}"))
-        starts = harmony._starts
-        ends = [tone.interval.end for tone in harmony.tones]
-        if (timeline := [*starts, length]) == [0, *ends]:
-            spanning[harmony.name] = (
-                timeline, f"note sustains across the {harmony.name} boundary at tick ")
-        if not ends:
-            add(Violation("span", path, "harmony has no tones; it must span the composition"))
-            continue
         size = len(scale) if scale is not None else math.inf  # no range check without one
-        for i, (tone, start, end) in enumerate(zip(harmony.tones, starts, ends)):
-            if tone.key_index >= size:
-                add(Violation("range", f"{path} tone {i}",
-                              f"key index {value_text(tone.key_index)} outside scale "
-                              f"{scale.name!r} of {size} keys"))
-            if end > length:
-                add(Violation("range", f"{path} tone {i}",
-                              f"interval [{value_text(start)}, {value_text(end)}) "
-                              f"exceeds composition length {length_text}"))
-            if i == 0:
-                continue
-            if start < starts[i - 1]:
-                add(Violation("order", f"{path} tone {i}", "tones are not sorted by start tick"))
-            elif start < ends[i - 1]:
-                add(Violation("overlap", f"{path} tone {i}",
-                              f"tone starts at {value_text(start)} before the "
-                              f"previous tone ends at {value_text(ends[i - 1])}"))
-            elif start > ends[i - 1]:
-                add(Violation("gap", f"{path} tones {i - 1}..{i}",
-                              f"gap between {value_text(ends[i - 1])} and {value_text(start)}"))
-        if starts[0] != 0:
-            add(Violation("span", f"{path} tone 0",
-                          f"first tone starts at {value_text(starts[0])}, not 0"))
-        if ends[-1] != length:
-            add(Violation("span", f"{path} tone {len(ends) - 1}",
-                          f"last tone ends at {value_text(ends[-1])}, "
-                          f"not at composition length {length_text}"))
+        kept = _last_harmonies.get(harmony.name)
+        if kept is None or kept[0] is not harmony or kept[1] != (length, size):
+            kept = (harmony, (length, size), *_harmony_findings(harmony, scale, size, length))
+        harmonies[harmony.name] = kept
+        report += kept[2]
+        if kept[3] is not None:
+            spanning[harmony.name] = kept[3]
 
     crossings = 0  # the report's warnings; every other finding is an error
     seen_instruments: set[str] = set()
@@ -410,8 +384,58 @@ def validate_composition(composition: Composition) -> list[Violation]:
 
     if len(report) == crossings:  # no error so far
         report.extend(_float_range(composition))
-    _last_findings = findings
+    _last_findings, _last_harmonies = findings, harmonies
     return report
+
+
+def _harmony_findings(harmony: HarmonicSequence, scale: Scale | None, size: int | float,
+                      length: int) -> tuple[list[Violation], tuple[list[int], str] | None]:
+    """The violations of one harmony, in order, and its timeline with its
+    crossing message when it spans: it starts at 0, each tone where the
+    one before ends, and it ends at the length; exactly then no timeline
+    error is found."""
+    found: list[Violation] = []
+    add = found.append
+    path = f"harmony {harmony.name}"
+    if scale is None:
+        add(Violation("bad-reference", path, f"unknown scale {harmony.scale_name!r}"))
+    length_text = value_text(length)
+    starts = harmony._starts
+    ends = [tone.interval.end for tone in harmony.tones]
+    entry = None
+    if (timeline := [*starts, length]) == [0, *ends]:
+        entry = (timeline, f"note sustains across the {harmony.name} boundary at tick ")
+    if not ends:
+        add(Violation("span", path, "harmony has no tones; it must span the composition"))
+        return found, entry
+    for i, (tone, start, end) in enumerate(zip(harmony.tones, starts, ends)):
+        if tone.key_index >= size:
+            add(Violation("range", f"{path} tone {i}",
+                          f"key index {value_text(tone.key_index)} outside scale "
+                          f"{scale.name!r} of {size} keys"))
+        if end > length:
+            add(Violation("range", f"{path} tone {i}",
+                          f"interval [{value_text(start)}, {value_text(end)}) "
+                          f"exceeds composition length {length_text}"))
+        if i == 0:
+            continue
+        if start < starts[i - 1]:
+            add(Violation("order", f"{path} tone {i}", "tones are not sorted by start tick"))
+        elif start < ends[i - 1]:
+            add(Violation("overlap", f"{path} tone {i}",
+                          f"tone starts at {value_text(start)} before the "
+                          f"previous tone ends at {value_text(ends[i - 1])}"))
+        elif start > ends[i - 1]:
+            add(Violation("gap", f"{path} tones {i - 1}..{i}",
+                          f"gap between {value_text(ends[i - 1])} and {value_text(start)}"))
+    if starts[0] != 0:
+        add(Violation("span", f"{path} tone 0",
+                      f"first tone starts at {value_text(starts[0])}, not 0"))
+    if ends[-1] != length:
+        add(Violation("span", f"{path} tone {len(ends) - 1}",
+                      f"last tone ends at {value_text(ends[-1])}, "
+                      f"not at composition length {length_text}"))
+    return found, entry
 
 
 def _float_kind(x: Fraction) -> str | None:

@@ -24,8 +24,13 @@ place, so calls run one at a time; a call on a new composition first
 drops what no longer holds (see :meth:`_Memo.see`).  A binding's sweep
 keeps its shift ids while its scales' keys are equal, and so the results
 kept by them, and after an edit of tone keys it walks only the regions
-of the tones that are new objects.  Every result equals a cold call's;
-compositions, events and rows are immutable, so sharing them is safe.
+of the tones that are new objects.  An instrument with the very notes of
+the kept events, under the same pitch memo and region starts, is
+resolved again only in the regions whose shift id changed; so after a
+parse that hands back each unchanged block (see :mod:`dtseq.scorefile`),
+an edit of one tone re-resolves the notes under that tone alone.  Every
+result equals a cold call's; compositions, events and rows are
+immutable, so sharing them is safe.
 
 Listings: this module owns the two texts ``dtseq resolve`` prints,
 :func:`export_events` and :func:`export_table`; each is built with one
@@ -40,7 +45,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import inf, prod
 from threading import Lock
 from typing import Iterable, Iterator
 
@@ -171,9 +176,10 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...], sweep: _S
 class _Memo:
     """What the resolver keeps of the composition it saw last, changed in
     place only while ``_lock`` is held: ``composition``, its ``base``, the
-    :class:`_Sweep` of each binding, and ``events``, by instrument name the
-    notes and events of the last :func:`resolve_composition` that
-    returned."""
+    :class:`_Sweep` of each binding, and ``events``, by instrument name
+    what the last :func:`resolve_composition` that returned read and made:
+    the notes, their events, the pitch memo, the region starts and a copy
+    of the region ids, and each note's onset."""
 
     composition = base = None
 
@@ -279,7 +285,10 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
     A kept event is reused at its place in the instrument of its name when
     that is the very note object it was built from and the note's pitch the
     very tuple it took; every other note is resolved, and may raise, as in
-    a cold call.  A call that raises keeps no events.
+    a cold call.  When the instrument has the very notes, pitch memo and
+    region starts of the kept events, only the notes in regions whose shift
+    id changed are looked at again: every other one would keep its event.
+    A call that raises keeps no events.
     """
     with _memo(composition) as memo:
         base, seconds, last, memo.events = memo.base, composition.seconds, memo.events, {}
@@ -289,12 +298,23 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
             scale = composition.scales.get(inst.scale_name)
             keys = scale.keys if scale else ()
             starts, ids, shifts = memo.regions(inst.harmony_names)
-            was_notes, was = last.get(inst.name, ((), ()))
             notes = inst.score.notes
             pitches = memo.shared(inst, "pitches")  # (factor, frequency) of (key, shift id)
-            first = len(events)
-            for i, note in enumerate(notes):
-                onset, key = note.interval.start, note.key_index
+            was_notes, was, was_pitches, was_starts, was_ids, onsets = last.get(
+                inst.name, ((), (), None, None, None, None))
+            if notes is was_notes and pitches is was_pitches and starts is was_starts:
+                out, todo = list(was), []
+                for p, (sid, was_sid) in enumerate(zip(ids, was_ids)):
+                    if sid != was_sid:  # the notes with their onsets in region p
+                        end = starts[p + 1] if p + 1 < len(starts) else inf
+                        todo += range(bisect_left(onsets, starts[p]), bisect_left(onsets, end))
+            else:
+                out = [None] * len(notes)
+                todo = range(len(notes))
+                onsets = [note.interval.start for note in notes]
+            for i in todo:
+                note, onset = notes[i], onsets[i]
+                key = note.key_index
                 sid = ids[bisect_right(starts, onset) - 1]
                 pitch = pitches.get((key, sid))
                 if pitch is None:  # first note at this key and shift: check it
@@ -307,11 +327,12 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
                         raise ResolutionError(f"note {i} of {exc}", instrument=exc.instrument,
                                               level=exc.level) from exc
                 if i < len(was_notes) and was_notes[i] is note and was[i].factor is pitch[0]:
-                    events.append(was[i])
+                    out[i] = was[i]
                 else:
-                    events.append(ResolvedEvent(inst.name, *pitch, seconds(onset),
-                                                seconds(note.interval.duration), note.velocity))
-            per_instrument[inst.name] = (notes, tuple(events[first:]))
+                    out[i] = ResolvedEvent(inst.name, *pitch, seconds(onset),
+                                           seconds(note.interval.duration), note.velocity)
+            events += out
+            per_instrument[inst.name] = (notes, out, pitches, starts, ids[:], onsets)
         memo.events = per_instrument
     events.sort(key=lambda e: (e.start_sec, e.instrument, e.frequency_hz, e.velocity))
     return events

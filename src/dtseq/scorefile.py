@@ -29,12 +29,18 @@ not hide later ones.  ``serialize`` emits a canonical form (fixed section
 order, entities sorted by name, tones sorted by start, notes in score
 order, ratios reduced) and is a fixpoint under re-parsing.
 
-``parse`` keeps the clean event lines of its previous call, each with the
-Note or TranspositionTone built from it, and reuses those objects for
-lines of the same text inside a block of the same kind; every other line
-takes the token walk.  The result equals a cold parse.  Events may be
-shared between compositions because they are immutable, and the kept
-lines are one score's: each call replaces them with its own.
+A leading UTF-8 byte-order mark (U+FEFF) is dropped.
+
+Reuse: ``parse`` keeps the clean event lines of its previous call, each
+with the Note or TranspositionTone built from it, and reuses those
+objects for lines of the same text inside a block of the same kind;
+every other line takes the token walk.  It hands back the very
+HarmonicSequence or Instrument of the last composition it built for a
+block (``harmony ... end`` or ``instrument ... end``) with the same name,
+header fields and events, and ``serialize`` the text it wrote last for
+the very same object, so after an edit both redo only the blocks it
+changed.  Every result equals a cold call's.  What is kept is immutable,
+so sharing it is safe, and it is one score's: each call replaces it.
 """
 
 from __future__ import annotations
@@ -78,8 +84,14 @@ _REUSE_BELOW = 640
 # The clean event lines of the most recent parse: raw line text -> the
 # immutable Note or TranspositionTone that event_line built from it.  Each
 # call fills a new dict and only then puts it here, so a parse running in
-# another thread reads a finished one.
+# another thread reads a finished one; so do the two memos below.
 _last_events: dict[str, Note | TranspositionTone] = {}
+# The blocks of the last composition parse built: (kind, name) -> (header
+# fields, events in file order, the HarmonicSequence or Instrument built).
+_last_blocks: dict[tuple[str, str], tuple] = {}
+# The blocks the last serialize wrote: id(object) -> (object, text), but for
+# those with a line of _REUSE_BELOW characters or more.
+_last_texts: dict[int, tuple[HarmonicSequence | Instrument, str]] = {}
 
 
 @dataclass(frozen=True)
@@ -105,18 +117,21 @@ def parse(text: str | bytes) -> Composition | list[ParseError]:
     validation.
 
     An event line whose text was a clean event line of the previous call
-    reuses the event built then, so a re-parse after an edit tokenises
-    only the lines the edit changed; the result equals a cold parse.
+    reuses the event built then, and a block with the name, header fields
+    and events of one in the last composition built is that very object,
+    so a re-parse after an edit tokenises only the lines the edit changed
+    and builds only the blocks it changed; the result equals a cold parse.
     """
-    global _last_events
+    global _last_events, _last_blocks
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     parser = _Parser(_last_events)
-    parser.run(text)
+    parser.run(text.removeprefix("\ufeff"))
     _last_events = parser.events
     if parser.errors:
         return sorted(parser.errors, key=lambda e: (e.position.line, e.position.column))
-    return parser.build()
+    composition, _last_blocks = parser.build(_last_blocks)
+    return composition
 
 
 class _Parser:
@@ -442,16 +457,26 @@ class _Parser:
                 if name not in self.harmonies:
                     self.error(ln, col, "bad-reference", f"unknown harmony {name!r}")
 
-    def build(self) -> Composition:
-        harmonies = [
-            HarmonicSequence(name, level, scale,
-                             sorted(tones, key=lambda t: t.interval.start))
-            for name, (scale, _, level, tones) in self.harmonies.items()
-        ]
-        instruments = [
-            Instrument(name, scale, [h for h, _ in refs], InstrumentScore(notes))
-            for name, (scale, _, refs, notes) in sorted(self.instruments.items())
-        ]
+    def build(self, kept: dict[tuple[str, str], tuple]
+              ) -> tuple[Composition, dict[tuple[str, str], tuple]]:
+        """The composition, and its blocks to keep (see ``_last_blocks``):
+        a block with the header fields and events (mostly the very same
+        objects) of its kind and name in ``kept`` is that object again."""
+        blocks: dict[tuple[str, str], tuple] = {}
+        harmonies, instruments = [], []
+        for name, (scale, _, level, tones) in self.harmonies.items():
+            was = kept.get(("harmony", name), ())
+            built = was[2] if was[:2] == ((scale, level), tones) else HarmonicSequence(
+                name, level, scale, sorted(tones, key=lambda t: t.interval.start))
+            blocks["harmony", name] = ((scale, level), tones, built)
+            harmonies.append(built)
+        for name, (scale, _, refs, notes) in sorted(self.instruments.items()):
+            names = tuple(h for h, _ in refs)
+            was = kept.get(("instrument", name), ())
+            built = was[2] if was[:2] == ((scale, names), notes) else Instrument(
+                name, scale, names, InstrumentScore(notes))
+            blocks["instrument", name] = ((scale, names), notes, built)
+            instruments.append(built)
         return Composition(
             base_frequency_hz=float(self.header["base"]),
             ticks_per_beat=int(self.header["ppq"]),
@@ -460,7 +485,7 @@ class _Parser:
             scales=self.scales,
             harmonies=harmonies,
             instruments=instruments,
-        )
+        ), blocks
 
 
 def _float_text(x: float) -> str:
@@ -479,7 +504,13 @@ def serialize(composition: Composition) -> str:
     scale key with a part longer than the int-string digit limit
     (``sys.get_int_max_str_digits``), which :func:`parse` refuses, raises
     ValueError naming the scale and the key's index.
+
+    A harmony or instrument that is the very object written by the
+    previous call takes the text written then, so a re-serialize after an
+    edit formats only the blocks the edit changed; the result equals a
+    cold call's.
     """
+    global _last_texts
     lines = [
         f"base {_float_text(composition.base_frequency_hz)}",
         f"ppq {composition.ticks_per_beat}",
@@ -500,24 +531,33 @@ def serialize(composition: Composition) -> str:
                                  f"to parse back") from None
         lines.append(f"scale {scale.name} {' '.join(keys)}")
 
-    for harmony in sorted(composition.harmonies.values(), key=lambda h: h.name):
-        lines.append("")
-        lines.append(f"harmony {harmony.name} level {harmony.level} "
-                     f"scale {harmony.scale_name}")
-        for tone in sorted(harmony.tones, key=lambda t: t.interval.start):
-            lines.append(f"  tone {tone.key_index} @ {tone.interval.start} "
-                         f"+{tone.interval.duration}")
-        lines.append("end")
-
-    for inst in sorted(composition.instruments, key=lambda i: i.name):
-        lines.append("")
-        header = f"instrument {inst.name} scale {inst.scale_name}"
-        if inst.harmony_names:
-            header += " harmonies " + " ".join(inst.harmony_names)
-        lines.append(header)
-        for note in inst.score.notes:
-            lines.append(f"  note {note.key_index} @ {note.interval.start} "
-                         f"+{note.interval.duration} vel {note.velocity}")
-        lines.append("end")
-
+    texts: dict[int, tuple[HarmonicSequence | Instrument, str]] = {}
+    for block in (*sorted(composition.harmonies.values(), key=lambda h: h.name),
+                  *sorted(composition.instruments, key=lambda i: i.name)):
+        kept = _last_texts.get(id(block))
+        if kept is not None and kept[0] is block:
+            texts[id(block)] = kept
+        else:
+            block_lines = _block_lines(block)
+            kept = (block, "\n".join(block_lines))
+            if max(map(len, block_lines)) < _REUSE_BELOW:
+                texts[id(block)] = kept
+        lines += ("", kept[1])
+    _last_texts = texts
     return "\n".join(lines) + "\n"
+
+
+def _block_lines(block: HarmonicSequence | Instrument) -> list[str]:
+    """The lines of one harmony or instrument block, ``end`` included."""
+    if isinstance(block, HarmonicSequence):
+        header = f"harmony {block.name} level {block.level} scale {block.scale_name}"
+        return [header, *(f"  tone {tone.key_index} @ {tone.interval.start} "
+                          f"+{tone.interval.duration}"
+                          for tone in sorted(block.tones, key=lambda t: t.interval.start)),
+                "end"]
+    header = f"instrument {block.name} scale {block.scale_name}"
+    if block.harmony_names:
+        header += " harmonies " + " ".join(block.harmony_names)
+    return [header, *(f"  note {note.key_index} @ {note.interval.start} "
+                      f"+{note.interval.duration} vel {note.velocity}"
+                      for note in block.score.notes), "end"]

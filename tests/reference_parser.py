@@ -3,13 +3,14 @@ as it stood before its tokens, drafts and tone/note handlers were folded
 into plain tuples and one event handler.  ``test_parser_equivalence``
 checks that ``dtseq.scorefile.parse`` still returns what this returns:
 an equal Composition or the same ``(line, column, kind, message)`` list.
-Only the imports differ from that version, apart from two later revisions
+Only the imports differ from that version, apart from three later revisions
 made in the parser too.  First, numbers are ASCII digits only (no other
 Unicode digits, no ``_``), and a header line gives its field even when its
 value is bad, so the field is not also reported missing and a later line
 for it is a duplicate.  Second, only LF, CRLF and CR end a line, where
 ``str.splitlines()`` also ended one at the other Unicode line and record
-separators.  ``serialize`` is left out.
+separators.  Third, a leading UTF-8 byte-order mark is dropped.
+``serialize`` is left out.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def parse(text: str | bytes) -> Composition | list[ParseError]:
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     parser = _Parser()
-    parser.run(text)
+    parser.run(text.removeprefix("\ufeff"))
     if parser.errors:
         return sorted(parser.errors, key=lambda e: (e.position.line, e.position.column))
     return parser.build()

@@ -1,7 +1,7 @@
 """Shared test fixtures: the reference score, a brute-force frequency
 oracle, a randomized composition generator and editor, ratios too long
-for the interpreter's int-to-string digit limit, and a parse, validate
-and resolve with nothing reused.
+for the interpreter's int-to-string digit limit, and a serialize, parse,
+validate and resolve with nothing reused.
 
 The oracle deliberately avoids the library's lookup code: it finds the
 active tone of each level by linear scan at every single tick, so any
@@ -75,16 +75,23 @@ def int_digit_limit(digits: int):
 
 
 def cold_parse(text):
-    """``parse`` with no event lines kept from an earlier call, as in a
-    fresh process."""
-    scorefile._last_events = {}
+    """``parse`` with no event lines or blocks kept from an earlier call,
+    as in a fresh process."""
+    scorefile._last_events, scorefile._last_blocks = {}, {}
     return scorefile.parse(text)
+
+
+def cold_serialize(composition):
+    """``serialize`` with no block texts kept from an earlier call, as in
+    a fresh process."""
+    scorefile._last_texts = {}
+    return scorefile.serialize(composition)
 
 
 def cold_validate(composition):
     """``validate_composition`` with nothing kept from an earlier call of
     it or of the resolver, as in a fresh process."""
-    model._last_findings = {}
+    model._last_findings, model._last_harmonies = {}, {}
     resolve._the_memo = resolve._Memo()
     return model.validate_composition(composition)
 

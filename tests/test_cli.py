@@ -95,6 +95,15 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"{path}:5:9: bad-ratio:" in err
 
+    def test_a_leading_byte_order_mark_is_no_error(self, tmp_path, capsys):
+        path = tmp_path / "bom.dts"
+        path.write_bytes(b"\xef\xbb\xbf" + (SCORES / "reference.dts").read_bytes())
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["resolve", str(path)]) == 0
+        assert capsys.readouterr().out == (LISTINGS / "reference.events.tsv").read_text(
+            encoding="utf-8")
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.dts")]) == 3
         assert "nope.dts" in capsys.readouterr().err

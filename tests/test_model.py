@@ -229,6 +229,13 @@ class TestValidation:
             ("span", "harmony D", "harmony has no tones; it must span the composition")]
         for report in cold_validate(comp), validate_composition(comp):
             assert [(v.kind, v.path, v.message) for v in report] == expected
+        # warm after an edit of C that finds the same: A, B and D keep their findings
+        edited = Composition(440.0, 480, 120.0, 960, comp.scales, {
+            **comp.harmonies, "C": HarmonicSequence("C", 1, "t", [tone(1, 10, 950)])})
+        warm = validate_composition(edited)
+        assert [(v.kind, v.path, v.message) for v in warm] == expected
+        assert [v is w for v, w in zip(warm, report)] == [not v.path.startswith("harmony C")
+                                                          for v in report]
 
 
 def scan_boundary_crossings(composition):

@@ -27,6 +27,7 @@ from dtseq import (
     parse,
     resolve_composition,
     resolve_note,
+    serialize,
     validate_composition,
 )
 from dtseq import resolve as resolve_module
@@ -37,7 +38,9 @@ from support import (
     REFERENCE_SCORE,
     all_level_factors,
     broken_composition,
+    cold_parse,
     cold_resolve,
+    cold_serialize,
     cold_validate,
     edit_pairs,
     edited_composition,
@@ -997,6 +1000,57 @@ class TestWarmEqualsCold:
         for comp, edit, expected in chain:
             for what, call in self.calls(comp):
                 assert outcome(call, comp) == expected[what], (edit, what)
+
+    def test_a_chain_of_edits_through_the_text(self):
+        """256 edits, every other one of a tone key and the rest of each
+        kind of :data:`EDITS` in turn, each made to the objects of the last
+        parse that validated clean, as an editor makes them.  Serialize,
+        parse, validate, resolve and ``export_table`` of every edit equal
+        cold calls, and every harmony and instrument of the last
+        composition parsed that the edit left as it was comes out of the
+        parse as the very object it was."""
+
+        def chain(calls):
+            """Yield, for each edit, the edited composition, the last one
+            parsed before it, its parse and every result of ``calls``, the
+            five calls cold or warm."""
+            rng = random.Random(84)
+            last = clean = parse(serialize(random_composition(
+                rng, max_ticks=2000, max_notes=12, min_instruments=2, min_harmonic_levels=2)))
+            for n in range(256):
+                edit = EDITS[n // 2 % len(EDITS)] if n % 2 else "tone key"
+                edited = edited_composition(rng, clean, edit)
+                text = calls[0](edited)
+                parsed = calls[1](text)
+                got = [text, parsed]
+                if isinstance(parsed, Composition):
+                    got += [outcome(call, parsed) for call in calls[2:]]
+                yield edited, last, parsed, got
+                if isinstance(parsed, Composition):
+                    last = parsed
+                    if not any(v.severity == "error" for v in got[2]):
+                        clean = parsed
+
+        cold = [got for *_, got in chain([
+            cold_serialize, cold_parse, cold_validate,
+            lambda comp: cold_resolve(resolve_composition, comp),
+            lambda comp: cold_resolve(export_table, comp)])]
+        kept = resolved = 0
+        warm = chain([serialize, parse, validate_composition, resolve_composition, export_table])
+        for (edited, last, parsed, got), expected in zip(warm, cold, strict=True):
+            assert got == expected
+            if not isinstance(parsed, Composition):
+                continue
+            resolved += isinstance(got[3], list)
+            for name, harmony in edited.harmonies.items():
+                if harmony is last.harmonies.get(name):
+                    assert parsed.harmonies[name] is harmony
+                    kept += 1
+            for inst in edited.instruments:
+                if any(inst is was for was in last.instruments):
+                    assert any(inst is now for now in parsed.instruments)
+                    kept += 1
+        assert kept > 1000 and 100 < resolved < 256
 
     def test_one_resolver_call_at_a_time(self, monkeypatch):
         """A call on another composition, started in a thread while a call

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 
 from dtseq import (
     Composition,
+    HarmonicSequence,
+    Instrument,
+    Note,
     ParseError,
     Scale,
+    TimeInterval,
+    TranspositionTone,
     parse,
     serialize,
     validate_composition,
@@ -20,6 +25,8 @@ from dtseq.scorefile import PARSE_ERROR_KINDS
 from support import (
     REFERENCE_SCORE,
     cold_parse,
+    cold_serialize,
+    edited_composition,
     int_digit_limit,
     near_one,
     outcome,
@@ -172,6 +179,16 @@ class TestParse:
         result = parse(data)
         assert isinstance(result, (Composition, list))
 
+    @pytest.mark.parametrize("encode", [str.encode, str], ids=["bytes", "str"])
+    def test_a_leading_byte_order_mark_is_dropped(self, encode):
+        """Equal to the parse without it, with every error at the same
+        place; one anywhere else is not dropped."""
+        misspelt = REFERENCE_SCORE.replace("# header\n", "bse 440\n")
+        for text in REFERENCE_SCORE, misspelt, misspelt.replace("  tone 1 @", "  tone x @"):
+            assert outcome(cold_parse(encode("\ufeff" + text))) == outcome(cold_parse(text))
+        assert outcome(parse_errors(encode(MINIMAL_HEADER + "\ufeffscale s 1/1\n"))) == [
+            (5, 1, "unknown-directive", "unknown directive '\\ufeffscale'")]
+
     @given(st.binary(max_size=300))
     @settings(max_examples=300, deadline=None)
     def test_fuzz_bytes_never_raise(self, data):
@@ -312,6 +329,79 @@ class TestSerialize:
             assert text.endswith(f"scale s 1/1 {longest}\n")
             assert serialize(parse_ok(text)) == text
 
+    def test_a_reserialize_formats_only_the_blocks_that_changed(self, monkeypatch):
+        formatted = []
+        block_lines = scorefile._block_lines
+
+        def counted(block):
+            formatted.append(block.name)
+            return block_lines(block)
+
+        monkeypatch.setattr(scorefile, "_block_lines", counted)
+        comp = parse_ok(REFERENCE_SCORE)
+        text = cold_serialize(comp)
+        assert sorted(formatted) == ["H1", "lead"]
+        formatted.clear()
+        assert serialize(comp) == text
+        assert formatted == []
+        h1 = comp.harmonies["H1"]
+        edited = Composition(440.0, 480, 120.0, 1920, comp.scales, [HarmonicSequence(
+            "H1", 1, "fifths", [TranspositionTone(1, h1.tones[0].interval), h1.tones[1]])],
+            comp.instruments)
+        warm = serialize(edited)
+        assert formatted == ["H1"]
+        assert warm == cold_serialize(edited) != text
+
+    def test_kept_blocks_read_the_same_under_any_digit_limit(self):
+        """A block with a line of 640 characters or more is not kept, so
+        it is written again, and refused again, under a lower limit."""
+        far = 10 ** 699  # a 700-digit duration
+        comp = Composition(440, 480, 120, 960, [Scale("s", ["1/1"])],
+                           [HarmonicSequence("H", 1, "s", [TranspositionTone(
+                               0, TimeInterval(0, far))])],
+                           [Instrument("i", "s", ["H"], [Note(0, TimeInterval(0, 960))])])
+        with int_digit_limit(640):
+            with pytest.raises(ValueError) as cold:
+                cold_serialize(comp)
+        with int_digit_limit(0):
+            text = serialize(comp)
+            assert f"  tone 0 @ 0 +{far}\n" in text
+            assert [block for block, _ in scorefile._last_texts.values()] == [
+                comp.instruments[0]]
+        with int_digit_limit(640):
+            with pytest.raises(ValueError) as warm:
+                serialize(comp)
+            assert str(warm.value) == str(cold.value)
+
+    def test_serializes_in_threads_equal_cold_serializes(self):
+        rng = random.Random(10)
+        comps = [random_composition(rng, min_instruments=2, min_notes=5) for _ in range(4)]
+        comps += [edited_composition(rng, comp, "tone key") for comp in comps]
+        expected = [cold_serialize(comp) for comp in comps]
+        wrong = []
+
+        def work(offset):
+            try:
+                for i in range(60):
+                    k = (offset + i) % len(comps)
+                    if serialize(comps[k]) != expected[k]:
+                        wrong.append(k)
+            except Exception as exc:  # a worker that raises fails the test too
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
     def test_roundtrip_randomized(self):
         rng = random.Random(77)
         for _ in range(30):
@@ -414,6 +504,28 @@ class TestReuse:
         again = [*second.harmonies["H1"].tones, *second.instruments[0].score.notes]
         assert len(events) == 5
         assert all(a is b for a, b in zip(events, again))
+
+    def test_a_reparse_returns_the_blocks_it_did_not_change(self):
+        edits = [("  tone 1 @ 960  +960", "  tone 0 @ 960  +960", "harmony"),
+                 ("level 1 scale fifths", "level 2 scale fifths", "harmony"),
+                 ("harmonies H1", "", "instrument"),
+                 ("  note 4 @ 960  +960  vel 112\n", "", "instrument")]
+        texts = [REFERENCE_SCORE.replace(old, new) for old, new, _ in edits]
+        expected = [cold_parse(text) for text in texts]
+        first = parse_ok(REFERENCE_SCORE)
+        again = parse_ok(REFERENCE_SCORE)
+        assert again.harmonies["H1"] is first.harmonies["H1"]
+        assert again.instruments[0] is first.instruments[0]
+        # other spacing and a comment: new events, equal ones, so the same block
+        respaced = REFERENCE_SCORE.replace("  note 0 @ 0    +480  vel 96",
+                                           "  note 0 @ 0 +480 vel 96  # first")
+        assert parse_ok(respaced).instruments[0] is first.instruments[0]
+        for (_, _, kind), text, cold in zip(edits, texts, expected):
+            before = parse_ok(REFERENCE_SCORE)
+            edited = parse_ok(text)
+            assert edited == cold
+            assert (edited.harmonies["H1"] is before.harmonies["H1"]) == (kind != "harmony")
+            assert (edited.instruments[0] is before.instruments[0]) == (kind != "instrument")
 
     def test_reuse_does_not_depend_on_the_digit_limit(self):
         long = "1" + "0" * 699  # a 700-digit tick count
