@@ -41,7 +41,7 @@ _OWNER = {
     **dict.fromkeys(("AudioBuffer", "RenderSettings", "synthesize", "write_wav"), "render"),
     **dict.fromkeys((
         "ResolutionError", "ResolvedEvent", "TableRegion", "TableRow", "export_events",
-        "frequency_table", "resolve_composition", "resolve_note",
+        "export_table", "frequency_table", "resolve_composition", "resolve_note",
     ), "resolve"),
     **dict.fromkeys(("ParseError", "SourcePosition", "parse", "serialize"), "scorefile"),
 }

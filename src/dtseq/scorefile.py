@@ -31,16 +31,15 @@ order, ratios reduced) and is a fixpoint under re-parsing.
 
 A leading UTF-8 byte-order mark (U+FEFF) is dropped.
 
-Reuse: ``parse`` keeps the clean event lines of its previous call, each
-with the Note or TranspositionTone built from it, and reuses those
-objects for lines of the same text inside a block of the same kind;
-every other line takes the token walk.  It hands back the very
-HarmonicSequence or Instrument of the last composition it built for a
-block (``harmony ... end`` or ``instrument ... end``) with the same name,
-header fields and events, and ``serialize`` the text it wrote last for
-the very same object, so after an edit both redo only the blocks it
-changed.  Every result equals a cold call's.  What is kept is immutable,
-so sharing it is safe, and it is one score's: each call replaces it.
+Reuse: ``parse`` keeps each block (``harmony ... end`` or ``instrument
+... end``) of the last composition it built, by kind and name.  A body
+equal to the kept one line for line is not walked but takes its events;
+in any other, a line with the text of a kept event line reuses its event.
+A block with the kept header fields and events is the kept object, and
+``serialize`` takes the text it wrote last for the very same object, so
+after an edit both redo only the blocks it changed.  Every result equals
+a cold call's.  What is kept is immutable, so sharing it is safe, and it
+is one score's: each call replaces it.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .model import (
     DEFAULT_VELOCITY,
@@ -69,9 +69,7 @@ PARSE_ERROR_KINDS = (
 
 _HEADER_FIELDS = ("base", "ppq", "tempo", "length")
 _TOP_DIRECTIVES = {"base", "ppq", "tempo", "length", "scale", "harmony", "instrument"}
-# the event line each block holds besides 'end', and the type of its event
-_EVENT_WORD = {"harmony": "tone", "instrument": "note"}
-_EVENT_TYPE = {"harmony": TranspositionTone, "instrument": Note}
+_EVENT_WORD = {"harmony": "tone", "instrument": "note"}  # the word of a block's lines but 'end'
 
 _RATIO_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
 
@@ -81,13 +79,13 @@ _RATIO_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
 # same under any limit.
 _REUSE_BELOW = 640
 
-# The clean event lines of the most recent parse: raw line text -> the
-# immutable Note or TranspositionTone that event_line built from it.  Each
-# call fills a new dict and only then puts it here, so a parse running in
-# another thread reads a finished one; so do the two memos below.
-_last_events: dict[str, Note | TranspositionTone] = {}
-# The blocks of the last composition parse built: (kind, name) -> (header
-# fields, events in file order, the HarmonicSequence or Instrument built).
+# The blocks of the last composition parse built: (kind, name) -> (body
+# lines after the header, 'end' included, or () if one is _REUSE_BELOW
+# characters or longer; its clean event lines below that length, raw text
+# -> the immutable event built from it; header fields; events in file
+# order; the HarmonicSequence or Instrument).  Each call fills a new dict
+# and only then puts it here, so a parse running in another thread reads
+# a finished one; so does serialize with the memo below.
 _last_blocks: dict[tuple[str, str], tuple] = {}
 # The blocks the last serialize wrote: id(object) -> (object, text), but for
 # those with a line of _REUSE_BELOW characters or more.
@@ -116,30 +114,24 @@ def parse(text: str | bytes) -> Composition | list[ParseError]:
     ``validate_composition``; a file can parse cleanly and still fail
     validation.
 
-    An event line whose text was a clean event line of the previous call
-    reuses the event built then, and a block with the name, header fields
-    and events of one in the last composition built is that very object,
-    so a re-parse after an edit tokenises only the lines the edit changed
-    and builds only the blocks it changed; the result equals a cold parse.
+    A re-parse walks and builds only the blocks an edit changed (see the
+    module docstring); the result equals a cold parse.
     """
-    global _last_events, _last_blocks
+    global _last_blocks
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    parser = _Parser(_last_events)
+    parser = _Parser(_last_blocks)
     parser.run(text.removeprefix("\ufeff"))
-    _last_events = parser.events
     if parser.errors:
         return sorted(parser.errors, key=lambda e: (e.position.line, e.position.column))
-    composition, _last_blocks = parser.build(_last_blocks)
+    composition, _last_blocks = parser.build()
     return composition
 
 
 class _Parser:
-    def __init__(self, reusable: dict[str, Note | TranspositionTone]):
-        # raw line text -> event: the previous parse's clean event lines,
-        # which this one reuses, and this one's, which the next one will
-        self.reusable = reusable
-        self.events: dict[str, Note | TranspositionTone] = {}
+    def __init__(self, kept: dict[tuple[str, str], tuple]):
+        self.kept = kept  # as _last_blocks; self.blocks will be the next one's
+        self.blocks: dict[tuple[str, str], tuple] = {}  # (body, clean) until build
         self.errors: list[ParseError] = []
         self.header: dict[str, float | int | None] = {}  # None: given, with an error
         self.scales: dict[str, Scale] = {}
@@ -148,10 +140,10 @@ class _Parser:
         # instrument -> (scale, (line, col), [(harmony, (line, col))], notes).
         self.harmonies: dict[str, tuple] = {}
         self.instruments: dict[str, tuple] = {}
-        # (kind, name, list its lines append to, opening line) of the open
-        # block; after a broken or duplicate header the list is None and
-        # the name '?', so its lines are checked and dropped.
-        self.block: tuple[str, str, list | None, int] | None = None
+        # The open block: (kind, name, list its events go to, opening line,
+        # kept and new clean event lines); after a broken or duplicate header
+        # the list is None and the name '?': its lines are checked and dropped.
+        self.block: tuple[str, str, list | None, int, dict, dict] | None = None
         # number and comment-free text of the line being parsed, and the
         # columns of its tokens once a diagnostic or reference needs one
         self.ln = 0
@@ -188,16 +180,15 @@ class _Parser:
     def run(self, text: str) -> None:
         # Only \n, \r\n and \r end a line: the other separators that
         # str.splitlines() ends one at (\v, \x85, U+2028...) are whitespace.
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        reusable, events = self.reusable, self.events
-        for self.ln, raw in enumerate(lines, start=1):
+        self.lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        self.rows = enumerate(self.lines, start=1)  # open() skips the bodies it reuses
+        for self.ln, raw in self.rows:
             block = self.block
             if block is not None:
-                event = reusable.get(raw)
-                if type(event) is _EVENT_TYPE[block[0]]:
-                    events[raw] = event
-                    if block[2] is not None:
-                        block[2].append(event)
+                event = block[4].get(raw)
+                if event is not None:
+                    block[5][raw] = event
+                    block[2].append(event)
                     continue
             # '@' and '+' are tokens of their own; everything else splits
             # on whitespace.  Columns are found only when a line needs one.
@@ -207,9 +198,9 @@ class _Parser:
             if tokens:
                 event = self.dispatch(tokens)
                 if event is not None and len(raw) < _REUSE_BELOW:
-                    events[raw] = event
+                    self.block[5][raw] = event
         if self.block is not None:
-            kind, name, _, opened = self.block
+            kind, name, _, opened, *_ = self.block
             self.error(opened, 1, "syntax", f"{kind} {name!r} is missing its 'end' line")
         self.finalize()
 
@@ -217,10 +208,12 @@ class _Parser:
         """Handle one line; return the event of a clean event line."""
         head = toks[0]
         if self.block is not None:
-            kind, name, items, _ = self.block
+            kind, name, items, opened, _, new = self.block
             if head == "end":
                 if len(toks) > 1:
                     self.fail(toks, 1, "syntax", "unexpected tokens after 'end'")
+                body = self.lines[opened:self.ln]  # kept only if the whole parse is clean
+                self.blocks[kind, name] = (body if max(map(len, body)) < _REUSE_BELOW else (), new)
                 self.block = None
                 return
             if head == _EVENT_WORD[kind]:
@@ -242,13 +235,23 @@ class _Parser:
         elif head == "scale":
             self.scale_line(toks)
         elif head == "harmony":
-            self.block = ("harmony", *self.harmony_line(toks), self.ln)
+            self.open("harmony", *self.harmony_line(toks))
         elif head == "instrument":
-            self.block = ("instrument", *self.instrument_line(toks), self.ln)
+            self.open("instrument", *self.instrument_line(toks))
         elif head in ("tone", "note", "end"):
             self.fail(toks, 0, "syntax", f"{head!r} outside a block")
         else:
             self.fail(toks, 0, "unknown-directive", f"unknown directive {head!r}")
+
+    def open(self, kind: str, name: str, items: list | None) -> None:
+        """Open a block; take the kept events where the next lines are its kept body."""
+        body, clean, _, events, *_ = self.kept.get((kind, name), ((), {}, None, ()))
+        if body and self.lines[self.ln:self.ln + len(body)] == body:
+            items += events
+            self.blocks[kind, name] = (body, clean)
+            next(islice(self.rows, len(body) - 1, None))  # the walk goes on after 'end'
+        else:
+            self.block = (kind, name, items, self.ln, clean, {})
 
     # Directive handlers; a field is given by its token index
 
@@ -457,25 +460,22 @@ class _Parser:
                 if name not in self.harmonies:
                     self.error(ln, col, "bad-reference", f"unknown harmony {name!r}")
 
-    def build(self, kept: dict[tuple[str, str], tuple]
-              ) -> tuple[Composition, dict[tuple[str, str], tuple]]:
+    def build(self) -> tuple[Composition, dict[tuple[str, str], tuple]]:
         """The composition, and its blocks to keep (see ``_last_blocks``):
-        a block with the header fields and events (mostly the very same
-        objects) of its kind and name in ``kept`` is that object again."""
-        blocks: dict[tuple[str, str], tuple] = {}
+        a block with the kept block's header fields and events is that block."""
         harmonies, instruments = [], []
         for name, (scale, _, level, tones) in self.harmonies.items():
-            was = kept.get(("harmony", name), ())
-            built = was[2] if was[:2] == ((scale, level), tones) else HarmonicSequence(
+            was = self.kept.get(("harmony", name), ())
+            built = was[4] if was[2:4] == ((scale, level), tones) else HarmonicSequence(
                 name, level, scale, sorted(tones, key=lambda t: t.interval.start))
-            blocks["harmony", name] = ((scale, level), tones, built)
+            self.blocks["harmony", name] += ((scale, level), tones, built)
             harmonies.append(built)
         for name, (scale, _, refs, notes) in sorted(self.instruments.items()):
             names = tuple(h for h, _ in refs)
-            was = kept.get(("instrument", name), ())
-            built = was[2] if was[:2] == ((scale, names), notes) else Instrument(
+            was = self.kept.get(("instrument", name), ())
+            built = was[4] if was[2:4] == ((scale, names), notes) else Instrument(
                 name, scale, names, InstrumentScore(notes))
-            blocks["instrument", name] = ((scale, names), notes, built)
+            self.blocks["instrument", name] += ((scale, names), notes, built)
             instruments.append(built)
         return Composition(
             base_frequency_hz=float(self.header["base"]),
@@ -485,7 +485,7 @@ class _Parser:
             scales=self.scales,
             harmonies=harmonies,
             instruments=instruments,
-        ), blocks
+        ), self.blocks
 
 
 def _float_text(x: float) -> str:

@@ -75,9 +75,9 @@ def int_digit_limit(digits: int):
 
 
 def cold_parse(text):
-    """``parse`` with no event lines or blocks kept from an earlier call,
-    as in a fresh process."""
-    scorefile._last_events, scorefile._last_blocks = {}, {}
+    """``parse`` with no blocks (bodies, events or built objects) kept
+    from an earlier call, as in a fresh process."""
+    scorefile._last_blocks = {}
     return scorefile.parse(text)
 
 

@@ -75,6 +75,12 @@ class TestPackageNames:
             assert getattr(dtseq, name) is getattr(owner, name), name
         assert sorted(dtseq._OWNER) == sorted(dtseq.__all__)
 
+    def test_both_listings_are_package_names(self):
+        import dtseq.resolve
+        for name in ("export_events", "export_table"):
+            assert getattr(dtseq, name) is getattr(dtseq.resolve, name)
+            assert name in dtseq.__all__ and name in dir(dtseq)
+
     def test_dir_covers_all(self):
         assert set(dtseq.__all__) <= set(dir(dtseq))
         assert "__version__" in dir(dtseq)

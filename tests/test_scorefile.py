@@ -549,15 +549,17 @@ class TestReuse:
             (12, 3, "syntax", "expected 'tone' or 'end' inside harmony block, got 'note'")]
         assert outcome(errors) == outcome(cold_parse(text))
 
-    def test_only_the_last_scores_event_lines_are_kept(self):
+    def test_only_the_last_built_scores_blocks_are_kept(self):
         rng = random.Random(5)
         parse_ok(serialize(random_composition(rng, min_instruments=4, min_notes=10)))
-        assert len(scorefile._last_events) > 10
-        parse("base 440\n")
-        assert scorefile._last_events == {}
+        assert len(scorefile._last_blocks) > 4
+        kept = scorefile._last_blocks
+        parse("base 440\n")  # errors: the blocks of the last composition built stay
+        assert scorefile._last_blocks is kept
         parse_ok(REFERENCE_SCORE)
-        assert sorted(scorefile._last_events) == sorted(
-            line for line in REFERENCE_SCORE.split("\n") if line.startswith("  "))
+        lines = REFERENCE_SCORE.split("\n")
+        assert {key: block[0] for key, block in scorefile._last_blocks.items()} == {
+            ("harmony", "H1"): lines[10:13], ("instrument", "lead"): lines[15:19]}
 
     def test_errors_after_reused_lines_keep_their_lines(self):
         parse_ok(REFERENCE_SCORE)
@@ -598,3 +600,149 @@ class TestReuse:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+
+def block_edit(rng: random.Random, text: str) -> str:
+    """``text`` with one block moved, copied, cut short or given another
+    header, or a line put before it."""
+    lines = text.split("\n")
+    heads = [i for i, line in enumerate(lines) if line.startswith(("harmony ", "instrument "))]
+    if not heads:
+        return text
+    i = rng.choice(heads)
+    j = lines.index("end", i) + 1
+    block = lines[i:j]
+    kind = rng.choice(["move", "copy", "cut", "line", "header"])
+    if kind in ("move", "copy"):
+        if kind == "move":
+            del lines[i:j]
+        k = rng.randrange(len(lines) + 1)
+        lines[k:k] = block
+    elif kind == "cut":
+        del lines[j - 1]
+    elif kind == "line":
+        lines.insert(i, rng.choice(["", "# a comment", "bogus", "end", "  note 0 @ 0 +1"]))
+    else:
+        lines[i] = (lines[i].split(" harmonies ")[0] if lines[i].startswith("instrument")
+                    else lines[i].replace(" level ", " level 1"))
+    return "\n".join(lines)
+
+
+class TestBlockSkip:
+    """A block body whose lines equal those of the block of its kind and
+    name in the last composition built is not walked; every parse still
+    equals a cold one."""
+
+    LINES = REFERENCE_SCORE.split("\n")
+    HARMONY = "\n".join(LINES[9:13]) + "\n"  # 'harmony H1 ...' up to its 'end'
+    INSTRUMENT = "\n".join(LINES[14:19]) + "\n"  # 'instrument lead ...' up to its 'end'
+
+    @staticmethod
+    def warm(monkeypatch, text, before=REFERENCE_SCORE):
+        """``parse(text)`` after a parse of ``before``, and the numbers of
+        the lines it tokenised."""
+        parse_ok(before)
+        tokenised, dispatch = [], scorefile._Parser.dispatch
+
+        def recorded(self, toks):
+            tokenised.append(self.ln)
+            return dispatch(self, toks)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scorefile._Parser, "dispatch", recorded)
+            return parse(text), tokenised
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_a_parse_after_a_block_edit_equals_a_cold_parse(self, seed):
+        rng = random.Random(seed)
+        before = serialize(random_composition(rng, max_ticks=2000))
+        after = block_edit(rng, before)
+        parse(before)
+        warm = parse(after)
+        assert outcome(warm) == outcome(cold_parse(after)), after
+
+    def test_a_reparse_tokenises_only_the_headers(self, monkeypatch):
+        first = parse_ok(REFERENCE_SCORE)
+        again, tokenised = self.warm(monkeypatch, REFERENCE_SCORE)
+        assert tokenised == [2, 3, 4, 5, 7, 8, 10, 15]
+        assert again.harmonies["H1"] is first.harmonies["H1"]
+        assert again.instruments[0] is first.instruments[0]
+
+    def test_moved_blocks_keep_the_positions_of_later_lines(self, monkeypatch):
+        # the instrument before the harmony, a comment between, and the
+        # harmony's scale gone: its bad reference and a bad line after it
+        text = "\n".join([*self.LINES[:7], "", self.INSTRUMENT, "# moved", self.HARMONY,
+                          "bogus", ""])
+        errors, tokenised = self.warm(monkeypatch, text)
+        assert outcome(errors) == [(16, 26, "bad-reference", "unknown scale 'fifths'"),
+                                   (21, 1, "unknown-directive", "unknown directive 'bogus'")]
+        assert tokenised == [2, 3, 4, 5, 7, 9, 16, 21]
+        assert outcome(errors) == outcome(cold_parse(text))
+
+    def test_inserted_lines_move_the_positions_of_a_kept_block(self, monkeypatch):
+        text = REFERENCE_SCORE.replace("\nharmony", "\n\n# a comment\nharmony").replace(
+            "harmonies H1", "harmonies H1 H2")
+        errors, tokenised = self.warm(monkeypatch, text + "note 0 @ 0 +1\n")
+        assert outcome(errors) == [
+            (17, 49, "bad-reference", "unknown harmony 'H2'"),
+            (22, 1, "syntax", "'note' outside a block")]
+        assert tokenised == [2, 3, 4, 5, 7, 8, 12, 17, 22]
+        assert outcome(errors) == outcome(cold_parse(text + "note 0 @ 0 +1\n"))
+        edited, _ = self.warm(monkeypatch, text.replace(" H2", ""))
+        assert edited == cold_parse(text.replace(" H2", ""))
+
+    def test_a_duplicate_block_with_a_kept_body_is_not_taken(self, monkeypatch):
+        text = REFERENCE_SCORE + self.HARMONY.replace("level 1", "level 2") + self.INSTRUMENT
+        errors, tokenised = self.warm(monkeypatch, text)
+        assert outcome(errors) == [
+            (20, 9, "duplicate-name", "harmony 'H1' already defined"),
+            (24, 12, "duplicate-name", "instrument 'lead' already defined")]
+        assert tokenised == [2, 3, 4, 5, 7, 8, 10, 15, *range(20, 29)]  # the duplicates walked
+        assert outcome(errors) == outcome(cold_parse(text))
+
+    @pytest.mark.parametrize("text,expected", [
+        (REFERENCE_SCORE + "harmony H2 level 2 scale fifths\n  tone 0 @ 0 +1920\n",
+         [(20, 1, "syntax", "harmony 'H2' is missing its 'end' line")]),
+        (REFERENCE_SCORE.replace("vel 112\nend\n", "vel 112\n"),
+         [(15, 1, "syntax", "instrument 'lead' is missing its 'end' line")]),
+        (REFERENCE_SCORE.replace("+960\nend\n", "+960\n"),
+         [(14, 1, "syntax", "missing 'end' for harmony 'H1' before 'instrument'")]),
+    ], ids=["after-the-kept-bodies", "after-a-kept-body", "a-kept-body-without-it"])
+    def test_a_block_missing_its_end(self, monkeypatch, text, expected):
+        errors, _ = self.warm(monkeypatch, text)
+        assert outcome(errors) == expected
+        assert outcome(errors) == outcome(cold_parse(text))
+
+    @pytest.mark.parametrize("old,new,kind", [
+        ("H1 level 1", "H1 level 2", "harmony"),
+        ("scale fifths\n  tone", "scale just-major-7\n  tone", "harmony"),
+        ("lead scale just-major-7", "lead scale fifths", "instrument"),
+        ("harmonies H1", "harmonies H1 H1", "instrument"),
+    ])
+    def test_an_edited_header_over_a_kept_body(self, monkeypatch, old, new, kind):
+        first = parse_ok(REFERENCE_SCORE)
+        text = REFERENCE_SCORE.replace(old, new)
+        edited, tokenised = self.warm(monkeypatch, text)
+        assert tokenised == [2, 3, 4, 5, 7, 8, 10, 15]
+        assert edited == cold_parse(text)
+        harmony, instrument = edited.harmonies["H1"], edited.instruments[0]
+        assert (harmony is first.harmonies["H1"]) == (kind != "harmony")
+        assert (instrument is first.instruments[0]) == (kind != "instrument")
+        # a new block, built from the very events kept
+        assert all(a is b for a, b in zip(harmony.tones, first.harmonies["H1"].tones))
+        assert all(a is b for a, b in zip(instrument.score.notes,
+                                          first.instruments[0].score.notes))
+
+    def test_an_edited_body_with_blank_and_comment_lines(self, monkeypatch):
+        before = REFERENCE_SCORE.replace("vel 96\n", "vel 96\n\n    # a comment\n", 1)
+        text = before.replace("note 4 @ 960", "note 5 @ 960")
+        edited, tokenised = self.warm(monkeypatch, text, before=before)
+        assert tokenised == [2, 3, 4, 5, 7, 8, 10, 15, 20, 21]
+        assert edited == cold_parse(text)
+
+    def test_a_body_with_a_long_line_is_walked(self, monkeypatch):
+        text = REFERENCE_SCORE.replace("+960\nend", "+960  #" + "x" * 700 + "\nend")
+        edited, tokenised = self.warm(monkeypatch, text, before=text)
+        assert tokenised == [2, 3, 4, 5, 7, 8, 10, 12, 13, 15]  # but the kept line 11
+        assert edited == cold_parse(text)
