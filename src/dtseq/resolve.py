@@ -212,9 +212,8 @@ class _Memo:
         return sweep.starts, sweep.ids, sweep.shifts
 
     def shared(self, instrument: Instrument, kind: str) -> dict:
-        """The memo of ``kind`` for ``instrument``'s scale, kept in its
-        binding's sweep by shift id (pitches by key and shift id)."""
-        self.regions(instrument.harmony_names)
+        """The memo of ``kind`` for ``instrument``'s scale, by shift id (pitches
+        by key and shift id), in its binding's sweep, which the caller refreshed."""
         results = self.sweeps[instrument.harmony_names].results
         return results.setdefault((kind, instrument.scale_name), {})
 
@@ -418,8 +417,9 @@ def export_table(composition: Composition) -> str:
     with _memo(composition) as memo:
         lines = ["instrument\tticks\tkey\tfactor\tfrequency_hz"]
         for inst in composition.instruments:
+            table = _table(memo, inst)
             texts = memo.shared(inst, "texts")  # shift id -> its rows after the ticks
-            for lo, hi, sid, rows in _table(memo, inst):
+            for lo, hi, sid, rows in table:
                 block = texts.get(sid)
                 if block is None:
                     block = texts[sid] = tuple(f"\t{row.key_index}\t{ratio_text(row.factor)}\t"

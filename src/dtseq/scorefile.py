@@ -37,18 +37,21 @@ equal to the kept one line for line is not walked but takes its events;
 in any other, a line with the text of a kept event line reuses its event.
 A block with the kept header fields and events is the kept object, and
 ``serialize`` takes the text it wrote last for the very same object, so
-after an edit both redo only the blocks it changed.  Every result equals
-a cold call's.  What is kept is immutable, so sharing it is safe, and it
-is one score's: each call replaces it.
+after an edit both redo only the blocks it changed.  What is kept is
+tagged with the int-string digit limit (``sys.get_int_max_str_digits``)
+of the call that made it, the one setting that changes how a number
+reads, and a call under another limit uses none of it; so every result
+equals a cold call's.  What is kept is immutable, so sharing it is safe,
+and it is one score's: each call replaces it.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .model import (
     DEFAULT_VELOCITY,
@@ -73,23 +76,16 @@ _EVENT_WORD = {"harmony": "tone", "instrument": "note"}  # the word of a block's
 
 _RATIO_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
 
-# No line of this many characters or more is reused.  640 is the smallest
-# limit sys.set_int_max_str_digits takes (sys.int_info.
-# str_digits_check_threshold), so every number on a shorter line reads the
-# same under any limit.
-_REUSE_BELOW = 640
-
-# The blocks of the last composition parse built: (kind, name) -> (body
-# lines after the header, 'end' included, or () if one is _REUSE_BELOW
-# characters or longer; its clean event lines below that length, raw text
-# -> the immutable event built from it; header fields; events in file
-# order; the HarmonicSequence or Instrument).  Each call fills a new dict
-# and only then puts it here, so a parse running in another thread reads
-# a finished one; so does serialize with the memo below.
-_last_blocks: dict[tuple[str, str], tuple] = {}
-# The blocks the last serialize wrote: id(object) -> (object, text), but for
-# those with a line of _REUSE_BELOW characters or more.
-_last_texts: dict[int, tuple[HarmonicSequence | Instrument, str]] = {}
+# The digit limit of the last parse that built a composition (0 on a Python
+# without one), and its blocks: (kind, name) -> (body lines after the
+# header, 'end' included; its clean event lines, raw text -> the immutable
+# event built from it; header fields; events in file order; the
+# HarmonicSequence or Instrument).  Each call fills a new dict and only then
+# puts it here with its limit, in one assignment, so a parse running in
+# another thread reads a finished pair; so does serialize with the memo below.
+_last_blocks: tuple[int, dict[tuple[str, str], tuple]] = (0, {})
+# The digit limit of the last serialize, and its blocks: id(object) -> (object, text).
+_last_texts: tuple[int, dict[int, tuple[HarmonicSequence | Instrument, str]]] = (0, {})
 
 
 @dataclass(frozen=True)
@@ -120,17 +116,19 @@ def parse(text: str | bytes) -> Composition | list[ParseError]:
     global _last_blocks
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    parser = _Parser(_last_blocks)
+    limit, (tag, kept) = getattr(sys, "get_int_max_str_digits", int)(), _last_blocks
+    parser = _Parser(kept if tag == limit else {})
     parser.run(text.removeprefix("\ufeff"))
     if parser.errors:
         return sorted(parser.errors, key=lambda e: (e.position.line, e.position.column))
-    composition, _last_blocks = parser.build()
+    composition, blocks = parser.build()
+    _last_blocks = limit, blocks
     return composition
 
 
 class _Parser:
     def __init__(self, kept: dict[tuple[str, str], tuple]):
-        self.kept = kept  # as _last_blocks; self.blocks will be the next one's
+        self.kept = kept  # the blocks of _last_blocks; self.blocks will be the next ones
         self.blocks: dict[tuple[str, str], tuple] = {}  # (body, clean) until build
         self.errors: list[ParseError] = []
         self.header: dict[str, float | int | None] = {}  # None: given, with an error
@@ -144,8 +142,8 @@ class _Parser:
         # kept and new clean event lines); after a broken or duplicate header
         # the list is None and the name '?': its lines are checked and dropped.
         self.block: tuple[str, str, list | None, int, dict, dict] | None = None
-        # number and comment-free text of the line being parsed, and the
-        # columns of its tokens once a diagnostic or reference needs one
+        # number (1-based: the index of the next line) and comment-free text of
+        # the line being parsed, and its token columns once an error or reference needs one
         self.ln = 0
         self.code = ""
         self.cols: list[int] | None = None
@@ -180,9 +178,14 @@ class _Parser:
     def run(self, text: str) -> None:
         # Only \n, \r\n and \r end a line: the other separators that
         # str.splitlines() ends one at (\v, \x85, U+2028...) are whitespace.
-        self.lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        self.rows = enumerate(self.lines, start=1)  # open() skips the bodies it reuses
-        for self.ln, raw in self.rows:
+        # 'while True': CPython 3.11 specialises a function called once only
+        # after unconditional backward jumps, which 'while COND' does not make.
+        self.lines = lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        while True:  # open() moves self.ln past the bodies it reuses
+            if (ln := self.ln) >= len(lines):
+                break
+            raw = lines[ln]
+            self.ln = ln + 1
             block = self.block
             if block is not None:
                 event = block[4].get(raw)
@@ -197,7 +200,7 @@ class _Parser:
             tokens = self.code.replace("@", " @ ").replace("+", " + ").split()
             if tokens:
                 event = self.dispatch(tokens)
-                if event is not None and len(raw) < _REUSE_BELOW:
+                if event is not None:
                     self.block[5][raw] = event
         if self.block is not None:
             kind, name, _, opened, *_ = self.block
@@ -212,8 +215,7 @@ class _Parser:
             if head == "end":
                 if len(toks) > 1:
                     self.fail(toks, 1, "syntax", "unexpected tokens after 'end'")
-                body = self.lines[opened:self.ln]  # kept only if the whole parse is clean
-                self.blocks[kind, name] = (body if max(map(len, body)) < _REUSE_BELOW else (), new)
+                self.blocks[kind, name] = (self.lines[opened:self.ln], new)  # kept if all is clean
                 self.block = None
                 return
             if head == _EVENT_WORD[kind]:
@@ -249,7 +251,7 @@ class _Parser:
         if body and self.lines[self.ln:self.ln + len(body)] == body:
             items += events
             self.blocks[kind, name] = (body, clean)
-            next(islice(self.rows, len(body) - 1, None))  # the walk goes on after 'end'
+            self.ln += len(body)  # the walk goes on after 'end'
         else:
             self.block = (kind, name, items, self.ln, clean, {})
 
@@ -506,11 +508,12 @@ def serialize(composition: Composition) -> str:
     ValueError naming the scale and the key's index.
 
     A harmony or instrument that is the very object written by the
-    previous call takes the text written then, so a re-serialize after an
-    edit formats only the blocks the edit changed; the result equals a
-    cold call's.
+    previous call, under the same digit limit, takes the text written
+    then, so a re-serialize after an edit formats only the blocks the edit
+    changed; the result equals a cold call's.
     """
     global _last_texts
+    limit, (tag, kept_texts) = getattr(sys, "get_int_max_str_digits", int)(), _last_texts
     lines = [
         f"base {_float_text(composition.base_frequency_hz)}",
         f"ppq {composition.ticks_per_beat}",
@@ -534,16 +537,12 @@ def serialize(composition: Composition) -> str:
     texts: dict[int, tuple[HarmonicSequence | Instrument, str]] = {}
     for block in (*sorted(composition.harmonies.values(), key=lambda h: h.name),
                   *sorted(composition.instruments, key=lambda i: i.name)):
-        kept = _last_texts.get(id(block))
-        if kept is not None and kept[0] is block:
-            texts[id(block)] = kept
-        else:
-            block_lines = _block_lines(block)
-            kept = (block, "\n".join(block_lines))
-            if max(map(len, block_lines)) < _REUSE_BELOW:
-                texts[id(block)] = kept
+        kept = kept_texts.get(id(block)) if tag == limit else None
+        if kept is None or kept[0] is not block:
+            kept = (block, "\n".join(_block_lines(block)))
+        texts[id(block)] = kept
         lines += ("", kept[1])
-    _last_texts = texts
+    _last_texts = limit, texts
     return "\n".join(lines) + "\n"
 
 

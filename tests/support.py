@@ -76,15 +76,17 @@ def int_digit_limit(digits: int):
 
 def cold_parse(text):
     """``parse`` with no blocks (bodies, events or built objects) kept
-    from an earlier call, as in a fresh process."""
-    scorefile._last_blocks = {}
+    from an earlier call, as in a fresh process: the tagged memo is reset
+    to no blocks, which reads the same under any digit limit."""
+    scorefile._last_blocks = (0, {})
     return scorefile.parse(text)
 
 
 def cold_serialize(composition):
     """``serialize`` with no block texts kept from an earlier call, as in
-    a fresh process."""
-    scorefile._last_texts = {}
+    a fresh process: the tagged memo is reset to no texts, which reads
+    the same under any digit limit."""
+    scorefile._last_texts = (0, {})
     return scorefile.serialize(composition)
 
 

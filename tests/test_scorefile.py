@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -329,15 +330,20 @@ class TestSerialize:
             assert text.endswith(f"scale s 1/1 {longest}\n")
             assert serialize(parse_ok(text)) == text
 
-    def test_a_reserialize_formats_only_the_blocks_that_changed(self, monkeypatch):
-        formatted = []
-        block_lines = scorefile._block_lines
+    @staticmethod
+    def formatting(monkeypatch) -> list[str]:
+        """The names of the blocks serialize formats from now on, in order."""
+        formatted, block_lines = [], scorefile._block_lines
 
         def counted(block):
             formatted.append(block.name)
             return block_lines(block)
 
         monkeypatch.setattr(scorefile, "_block_lines", counted)
+        return formatted
+
+    def test_a_reserialize_formats_only_the_blocks_that_changed(self, monkeypatch):
+        formatted = self.formatting(monkeypatch)
         comp = parse_ok(REFERENCE_SCORE)
         text = cold_serialize(comp)
         assert sorted(formatted) == ["H1", "lead"]
@@ -352,26 +358,38 @@ class TestSerialize:
         assert formatted == ["H1"]
         assert warm == cold_serialize(edited) != text
 
-    def test_kept_blocks_read_the_same_under_any_digit_limit(self):
-        """A block with a line of 640 characters or more is not kept, so
-        it is written again, and refused again, under a lower limit."""
-        far = 10 ** 699  # a 700-digit duration
+    def test_kept_blocks_read_the_same_under_any_digit_limit(self, monkeypatch):
+        """A kept text, however long its lines, is taken only under the
+        digit limit it was written under: under another limit the block is
+        written again, or refused again."""
+        far = 10 ** 699  # a 700-digit duration, on a line of over 640 characters
         comp = Composition(440, 480, 120, 960, [Scale("s", ["1/1"])],
                            [HarmonicSequence("H", 1, "s", [TranspositionTone(
                                0, TimeInterval(0, far))])],
                            [Instrument("i", "s", ["H"], [Note(0, TimeInterval(0, 960))])])
+        formatted = self.formatting(monkeypatch)
         with int_digit_limit(640):
             with pytest.raises(ValueError) as cold:
                 cold_serialize(comp)
         with int_digit_limit(0):
-            text = serialize(comp)
+            text = cold_serialize(comp)
             assert f"  tone 0 @ 0 +{far}\n" in text
-            assert [block for block, _ in scorefile._last_texts.values()] == [
-                comp.instruments[0]]
-        with int_digit_limit(640):
+            formatted.clear()
+            assert serialize(comp) == text
+            assert formatted == []  # the long block's text is kept
+        with int_digit_limit(640):  # lowered: formatted again, and refused as in a cold call
             with pytest.raises(ValueError) as warm:
                 serialize(comp)
             assert str(warm.value) == str(cold.value)
+            assert formatted == ["H"]
+        with int_digit_limit(0):  # the limit of the texts kept, which the refusal left
+            formatted.clear()
+            assert serialize(comp) == text
+            assert formatted == []
+        with int_digit_limit(4300):  # raised: every block written again
+            formatted.clear()
+            assert serialize(comp) == text == cold_serialize(comp)
+            assert formatted == ["H", "i", "H", "i"]
 
     def test_serializes_in_threads_equal_cold_serializes(self):
         rng = random.Random(10)
@@ -550,16 +568,38 @@ class TestReuse:
         assert outcome(errors) == outcome(cold_parse(text))
 
     def test_only_the_last_built_scores_blocks_are_kept(self):
+        """The memo is the digit limit of the last parse that built a
+        composition, and that composition's blocks, long lines and all;
+        they are taken only under that limit."""
         rng = random.Random(5)
         parse_ok(serialize(random_composition(rng, min_instruments=4, min_notes=10)))
-        assert len(scorefile._last_blocks) > 4
         kept = scorefile._last_blocks
+        assert len(kept[1]) > 4
         parse("base 440\n")  # errors: the blocks of the last composition built stay
         assert scorefile._last_blocks is kept
-        parse_ok(REFERENCE_SCORE)
-        lines = REFERENCE_SCORE.split("\n")
-        assert {key: block[0] for key, block in scorefile._last_blocks.items()} == {
-            ("harmony", "H1"): lines[10:13], ("instrument", "lead"): lines[15:19]}
+        far = "1" + "0" * 699  # a 700-digit duration, on a line of over 640 characters
+        text = REFERENCE_SCORE.replace("  tone 1 @ 960  +960", f"  tone 1 @ 960  +{far}")
+        lines = text.split("\n")
+        with int_digit_limit(640):
+            refused = outcome(cold_parse(text))
+        assert refused == [(12, 18, "syntax", f"expected an integer, got {far!r}")]
+        with int_digit_limit(0):
+            first = parse_ok(text)
+            kept = scorefile._last_blocks
+            assert (kept[0], {key: block[0] for key, block in kept[1].items()}) == (0, {
+                ("harmony", "H1"): lines[10:13], ("instrument", "lead"): lines[15:19]})
+        with int_digit_limit(640):  # lowered: refused as in a cold parse
+            assert outcome(parse(text)) == refused
+            assert scorefile._last_blocks is kept
+        with int_digit_limit(0):  # the kept limit again: the kept blocks again
+            again = parse_ok(text)
+            assert again.harmonies["H1"] is first.harmonies["H1"]
+            assert again.instruments[0] is first.instruments[0]
+        with int_digit_limit(4300):  # raised: new blocks, equal to a cold parse's
+            raised = parse_ok(text)
+            assert scorefile._last_blocks[0] == 4300
+            assert raised.harmonies["H1"] is not first.harmonies["H1"]
+            assert raised == first == cold_parse(text)
 
     def test_errors_after_reused_lines_keep_their_lines(self):
         parse_ok(REFERENCE_SCORE)
@@ -639,9 +679,10 @@ class TestBlockSkip:
 
     @staticmethod
     def warm(monkeypatch, text, before=REFERENCE_SCORE):
-        """``parse(text)`` after a parse of ``before``, and the numbers of
-        the lines it tokenised."""
-        parse_ok(before)
+        """``parse(text)`` after a parse of ``before`` (none if None), and
+        the numbers of the lines it tokenised."""
+        if before is not None:
+            parse_ok(before)
         tokenised, dispatch = [], scorefile._Parser.dispatch
 
         def recorded(self, toks):
@@ -661,6 +702,22 @@ class TestBlockSkip:
         parse(before)
         warm = parse(after)
         assert outcome(warm) == outcome(cold_parse(after)), after
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_a_parse_after_a_block_edit_and_a_limit_switch_equals_a_cold_parse(self, seed):
+        rng = random.Random(seed)
+        before = serialize(random_composition(rng, max_ticks=2000))
+        if rng.random() < 0.5:  # a 700-digit duration, which only the limit 640 refuses
+            before = re.sub(r"(?m)^(  (?:tone|note) [^+]*\+)[0-9]+", rf"\g<1>1{'0' * 699}",
+                            before, count=1)
+        after = block_edit(rng, before)
+        kept, limit = rng.sample([0, 640, 4300], 2)
+        with int_digit_limit(kept):
+            parse(before)
+        with int_digit_limit(limit):
+            warm = parse(after)
+            assert outcome(warm) == outcome(cold_parse(after)), after
 
     def test_a_reparse_tokenises_only_the_headers(self, monkeypatch):
         first = parse_ok(REFERENCE_SCORE)
@@ -741,8 +798,22 @@ class TestBlockSkip:
         assert tokenised == [2, 3, 4, 5, 7, 8, 10, 15, 20, 21]
         assert edited == cold_parse(text)
 
-    def test_a_body_with_a_long_line_is_walked(self, monkeypatch):
-        text = REFERENCE_SCORE.replace("+960\nend", "+960  #" + "x" * 700 + "\nend")
-        edited, tokenised = self.warm(monkeypatch, text, before=text)
-        assert tokenised == [2, 3, 4, 5, 7, 8, 10, 12, 13, 15]  # but the kept line 11
-        assert edited == cold_parse(text)
+    def test_a_body_with_a_long_line_is_skipped_under_its_digit_limit(self, monkeypatch):
+        far = "1" + "0" * 699  # a 700-digit duration, on a line of over 640 characters
+        text = REFERENCE_SCORE.replace("+960\nend", f"+{far}\nend")
+        headers = [2, 3, 4, 5, 7, 8, 10, 15]
+        every = [2, 3, 4, 5, 7, 8, 10, 11, 12, 13, 15, 16, 17, 18, 19]
+        with int_digit_limit(640):
+            refused = outcome(cold_parse(text))
+        assert refused == [(12, 18, "syntax", f"expected an integer, got {far!r}")]
+        with int_digit_limit(0):
+            cold = cold_parse(text)
+            kept, tokenised = self.warm(monkeypatch, text, before=text)
+            assert (kept, tokenised) == (cold, headers)  # the long body is not walked
+        with int_digit_limit(640):  # lowered: every line read again, and refused
+            errors, tokenised = self.warm(monkeypatch, text, before=None)
+            assert (outcome(errors), tokenised) == (refused, every)
+        for limit, walked in ((0, headers), (4300, every)):  # the kept limit again, a raised one
+            with int_digit_limit(limit):
+                edited, tokenised = self.warm(monkeypatch, text, before=None)
+                assert (edited, tokenised) == (cold, walked)
