@@ -503,9 +503,11 @@ def serialize(composition: Composition) -> str:
     instruments), entities sorted by name, tones sorted by start, notes
     in score order, every ratio reduced.  Every text returned parses
     back, and serializing that parse reproduces it byte for byte.  So a
-    scale key with a part longer than the int-string digit limit
-    (``sys.get_int_max_str_digits``), which :func:`parse` refuses, raises
-    ValueError naming the scale and the key's index.
+    number that :func:`parse` refuses because it is longer than the
+    int-string digit limit (``sys.get_int_max_str_digits``) raises
+    ValueError naming where it is: the ``ppq`` or ``length`` directive, a
+    scale key's part, or a harmony's or instrument's header or event by
+    index.
 
     A harmony or instrument that is the very object written by the
     previous call, under the same digit limit, takes the text written
@@ -516,9 +518,9 @@ def serialize(composition: Composition) -> str:
     limit, (tag, kept_texts) = getattr(sys, "get_int_max_str_digits", int)(), _last_texts
     lines = [
         f"base {_float_text(composition.base_frequency_hz)}",
-        f"ppq {composition.ticks_per_beat}",
+        f"ppq {_int_text(composition.ticks_per_beat, 'ppq')}",
         f"tempo {_float_text(composition.tempo_bpm)}",
-        f"length {composition.length_ticks}",
+        f"length {_int_text(composition.length_ticks, 'length')}",
     ]
 
     scales = sorted(composition.scales.values(), key=lambda s: s.name)
@@ -546,8 +548,34 @@ def serialize(composition: Composition) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_text(value: int, where: str) -> str:
+    """``value`` in decimal; ValueError naming ``where`` when it is longer
+    than the int-string digit limit."""
+    try:
+        return f"{value}"
+    except ValueError:
+        raise ValueError(f"{where}: number too long to parse back") from None
+
+
 def _block_lines(block: HarmonicSequence | Instrument) -> list[str]:
-    """The lines of one harmony or instrument block, ``end`` included."""
+    """The lines of one harmony or instrument block, ``end`` included;
+    ValueError naming the header or the event (by index in the block's
+    tones or notes) that holds a number beyond the digit limit."""
+    try:
+        return _format_block(block)
+    except ValueError:  # a number beyond the limit: find the first one
+        if isinstance(block, HarmonicSequence):
+            where, event, events = f"harmony {block.name}", "tone", block.tones
+            _int_text(block.level, f"{where} level")
+        else:
+            where, event, events = f"instrument {block.name}", "note", block.score.notes
+        for index, e in enumerate(events):
+            for value in (e.key_index, e.interval.start, e.interval.duration):
+                _int_text(value, f"{where} {event} {index}")
+        raise
+
+
+def _format_block(block: HarmonicSequence | Instrument) -> list[str]:
     if isinstance(block, HarmonicSequence):
         header = f"harmony {block.name} level {block.level} scale {block.scale_name}"
         return [header, *(f"  tone {tone.key_index} @ {tone.interval.start} "

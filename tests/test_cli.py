@@ -1,4 +1,6 @@
 import errno
+import gc
+import hashlib
 import io
 import os
 import subprocess
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import dtseq
+from dtseq import model, resolve, scorefile
 from dtseq.cli import main
 from support import REFERENCE_SCORE, int_digit_limit, near_one
 
@@ -639,3 +642,113 @@ class TestUsage:
             proc = run_cli(["-h"], stdout=full, stderr=subprocess.PIPE)
         assert proc.returncode == 3
         assert proc.stderr == f"dtseq: {OSError(28, os.strerror(28))}\n".encode()
+
+
+def sized_score(tones: int) -> str:
+    """A clean score with two harmony levels of ``tones`` tones each and
+    four notes for each tone but the last, a quarter of which cross a
+    boundary and warn."""
+    lines = ["base 220", "ppq 480", "tempo 120", f"length {480 * tones}",
+             "scale j 1/1 9/8 5/4 4/3 3/2 5/3 15/8"]
+    for level in (1, 2):
+        lines += [f"harmony h{level} level {level} scale j",
+                  *(f"  tone {i * (level + 2) % 7} @ {480 * i} +480" for i in range(tones)),
+                  "end"]
+    lines += ["instrument v scale j harmonies h1 h2",
+              *(f"  note {i * 3 % 7} @ {120 * i} +{480 if i % 4 == 1 else 120}"
+                for i in range(4 * (tones - 1))),
+              "end"]
+    return "\n".join(lines) + "\n"
+
+
+def forget_kept():
+    """Drop what parse, serialize, validate and resolve keep for the next
+    call, as a fresh process has nothing kept."""
+    scorefile._last_blocks, scorefile._last_texts = (0, {}), (0, {})
+    model._last_findings, model._last_harmonies = {}, {}
+    resolve._the_memo = resolve._Memo()
+
+
+class TestCollector:
+    """``main()`` runs the program with the cyclic collector off and
+    freezes what is alive at its end; ``main(argv)`` leaves it alone."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("case", ["0", "1", "2", "3", "-h"])
+    def test_in_process_calls_leave_the_collector_as_they_found_it(self, collector, case,
+                                                                   ref_path, tmp_path,
+                                                                   capsys):
+        broken = tmp_path / "broken.dts"
+        broken.write_text("base 440\nppq 480\ntempo 120\nlength 960\nscale t 0/2\n")
+        args, code = {"0": (["resolve", ref_path], 0), "1": (["resolve", str(broken)], 1),
+                      "2": (["frobnicate"], 2), "3": (["resolve", str(tmp_path / "no")], 3),
+                      "-h": (["-h"], 0)}[case]
+        frozen = gc.get_freeze_count()
+        assert main(args) == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == (collector, frozen)
+
+    @pytest.mark.parametrize("args", [[], ["--table"], ["--rate", "8000"]],
+                             ids=["resolve", "table", "render"])
+    def test_no_cyclic_garbage_grows_with_the_score(self, args, tmp_path, capsys):
+        """What a command leaves for the collector is the same for a score
+        and for one twice its size, so leaving the collector off costs a
+        program run no memory that grows with its input."""
+        command = ["render", "--out", str(tmp_path / "out.wav")] if "--rate" in args else [
+            "resolve"]
+        found = []
+        for tones in (40, 80):
+            path = tmp_path / f"{tones}.dts"
+            path.write_text(sized_score(tones))
+            assert main([*command, str(path), *args]) == 0  # imports what the command runs
+            forget_kept()
+            was = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                assert main([*command, str(path), *args]) == 0
+                found.append(gc.collect())
+            finally:
+                (gc.enable if was else gc.disable)()
+        out = capsys.readouterr()
+        # two runs of each score, whose crossing notes each cross both levels
+        assert out.err.count("boundary-crossing") == 2 * 2 * (39 + 79)
+        assert found[0] == found[1], found
+
+    def test_a_program_run_ends_with_the_collector_off_and_frozen(self):
+        child = ("import gc, sys\n"
+                 "from dtseq.cli import main\n"
+                 "sys.argv = ['dtseq', *sys.argv[1:]]\n"
+                 "before = [s['collections'] for s in gc.get_stats()]\n"
+                 "code = main()\n"
+                 "after = [s['collections'] for s in gc.get_stats()]\n"
+                 "print(code, gc.isenabled(), gc.get_freeze_count() > 0, before == after)\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC), "DTS_COLOR": "0"}
+        proc = subprocess.run([sys.executable, "-c", child, "validate",
+                               str(SCORES / "reference.dts")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.stdout, proc.stderr) == ("0 False True True\n", "")
+
+    @pytest.mark.parametrize("score", ["reference", "motif-progression"])
+    @pytest.mark.parametrize("args", [["validate"], ["resolve"], ["resolve", "--table"],
+                                      ["render", "--rate", "8000"]],
+                             ids=["validate", "resolve", "table", "render"])
+    def test_program_and_in_process_runs_give_the_same_bytes(self, score, args, tmp_path,
+                                                             capsys):
+        wav = tmp_path / "out.wav"
+        args = [*args, str(SCORES / f"{score}.dts")]
+        if args[0] == "render":
+            args += ["--out", str(wav)]
+        proc = run_cli(args, capture_output=True)
+        program = (proc.returncode, proc.stdout, proc.stderr,
+                   wav.exists() and hashlib.sha256(wav.read_bytes()).hexdigest())
+        wav.unlink(missing_ok=True)
+        code = main(args)
+        out = capsys.readouterr()
+        assert (code, out.out.encode(), out.err.encode(),
+                wav.exists() and hashlib.sha256(wav.read_bytes()).hexdigest()) == program

@@ -330,6 +330,36 @@ class TestSerialize:
             assert text.endswith(f"scale s 1/1 {longest}\n")
             assert serialize(parse_ok(text)) == text
 
+    FAR = 10 ** 699  # 700 digits
+
+    @pytest.mark.parametrize("where, part", [
+        ("ppq", {"ppq": FAR}),
+        ("length", {"length": FAR}),
+        ("harmony H level", {"level": FAR}),
+        ("harmony H tone 1", {"tone": TimeInterval(480, FAR)}),
+        ("instrument i note 1", {"note": TimeInterval(FAR, 1)}),
+        ("instrument i note 1", {"key": FAR}),
+    ])
+    def test_numbers_beyond_the_digit_limit_name_their_place(self, where, part):
+        """Cold, and with the block's text kept from a call under no limit."""
+        fields = {"ppq": 480, "length": 960, "level": 1, "tone": TimeInterval(480, 480),
+                  "note": TimeInterval(0, 960), "key": 0, **part}
+        comp = Composition(
+            440, fields["ppq"], 120, fields["length"], [Scale("s", ["1/1"])],
+            [HarmonicSequence("H", fields["level"], "s", [
+                TranspositionTone(0, TimeInterval(0, 480)), TranspositionTone(0, fields["tone"])])],
+            [Instrument("i", "s", ["H"], [Note(0, TimeInterval(0, 960)),
+                                          Note(fields["key"], fields["note"])])])
+        with int_digit_limit(0):
+            text = cold_serialize(comp)
+        assert str(self.FAR) in text
+        for call in (serialize, cold_serialize):
+            with int_digit_limit(640), pytest.raises(ValueError) as exc:
+                call(comp)
+            assert str(exc.value) == f"{where}: number too long to parse back"
+            with int_digit_limit(0):
+                assert serialize(comp) == text
+
     @staticmethod
     def formatting(monkeypatch) -> list[str]:
         """The names of the blocks serialize formats from now on, in order."""
