@@ -31,6 +31,13 @@ order, ratios reduced) and is a fixpoint under re-parsing.
 
 A leading UTF-8 byte-order mark (U+FEFF) is dropped.
 
+A number has no more digits than the int-string digit limit
+(``sys.get_int_max_str_digits``, which ``PYTHONINTMAXSTRDIGITS`` sets),
+read or written: ``parse`` reports a longer one at its place without
+quoting it (a ``range`` error for a whole number, ``bad-ratio`` for a
+ratio part), and ``serialize`` raises ValueError naming the place of the
+first one it would write.
+
 Reuse: ``parse`` keeps each block (``harmony ... end`` or ``instrument
 ... end``) of the last composition it built, by kind and name.  A body
 equal to the kept one line for line is not walked but takes its events;
@@ -38,11 +45,11 @@ in any other, a line with the text of a kept event line reuses its event.
 A block with the kept header fields and events is the kept object, and
 ``serialize`` takes the text it wrote last for the very same object, so
 after an edit both redo only the blocks it changed.  What is kept is
-tagged with the int-string digit limit (``sys.get_int_max_str_digits``)
-of the call that made it, the one setting that changes how a number
-reads, and a call under another limit uses none of it; so every result
-equals a cold call's.  What is kept is immutable, so sharing it is safe,
-and it is one score's: each call replaces it.
+tagged with the digit limit of the call that made it, the one setting
+that changes how a number reads, and a call under another limit uses
+none of it; so every result equals a cold call's.  What is kept is
+immutable, so sharing it is safe, and it is one score's: each call
+replaces it.
 """
 
 from __future__ import annotations
@@ -84,7 +91,8 @@ _RATIO_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
 # puts it here with its limit, in one assignment, so a parse running in
 # another thread reads a finished pair; so does serialize with the memo below.
 _last_blocks: tuple[int, dict[tuple[str, str], tuple]] = (0, {})
-# The digit limit of the last serialize, and its blocks: id(object) -> (object, text).
+# The digit limit of the last serialize, and its blocks: id(object) -> (object,
+# text).  Holding the object keeps its id from being given to another one.
 _last_texts: tuple[int, dict[int, tuple[HarmonicSequence | Instrument, str]]] = (0, {})
 
 
@@ -280,6 +288,8 @@ class _Parser:
                 # a ratio where a 0-based index or tick count belongs
                 self.fail(toks, index, "bad-ratio", f"{text!r} is not an integer; keys and "
                                                     f"ticks are plain indices, not ratios")
+            elif text.isascii() and text.isdigit():  # exceeds the int-string digit limit
+                self.fail(toks, index, "range", "number too long for the int-string digit limit")
             else:
                 self.fail(toks, index, "syntax", f"expected an integer, got {text!r}")
             return None
@@ -503,11 +513,11 @@ def serialize(composition: Composition) -> str:
     instruments), entities sorted by name, tones sorted by start, notes
     in score order, every ratio reduced.  Every text returned parses
     back, and serializing that parse reproduces it byte for byte.  So a
-    number that :func:`parse` refuses because it is longer than the
-    int-string digit limit (``sys.get_int_max_str_digits``) raises
-    ValueError naming where it is: the ``ppq`` or ``length`` directive, a
-    scale key's part, or a harmony's or instrument's header or event by
-    index.
+    number longer than the digit limit, which :func:`parse` refuses,
+    raises ValueError naming the first such place in the order it is
+    written: the ``ppq`` or ``length`` directive, a scale key, a
+    harmony's level, or a tone or note by its index into the block's
+    tones or notes.
 
     A harmony or instrument that is the very object written by the
     previous call, under the same digit limit, takes the text written
@@ -515,67 +525,57 @@ def serialize(composition: Composition) -> str:
     changed; the result equals a cold call's.
     """
     global _last_texts
-    limit, (tag, kept_texts) = getattr(sys, "get_int_max_str_digits", int)(), _last_texts
-    lines = [
-        f"base {_float_text(composition.base_frequency_hz)}",
-        f"ppq {_int_text(composition.ticks_per_beat, 'ppq')}",
-        f"tempo {_float_text(composition.tempo_bpm)}",
-        f"length {_int_text(composition.length_ticks, 'length')}",
-    ]
-
+    limit, (tag, kept) = getattr(sys, "get_int_max_str_digits", int)(), _last_texts
+    kept = kept if tag == limit else {}
     scales = sorted(composition.scales.values(), key=lambda s: s.name)
-    if scales:
-        lines.append("")
-    for scale in scales:
-        keys = []
-        for index, key in enumerate(scale.keys):
-            try:
-                keys.append(f"{key.numerator}/{key.denominator}")
-            except ValueError:  # beyond the int-string digit limit
-                raise ValueError(f"scale {scale.name} key {index}: ratio parts too long "
-                                 f"to parse back") from None
-        lines.append(f"scale {scale.name} {' '.join(keys)}")
-
+    blocks = (*sorted(composition.harmonies.values(), key=lambda h: h.name),
+              *sorted(composition.instruments, key=lambda i: i.name))
     texts: dict[int, tuple[HarmonicSequence | Instrument, str]] = {}
-    for block in (*sorted(composition.harmonies.values(), key=lambda h: h.name),
-                  *sorted(composition.instruments, key=lambda i: i.name)):
-        kept = kept_texts.get(id(block)) if tag == limit else None
-        if kept is None or kept[0] is not block:
-            kept = (block, "\n".join(_block_lines(block)))
-        texts[id(block)] = kept
-        lines += ("", kept[1])
+    try:
+        lines = [f"base {_float_text(composition.base_frequency_hz)}",
+                 f"ppq {composition.ticks_per_beat}",
+                 f"tempo {_float_text(composition.tempo_bpm)}",
+                 f"length {composition.length_ticks}"]
+        if scales:
+            lines.append("")
+        for scale in scales:
+            keys = (f"{key.numerator}/{key.denominator}" for key in scale.keys)
+            lines.append(f"scale {scale.name} {' '.join(keys)}")
+        for block in blocks:
+            entry = kept.get(id(block)) or (block, "\n".join(_block_lines(block)))
+            texts[id(block)] = entry
+            lines += ("", entry[1])
+    except ValueError:  # a number longer than the digit limit
+        raise ValueError(_too_long(composition, scales, blocks)) from None
     _last_texts = limit, texts
     return "\n".join(lines) + "\n"
 
 
-def _int_text(value: int, where: str) -> str:
-    """``value`` in decimal; ValueError naming ``where`` when it is longer
-    than the int-string digit limit."""
-    try:
-        return f"{value}"
-    except ValueError:
-        raise ValueError(f"{where}: number too long to parse back") from None
+def _too_long(composition: Composition, scales: list[Scale],
+              blocks: tuple[HarmonicSequence | Instrument, ...]) -> str:
+    """The message for the first number serialize writes that is longer
+    than the digit limit."""
+    places = [("ppq", composition.ticks_per_beat), ("length", composition.length_ticks)]
+    places += ((f"scale {scale.name} key {index}", key.numerator, key.denominator)
+               for scale in scales for index, key in enumerate(scale.keys))
+    for block in blocks:
+        if isinstance(block, HarmonicSequence):
+            where, events = f"harmony {block.name} tone", block.tones
+            places.append((f"harmony {block.name} level", block.level))
+        else:
+            where, events = f"instrument {block.name} note", block.score.notes
+        places += ((f"{where} {index}", e.key_index, e.interval.start, e.interval.duration)
+                   for index, e in enumerate(events))
+    for where, *numbers in places:
+        try:
+            [f"{n}" for n in numbers]  # as serialize formats them
+        except ValueError:
+            what = "ratio parts" if where.startswith("scale ") else "number"
+            return f"{where}: {what} too long to parse back"
 
 
 def _block_lines(block: HarmonicSequence | Instrument) -> list[str]:
-    """The lines of one harmony or instrument block, ``end`` included;
-    ValueError naming the header or the event (by index in the block's
-    tones or notes) that holds a number beyond the digit limit."""
-    try:
-        return _format_block(block)
-    except ValueError:  # a number beyond the limit: find the first one
-        if isinstance(block, HarmonicSequence):
-            where, event, events = f"harmony {block.name}", "tone", block.tones
-            _int_text(block.level, f"{where} level")
-        else:
-            where, event, events = f"instrument {block.name}", "note", block.score.notes
-        for index, e in enumerate(events):
-            for value in (e.key_index, e.interval.start, e.interval.duration):
-                _int_text(value, f"{where} {event} {index}")
-        raise
-
-
-def _format_block(block: HarmonicSequence | Instrument) -> list[str]:
+    """The lines of one harmony or instrument block, ``end`` included."""
     if isinstance(block, HarmonicSequence):
         header = f"harmony {block.name} level {block.level} scale {block.scale_name}"
         return [header, *(f"  tone {tone.key_index} @ {tone.interval.start} "

@@ -3,13 +3,15 @@ as it stood before its tokens, drafts and tone/note handlers were folded
 into plain tuples and one event handler.  ``test_parser_equivalence``
 checks that ``dtseq.scorefile.parse`` still returns what this returns:
 an equal Composition or the same ``(line, column, kind, message)`` list.
-Only the imports differ from that version, apart from three later revisions
+Only the imports differ from that version, apart from four later revisions
 made in the parser too.  First, numbers are ASCII digits only (no other
 Unicode digits, no ``_``), and a header line gives its field even when its
 value is bad, so the field is not also reported missing and a later line
 for it is a duplicate.  Second, only LF, CRLF and CR end a line, where
 ``str.splitlines()`` also ended one at the other Unicode line and record
-separators.  Third, a leading UTF-8 byte-order mark is dropped.
+separators.  Third, a leading UTF-8 byte-order mark is dropped.  Fourth,
+a whole number longer than the int-string digit limit is a ``range``
+error that does not quote its digits.
 ``serialize`` is left out.
 """
 
@@ -200,6 +202,9 @@ class _Parser:
                 self.error(ln, tok.column, "bad-ratio",
                            f"{tok.text!r} is not an integer; keys and ticks are "
                            f"plain indices, not ratios")
+            elif tok.text.isascii() and tok.text.isdigit():  # exceeds the int-string digit limit
+                self.error(ln, tok.column, "range",
+                           "number too long for the int-string digit limit")
             else:
                 self.error(ln, tok.column, "syntax",
                            f"expected an integer, got {tok.text!r}")

@@ -63,6 +63,14 @@ class TestTimeInterval:
         assert iv.contains(0) and iv.contains(479)
         assert not iv.contains(480)
 
+    @pytest.mark.parametrize("start,duration,overlaps", [
+        (479, 1, True), (100, 10, True), (0, 960, True),  # the last tick, inside, around
+        (480, 480, False), (960, 1, False),  # touching at the end, disjoint
+    ])
+    def test_half_open_overlap(self, start, duration, overlaps):
+        iv, other = TimeInterval(0, 480), TimeInterval(start, duration)
+        assert iv.overlaps(other) is other.overlaps(iv) is overlaps
+
     @pytest.mark.parametrize("start,duration", [(-1, 10), (0, 0), (0, -5), (2.0, 1)])
     def test_rejects_bad_fields(self, start, duration):
         with pytest.raises(ValueError):

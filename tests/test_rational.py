@@ -112,6 +112,7 @@ def test_builtin_scales_satisfy_scale_invariants():
         assert len(scale.keys) >= 1
         assert len(set(scale.keys)) == len(scale.keys)
         assert all(k > 0 for k in scale.keys)
+        assert [scale[i] for i in range(len(scale.keys))] == list(scale.keys)
         # reconstruction succeeds, so every key passes validation
         Scale(scale.name, scale.keys)
 

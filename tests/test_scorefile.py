@@ -339,15 +339,17 @@ class TestSerialize:
         ("harmony H tone 1", {"tone": TimeInterval(480, FAR)}),
         ("instrument i note 1", {"note": TimeInterval(FAR, 1)}),
         ("instrument i note 1", {"key": FAR}),
+        # out of start order: the index is into the tones, not the sorted text
+        ("harmony H tone 0", {"first": TimeInterval(960, FAR)}),
     ])
     def test_numbers_beyond_the_digit_limit_name_their_place(self, where, part):
         """Cold, and with the block's text kept from a call under no limit."""
-        fields = {"ppq": 480, "length": 960, "level": 1, "tone": TimeInterval(480, 480),
-                  "note": TimeInterval(0, 960), "key": 0, **part}
+        fields = {"ppq": 480, "length": 960, "level": 1, "first": TimeInterval(0, 480),
+                  "tone": TimeInterval(480, 480), "note": TimeInterval(0, 960), "key": 0, **part}
         comp = Composition(
             440, fields["ppq"], 120, fields["length"], [Scale("s", ["1/1"])],
             [HarmonicSequence("H", fields["level"], "s", [
-                TranspositionTone(0, TimeInterval(0, 480)), TranspositionTone(0, fields["tone"])])],
+                TranspositionTone(0, fields["first"]), TranspositionTone(0, fields["tone"])])],
             [Instrument("i", "s", ["H"], [Note(0, TimeInterval(0, 960)),
                                           Note(fields["key"], fields["note"])])])
         with int_digit_limit(0):
@@ -584,8 +586,9 @@ class TestReuse:
             parse_ok(text)
         with int_digit_limit(640):
             errors = parse_errors(text)
-            assert [(e.position.line, e.message) for e in errors] == [
-                (line, f"expected an integer, got {long!r}") for line in (4, 7, 10)]
+            assert [(e.position.line, e.kind, e.message) for e in errors] == [
+                (line, "range", "number too long for the int-string digit limit")
+                for line in (4, 7, 10)]
             assert outcome(errors) == outcome(cold_parse(text))
 
     def test_a_kept_note_line_in_a_harmony_block_is_an_error_at_its_place(self):
@@ -612,7 +615,7 @@ class TestReuse:
         lines = text.split("\n")
         with int_digit_limit(640):
             refused = outcome(cold_parse(text))
-        assert refused == [(12, 18, "syntax", f"expected an integer, got {far!r}")]
+        assert refused == [(12, 18, "range", "number too long for the int-string digit limit")]
         with int_digit_limit(0):
             first = parse_ok(text)
             kept = scorefile._last_blocks
@@ -835,7 +838,7 @@ class TestBlockSkip:
         every = [2, 3, 4, 5, 7, 8, 10, 11, 12, 13, 15, 16, 17, 18, 19]
         with int_digit_limit(640):
             refused = outcome(cold_parse(text))
-        assert refused == [(12, 18, "syntax", f"expected an integer, got {far!r}")]
+        assert refused == [(12, 18, "range", "number too long for the int-string digit limit")]
         with int_digit_limit(0):
             cold = cold_parse(text)
             kept, tokenised = self.warm(monkeypatch, text, before=text)
