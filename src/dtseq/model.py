@@ -307,8 +307,6 @@ def validate_composition(composition: Composition) -> list[Violation]:
     add = report.append
     length = composition.length_ticks
     length_text = value_text(length)
-    # each spanning harmony's timeline and crossing message (see _harmony_findings)
-    spanning: dict[str, tuple[list[int], str]] = {}
 
     for harmony in composition.harmonies.values():
         scale = composition.scales.get(harmony.scale_name)
@@ -318,8 +316,6 @@ def validate_composition(composition: Composition) -> list[Violation]:
             kept = (harmony, (length, size), *_harmony_findings(harmony, scale, size, length))
         harmonies[harmony.name] = kept
         report += kept[2]
-        if kept[3] is not None:
-            spanning[harmony.name] = kept[3]
 
     crossings = 0  # the report's warnings; every other finding is an error
     seen_instruments: set[str] = set()
@@ -344,10 +340,12 @@ def validate_composition(composition: Composition) -> list[Violation]:
                               f"expected level {pos + 1} at position {pos}, "
                               f"got level {value_text(harmony.level)}"))
 
-        # A spanning timeline's starts strictly increase from 0, and the
-        # length closes it, so the first boundary after the onset of a note
-        # that ends in time is one bisect away.
-        timelines = [spanning[h] for h in inst.harmony_names if h in spanning]
+        # The timeline of each bound harmony that spans, from its entry above:
+        # its starts strictly increase from 0, and the length closes it, so the
+        # first boundary after the onset of a note that ends in time is one
+        # bisect away.
+        timelines = [entry[3] for h in inst.harmony_names
+                     if (entry := harmonies.get(h)) and entry[3]]
         size = len(scale) if scale is not None else math.inf  # no range check without one
         key, notes = (inst.scale_name, size, length, timelines), inst.score.notes
         kept = _last_findings.get(inst.name)

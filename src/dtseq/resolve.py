@@ -20,17 +20,19 @@ region's table rows and their text, all kept by shift id.
 Reuse: one memo keeps that work, and the events of the last
 :func:`resolve_composition` call that returned, for the composition seen
 last.  Each call holds a lock while it reads and changes the memo in
-place, so calls run one at a time; a call on a new composition first
-drops what no longer holds (see :meth:`_Memo.see`).  A binding's sweep
-keeps its shift ids while its scales' keys are equal, and so the results
-kept by them, and after an edit of tone keys it walks only the regions
-of the tones that are new objects.  An instrument with the very notes of
-the kept events, under the same pitch memo and region starts, is
-resolved again only in the regions whose shift id changed; so after a
-parse that hands back each unchanged block (see :mod:`dtseq.scorefile`),
-an edit of one tone re-resolves the notes under that tone alone.  Every
-result equals a cold call's; compositions, events and rows are
-immutable, so sharing them is safe.
+place, so calls run one at a time.  A call on a new composition keeps
+the memo whole when the base, tempo, ppq and scales equal the last one's,
+and else starts it empty (see :meth:`_Memo.see`): every pitch and event
+depends on them, and a tone-key edit leaves them as they were.  A kept
+binding's sweep is done again on the new composition; it keeps its shift
+ids, and so the results kept by them, and walks only the regions of the
+tones that are new objects.  An instrument with the very notes of the
+kept events, under the same pitch memo and region starts, is resolved
+again only in the regions whose shift id changed; so after a parse that
+hands back each unchanged block (see :mod:`dtseq.scorefile`), an edit of
+one tone re-resolves the notes under that tone alone.  Every result
+equals a cold call's; compositions, events and rows are immutable, so
+sharing them is safe.
 
 Listings: this module owns the two texts ``dtseq resolve`` prints,
 :func:`export_events` and :func:`export_table`; each is built with one
@@ -98,10 +100,12 @@ class _Sweep:
     ``starts``, ``ids`` and ``shifts`` (what it returned), ``index_of`` and
     ``id_of`` (the shift id of each tuple of active key indices and of each
     shift), ``results`` (a memo of each kind of result under each (kind,
-    scale name), by shift id, cleared with the two maps), and ``stale``:
-    whether it was swept on an earlier composition than the memo's."""
+    scale name), by shift id, cleared with the two maps), and ``seen``:
+    the memo's ``seen`` for the composition it was last swept on, a count
+    rather than the object, so that a sweep no later call has read again
+    does not keep an older composition alive."""
 
-    levels, stale = None, True
+    levels, seen = None, 0
 
 
 def _regions(composition: Composition, harmony_names: tuple[str, ...], sweep: _Sweep | None = None
@@ -175,39 +179,38 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...], sweep: _S
 
 class _Memo:
     """What the resolver keeps of the composition it saw last, changed in
-    place only while ``_lock`` is held: ``composition``, its ``base``, the
-    :class:`_Sweep` of each binding, and ``events``, by instrument name
-    what the last :func:`resolve_composition` that returned read and made:
-    the notes, their events, the pitch memo, the region starts and a copy
-    of the region ids, and each note's onset."""
+    place only while ``_lock`` is held: ``composition``, ``seen`` (how many
+    compositions it has seen), its ``base``, the :class:`_Sweep` of each
+    binding, and ``events``, by instrument name what the last
+    :func:`resolve_composition` that returned read and made: the notes,
+    their events, the pitch memo, the region starts and a copy of the
+    region ids, and each note's onset."""
 
-    composition = base = None
+    composition, base, seen = None, None, 0
 
     def __init__(self):
         self.sweeps: dict[tuple[str, ...], _Sweep] = {}
         self.events: dict[str, tuple] = {}
 
     def see(self, new: Composition) -> None:
-        """Take ``new``, a new object, for the composition seen last: keep
-        the events only under equal tempo and ppq, and the sweeps only of
-        bindings it has, each stale and with its results only under an
-        equal base and equal scales."""
-        was, self.composition = self.composition or new, new
-        base, self.base = self.base, Fraction(new.base_frequency_hz)
-        if (was.tempo_bpm, was.ticks_per_beat) != (new.tempo_bpm, new.ticks_per_beat):
-            self.events = {}
-        keep = base == self.base and was.scales == new.scales
+        """Take ``new``, a new object, for the composition seen last.  Under
+        the last one's base, tempo, ppq and scales the memo is kept whole,
+        but for the sweeps of bindings ``new`` does not have; else it starts
+        empty.  Either way each sweep is done again before it is read."""
+        was, self.composition, self.seen = self.composition or new, new, self.seen + 1
+        self.base = Fraction(new.base_frequency_hz)
+        if (was.base_frequency_hz, was.tempo_bpm, was.ticks_per_beat, was.scales) != (
+                new.base_frequency_hz, new.tempo_bpm, new.ticks_per_beat, new.scales):
+            self.sweeps, self.events = {}, {}
         bindings = {inst.harmony_names for inst in new.instruments}
         self.sweeps = {names: sweep for names, sweep in self.sweeps.items() if names in bindings}
-        for sweep in self.sweeps.values():
-            sweep.stale, sweep.results = True, sweep.results if keep else {}
 
     def regions(self, harmony_names: tuple[str, ...]
                 ) -> tuple[list[int], list[int | None], list[Fraction]]:
         sweep = self.sweeps.pop(harmony_names, None) or _Sweep()
-        if sweep.stale:
+        if sweep.seen != self.seen:
             _regions(self.composition, harmony_names, sweep)
-            sweep.stale = False
+            sweep.seen = self.seen
         self.sweeps[harmony_names] = sweep  # only now: a sweep that raises is not kept
         return sweep.starts, sweep.ids, sweep.shifts
 

@@ -36,7 +36,9 @@ A number has no more digits than the int-string digit limit
 read or written: ``parse`` reports a longer one at its place without
 quoting it (a ``range`` error for a whole number, ``bad-ratio`` for a
 ratio part), and ``serialize`` raises ValueError naming the place of the
-first one it would write.
+first one it would write.  Any other token or number a parse message
+quotes is shown whole up to 40 characters, and a longer one as its first
+20, ``…`` and its length, so that the message stays one short line.
 
 Reuse: ``parse`` keeps each block (``harmony ... end`` or ``instrument
 ... end``) of the last composition it built, by kind and name.  A body
@@ -134,6 +136,15 @@ def parse(text: str | bytes) -> Composition | list[ParseError]:
     return composition
 
 
+def _shown(token: object, quote: bool = True) -> str:
+    """How a parse message shows ``token``, as the repr of its text when
+    ``quote``: whole up to 40 characters, else its first 20, ``…`` and its
+    length, so that a message about any token stays one short line."""
+    text = str(token)
+    shown = (repr if quote else str)(text if len(text) <= 40 else text[:20] + "…")
+    return shown if len(text) <= 40 else f"{shown} ({len(text)} characters)"
+
+
 class _Parser:
     def __init__(self, kept: dict[tuple[str, str], tuple]):
         self.kept = kept  # the blocks of _last_blocks; self.blocks will be the next ones
@@ -212,7 +223,7 @@ class _Parser:
                     self.block[5][raw] = event
         if self.block is not None:
             kind, name, _, opened, *_ = self.block
-            self.error(opened, 1, "syntax", f"{kind} {name!r} is missing its 'end' line")
+            self.error(opened, 1, "syntax", f"{kind} {_shown(name)} is missing its 'end' line")
         self.finalize()
 
     def dispatch(self, toks: list[str]) -> Note | TranspositionTone | None:
@@ -232,12 +243,13 @@ class _Parser:
                     items.append(event)
                 return event
             if head in _TOP_DIRECTIVES:
-                self.fail(toks, 0, "syntax", f"missing 'end' for {kind} {name!r} before {head!r}")
+                self.fail(toks, 0, "syntax",
+                          f"missing 'end' for {kind} {_shown(name)} before {head!r}")
                 self.block = None
                 # fall through: handle this line at top level
             else:
                 self.fail(toks, 0, "syntax", f"expected {_EVENT_WORD[kind]!r} or 'end' "
-                                             f"inside {kind} block, got {head!r}")
+                                             f"inside {kind} block, got {_shown(head)}")
                 return
 
         if head in _HEADER_FIELDS:
@@ -251,7 +263,7 @@ class _Parser:
         elif head in ("tone", "note", "end"):
             self.fail(toks, 0, "syntax", f"{head!r} outside a block")
         else:
-            self.fail(toks, 0, "unknown-directive", f"unknown directive {head!r}")
+            self.fail(toks, 0, "unknown-directive", f"unknown directive {_shown(head)}")
 
     def open(self, kind: str, name: str, items: list | None) -> None:
         """Open a block; take the kept events where the next lines are its kept body."""
@@ -286,15 +298,15 @@ class _Parser:
         except ValueError:
             if "/" in text:
                 # a ratio where a 0-based index or tick count belongs
-                self.fail(toks, index, "bad-ratio", f"{text!r} is not an integer; keys and "
+                self.fail(toks, index, "bad-ratio", f"{_shown(text)} is not an integer; keys and "
                                                     f"ticks are plain indices, not ratios")
             elif text.isascii() and text.isdigit():  # exceeds the int-string digit limit
                 self.fail(toks, index, "range", "number too long for the int-string digit limit")
             else:
-                self.fail(toks, index, "syntax", f"expected an integer, got {text!r}")
+                self.fail(toks, index, "syntax", f"expected an integer, got {_shown(text)}")
             return None
         if value < minimum:
-            self.fail(toks, index, "range", f"value {value} must be >= {minimum}")
+            self.fail(toks, index, "range", f"value {_shown(value, False)} must be >= {minimum}")
             return None
         return value
 
@@ -305,19 +317,18 @@ class _Parser:
                 raise ValueError(text)
             value = float(text)
         except ValueError:
-            self.fail(toks, index, "syntax", f"expected a number, got {text!r}")
+            self.fail(toks, index, "syntax", f"expected a number, got {_shown(text)}")
             return None
-        if not math.isfinite(value) or value <= 0:
-            self.fail(toks, index, "range", f"value {text} must be positive and finite")
-            return None
-        return value
+        if math.isfinite(value) and value > 0:
+            return value
+        self.fail(toks, index, "range", f"value {_shown(text, False)} must be positive and finite")
 
     def name_field(self, toks: list[str], index: int, what: str) -> str | None:
         if index >= len(toks):
             self.fail(toks, 0, "syntax", f"missing {what}")
             return None
         if not IDENTIFIER_RE.match(toks[index]):
-            self.fail(toks, index, "syntax", f"invalid {what}: {toks[index]!r}")
+            self.fail(toks, index, "syntax", f"invalid {what}: {_shown(toks[index])}")
             return None
         return toks[index]
 
@@ -325,14 +336,14 @@ class _Parser:
         # every caller has checked that toks[index] exists
         if toks[index] == word:
             return True
-        self.fail(toks, index, "syntax", f"expected {word!r}, got {toks[index]!r}")
+        self.fail(toks, index, "syntax", f"expected {word!r}, got {_shown(toks[index])}")
         return False
 
     def ratio_field(self, toks: list[str], index: int) -> Fraction | None:
         text = toks[index]
         m = _RATIO_RE.match(text)
         if not m:
-            self.fail(toks, index, "bad-ratio", f"malformed ratio {text!r}")
+            self.fail(toks, index, "bad-ratio", f"malformed ratio {_shown(text)}")
             return None
         try:
             num = int(m.group(1))
@@ -342,7 +353,7 @@ class _Parser:
             return None
         if num == 0 or den == 0:
             self.fail(toks, index, "bad-ratio",
-                      f"ratio {text} has a zero part; ratios must be positive")
+                      f"ratio {_shown(text, False)} has a zero part; ratios must be positive")
             return None
         return Fraction(num, den)
 
@@ -357,14 +368,14 @@ class _Parser:
                 continue
             if key in keys:
                 self.fail(toks, i, "bad-ratio",
-                          f"duplicate key {ratio_text(key)} in scale")
+                          f"duplicate key {_shown(ratio_text(key), False)} in scale")
                 continue
             keys[key] = None
         if not keys:
             self.fail(toks, 0, "syntax", "scale needs at least one key")
             keys = {Fraction(1): None}
         if name in self.scales:
-            self.fail(toks, 1, "duplicate-name", f"scale {name!r} already defined")
+            self.fail(toks, 1, "duplicate-name", f"scale {_shown(name)} already defined")
             return
         self.scales[name] = Scale(name, list(keys))
 
@@ -382,7 +393,7 @@ class _Parser:
             if len(toks) > 6:
                 self.fail(toks, 6, "syntax", "unexpected tokens after harmony header")
             elif name in self.harmonies:
-                self.fail(toks, 1, "duplicate-name", f"harmony {name!r} already defined")
+                self.fail(toks, 1, "duplicate-name", f"harmony {_shown(name)} already defined")
             else:
                 tones: list[TranspositionTone] = []
                 self.harmonies[name] = (scale, (self.ln, self.column(toks, 5)), level, tones)
@@ -408,16 +419,14 @@ class _Parser:
                 if IDENTIFIER_RE.match(toks[i]):
                     refs.append((toks[i], (self.ln, self.column(toks, i))))
                 else:
-                    self.fail(toks, i, "syntax", f"invalid harmony name: {toks[i]!r}")
+                    self.fail(toks, i, "syntax", f"invalid harmony name: {_shown(toks[i])}")
                     ok = False
-            if ok:
-                if name in self.instruments:
-                    self.fail(toks, 1, "duplicate-name", f"instrument {name!r} already defined")
-                else:
-                    notes: list[Note] = []
-                    self.instruments[name] = (scale, (self.ln, self.column(toks, 3)), refs,
-                                              notes)
-                    return name, notes
+            if ok and name in self.instruments:
+                self.fail(toks, 1, "duplicate-name", f"instrument {_shown(name)} already defined")
+            elif ok:
+                notes: list[Note] = []
+                self.instruments[name] = (scale, (self.ln, self.column(toks, 3)), refs, notes)
+                return name, notes
         return "?", None
 
     def event_line(self, toks: list[str]) -> Note | TranspositionTone | None:
@@ -452,7 +461,8 @@ class _Parser:
             if velocity is None:
                 return
             if velocity > 127:
-                self.fail(toks, 7, "range", f"velocity {velocity} must be in [1, 127]")
+                self.fail(toks, 7, "range",
+                          f"velocity {_shown(velocity, False)} must be in [1, 127]")
                 return
         interval = TimeInterval(start, duration)
         return (TranspositionTone(key, interval) if word == "tone"
@@ -466,11 +476,11 @@ class _Parser:
                 self.error(1, 1, "syntax", f"missing {name!r} directive")
         for scale, (ln, col), *_ in (*self.harmonies.values(), *self.instruments.values()):
             if scale not in self.scales:
-                self.error(ln, col, "bad-reference", f"unknown scale {scale!r}")
+                self.error(ln, col, "bad-reference", f"unknown scale {_shown(scale)}")
         for _, _, refs, _ in self.instruments.values():
             for name, (ln, col) in refs:
                 if name not in self.harmonies:
-                    self.error(ln, col, "bad-reference", f"unknown harmony {name!r}")
+                    self.error(ln, col, "bad-reference", f"unknown harmony {_shown(name)}")
 
     def build(self) -> tuple[Composition, dict[tuple[str, str], tuple]]:
         """The composition, and its blocks to keep (see ``_last_blocks``):

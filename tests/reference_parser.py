@@ -11,7 +11,9 @@ for it is a duplicate.  Second, only LF, CRLF and CR end a line, where
 ``str.splitlines()`` also ended one at the other Unicode line and record
 separators.  Third, a leading UTF-8 byte-order mark is dropped.  Fourth,
 a whole number longer than the int-string digit limit is a ``range``
-error that does not quote its digits.
+error that does not quote its digits.  Fifth, a message shows a token or
+number of more than 40 characters as its first 20, ``…`` and its length
+(``_shown``).
 ``serialize`` is left out.
 """
 
@@ -44,6 +46,14 @@ _TOP_DIRECTIVES = {"base", "ppq", "tempo", "length", "scale", "harmony", "instru
 # '@' and '+' are their own tokens; everything else splits on whitespace.
 _TOKEN_RE = re.compile(r"@|\+|[^\s@+]+")
 _RATIO_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
+
+
+def _shown(token: object, quote: bool = True) -> str:
+    text = str(token)
+    if len(text) <= 40:
+        return repr(text) if quote else text
+    head = text[:20] + "…"
+    return f"{repr(head) if quote else head} ({len(text)} characters)"
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,7 @@ class _Parser:
         if self.block is not None:
             kind, draft, opened = self.block
             name = getattr(draft, "name", "?")
-            self.error(opened, 1, "syntax", f"{kind} {name!r} is missing its 'end' line")
+            self.error(opened, 1, "syntax", f"{kind} {_shown(name)} is missing its 'end' line")
             self.block = None
         self.finalize()
 
@@ -148,14 +158,14 @@ class _Parser:
             if head.text in _TOP_DIRECTIVES:
                 name = getattr(draft, "name", "?")
                 self.error(ln, head.column, "syntax",
-                           f"missing 'end' for {bkind} {name!r} before {head.text!r}")
+                           f"missing 'end' for {bkind} {_shown(name)} before {head.text!r}")
                 self.block = None
                 # fall through: handle this line at top level
             else:
                 expected = "tone" if bkind == "harmony" else "note"
                 self.error(ln, head.column, "syntax",
                            f"expected {expected!r} or 'end' inside {bkind} block, "
-                           f"got {head.text!r}")
+                           f"got {_shown(head.text)}")
                 return
 
         if head.text in _HEADER_FIELDS:
@@ -170,7 +180,7 @@ class _Parser:
             self.error(ln, head.column, "syntax", f"{head.text!r} outside a block")
         else:
             self.error(ln, head.column, "unknown-directive",
-                       f"unknown directive {head.text!r}")
+                       f"unknown directive {_shown(head.text)}")
 
     # Directive handlers
 
@@ -200,17 +210,18 @@ class _Parser:
             if "/" in tok.text:
                 # a ratio where a 0-based index or tick count belongs
                 self.error(ln, tok.column, "bad-ratio",
-                           f"{tok.text!r} is not an integer; keys and ticks are "
+                           f"{_shown(tok.text)} is not an integer; keys and ticks are "
                            f"plain indices, not ratios")
             elif tok.text.isascii() and tok.text.isdigit():  # exceeds the int-string digit limit
                 self.error(ln, tok.column, "range",
                            "number too long for the int-string digit limit")
             else:
                 self.error(ln, tok.column, "syntax",
-                           f"expected an integer, got {tok.text!r}")
+                           f"expected an integer, got {_shown(tok.text)}")
             return None
         if value < minimum:
-            self.error(ln, tok.column, "range", f"value {value} must be >= {minimum}")
+            self.error(ln, tok.column, "range",
+                       f"value {_shown(value, False)} must be >= {minimum}")
             return None
         return value
 
@@ -220,10 +231,11 @@ class _Parser:
                 raise ValueError(tok.text)
             value = float(tok.text)
         except ValueError:
-            self.error(ln, tok.column, "syntax", f"expected a number, got {tok.text!r}")
+            self.error(ln, tok.column, "syntax", f"expected a number, got {_shown(tok.text)}")
             return None
         if not math.isfinite(value) or value <= 0:
-            self.error(ln, tok.column, "range", f"value {tok.text} must be positive and finite")
+            self.error(ln, tok.column, "range",
+                       f"value {_shown(tok.text, False)} must be positive and finite")
             return None
         return value
 
@@ -234,7 +246,7 @@ class _Parser:
             return None
         tok = toks[index]
         if not IDENTIFIER_RE.match(tok.text):
-            self.error(ln, tok.column, "syntax", f"invalid {what}: {tok.text!r}")
+            self.error(ln, tok.column, "syntax", f"invalid {what}: {_shown(tok.text)}")
             return None
         return tok
 
@@ -243,13 +255,13 @@ class _Parser:
             return True
         col = toks[index].column if index < len(toks) else toks[-1].column
         got = toks[index].text if index < len(toks) else "end of line"
-        self.error(ln, col, "syntax", f"expected {word!r}, got {got!r}")
+        self.error(ln, col, "syntax", f"expected {word!r}, got {_shown(got)}")
         return False
 
     def ratio_field(self, ln: int, tok: _Token) -> Fraction | None:
         m = _RATIO_RE.match(tok.text)
         if not m:
-            self.error(ln, tok.column, "bad-ratio", f"malformed ratio {tok.text!r}")
+            self.error(ln, tok.column, "bad-ratio", f"malformed ratio {_shown(tok.text)}")
             return None
         try:
             num = int(m.group(1))
@@ -259,7 +271,7 @@ class _Parser:
             return None
         if num == 0 or den == 0:
             self.error(ln, tok.column, "bad-ratio",
-                       f"ratio {tok.text} has a zero part; ratios must be positive")
+                       f"ratio {_shown(tok.text, False)} has a zero part; ratios must be positive")
             return None
         return Fraction(num, den)
 
@@ -274,7 +286,8 @@ class _Parser:
                 continue
             if key in keys:
                 self.error(ln, tok.column, "bad-ratio",
-                           f"duplicate key {key.numerator}/{key.denominator} in scale")
+                           f"duplicate key {_shown(f'{key.numerator}/{key.denominator}', False)}"
+                           f" in scale")
                 continue
             keys.append(key)
         if not keys:
@@ -282,7 +295,7 @@ class _Parser:
             keys = [Fraction(1)]
         if name_tok.text in self.scales:
             self.error(ln, name_tok.column, "duplicate-name",
-                       f"scale {name_tok.text!r} already defined")
+                       f"scale {_shown(name_tok.text)} already defined")
             return
         self.scales[name_tok.text] = Scale(name_tok.text, keys)
 
@@ -303,7 +316,7 @@ class _Parser:
                 self.error(ln, toks[6].column, "syntax", "unexpected tokens after harmony header")
             elif name_tok.text in self.harmonies:
                 self.error(ln, name_tok.column, "duplicate-name",
-                           f"harmony {name_tok.text!r} already defined")
+                           f"harmony {_shown(name_tok.text)} already defined")
             else:
                 draft = _HarmonyDraft(name_tok.text, level, scale_tok.text,
                                       (ln, scale_tok.column))
@@ -334,14 +347,14 @@ class _Parser:
                             refs.append((tok.text, (ln, tok.column)))
                         else:
                             self.error(ln, tok.column, "syntax",
-                                       f"invalid harmony name: {tok.text!r}")
+                                       f"invalid harmony name: {_shown(tok.text)}")
                             ok = False
                 else:
                     ok = False
             if ok:
                 if name_tok.text in self.instruments:
                     self.error(ln, name_tok.column, "duplicate-name",
-                               f"instrument {name_tok.text!r} already defined")
+                               f"instrument {_shown(name_tok.text)} already defined")
                 else:
                     draft = _InstrumentDraft(name_tok.text, scale_tok.text,
                                              (ln, scale_tok.column), refs)
@@ -392,7 +405,8 @@ class _Parser:
             if vel is None:
                 return
             if vel > 127:
-                self.error(ln, toks[7].column, "range", f"velocity {vel} must be in [1, 127]")
+                self.error(ln, toks[7].column, "range",
+                           f"velocity {_shown(vel, False)} must be in [1, 127]")
                 return
             velocity = vel
         key, start, duration = fields
@@ -408,14 +422,14 @@ class _Parser:
         for draft in self.harmonies.values():
             if draft.scale_name not in self.scales:
                 ln, col = draft.scale_pos
-                self.error(ln, col, "bad-reference", f"unknown scale {draft.scale_name!r}")
+                self.error(ln, col, "bad-reference", f"unknown scale {_shown(draft.scale_name)}")
         for draft in self.instruments.values():
             if draft.scale_name not in self.scales:
                 ln, col = draft.scale_pos
-                self.error(ln, col, "bad-reference", f"unknown scale {draft.scale_name!r}")
+                self.error(ln, col, "bad-reference", f"unknown scale {_shown(draft.scale_name)}")
             for hname, (ln, col) in draft.harmony_refs:
                 if hname not in self.harmonies:
-                    self.error(ln, col, "bad-reference", f"unknown harmony {hname!r}")
+                    self.error(ln, col, "bad-reference", f"unknown harmony {_shown(hname)}")
 
     def build(self) -> Composition:
         harmonies = [

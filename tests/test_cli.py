@@ -123,6 +123,38 @@ class TestValidate:
         assert "warning" in err and "boundary-crossing" in err
 
 
+    # a 5,000-character bad token (4,001 for ppq) where each kind of message
+    # quotes one: (the score's lines after the header, the header line it
+    # replaces, and the one diagnostic)
+    @pytest.mark.parametrize("lines,replaced,diagnostic", [
+        (["length -" + "1" * 5000], 3,
+         "4:8: syntax: expected an integer, got '-1111111111111111111…' (5001 characters)"),
+        (["length 1" + "0" * 4998 + "x"], 3,
+         "4:8: syntax: expected an integer, got '10000000000000000000…' (5000 characters)"),
+        (["base 1" + "0" * 5000], 0,
+         "1:6: range: value 10000000000000000000… (5001 characters) must be positive and "
+         "finite"),
+        (["scale s 1/1 " + "1" * 4997 + "x/1"], None,
+         "5:13: bad-ratio: malformed ratio '11111111111111111111…' (5000 characters)"),
+        (["x" * 5000], None,
+         "5:1: unknown-directive: unknown directive 'xxxxxxxxxxxxxxxxxxxx…' (5000 characters)"),
+        (["harmony H " + "l" * 5000 + " 1 scale s", "end"], None,
+         "5:11: syntax: expected 'level', got 'llllllllllllllllllll…' (5000 characters)"),
+        (["ppq -" + "1" * 4000], 1,
+         "2:5: range: value -1111111111111111111… (4001 characters) must be >= 1"),
+    ], ids=["length-sign", "length-letter", "base", "scale-key", "directive", "level", "ppq"])
+    def test_a_long_token_is_shown_cut_in_one_short_line(self, tmp_path, monkeypatch, capsys,
+                                                        lines, replaced, diagnostic):
+        header = ["base 440", "ppq 480", "tempo 120", "length 960"]
+        if replaced is not None:
+            header[replaced], lines = lines[0], lines[1:]
+        monkeypatch.chdir(tmp_path)
+        Path("long.dts").write_text("\n".join(header + lines) + "\n")
+        assert main(["validate", "long.dts"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"long.dts:{diagnostic}\n"
+        assert len(err.encode()) < 200
+
     # read as UTF-8 bytes, where NEL and U+2028 take two and three bytes
     @pytest.mark.parametrize("sep", ["\x85", "\u2028"], ids=repr)
     def test_line_separator_in_a_comment_does_not_hide_the_error(self, tmp_path, capsys,

@@ -66,7 +66,18 @@ SEPARATED = [piece.format(s=s) for s in ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x
                                           "\u2028", "\u2029")
              for piece in ("# fifth{s}above", "base{s}440", "scale{s}s 1/1{s}3/2", "end{s}",
                            "{s}", "tone 0 @ 0{s}+960", "note 1{s}@ 480 +480 # x{s}y")]
-PIECES = (HEADER + BROKEN_HEADER + SCALES + HARMONIES + INSTRUMENTS + MISC + SEPARATED
+# a token or number longer than a message shows whole, where each kind of
+# message quotes one (a soup that takes a name twice defines it again)
+LONG = ["length -" + "1" * 5000, "ppq -" + "1" * 4000, "base 1" + "0" * 5000,
+        "tempo " + "9" * 50 + "x", "scale s 1/1 " + "1" * 60 + "x/1",
+        "scale t 1/1 " + "0" * 60 + "/1", "scale t 1/1 " + "3" * 50 + "/1 " + "3" * 50 + "/1",
+        "x" * 5000, "harmony H " + "l" * 60 + " 1 scale s",
+        "harmony " + "H" * 60 + " level 1 scale s",
+        "instrument " + "i" * 60 + " scale " + "z" * 60 + " harmonies " + "g" * 60,
+        "instrument i scale s harmonies H " + "1" * 60, "note 0 @ 0 +480 vel " + "9" * 50,
+        "tone " + "1/" * 30 + " @ 0 +1", "note 0 @ -" + "1" * 60 + " +1",
+        "scale " + "s" * 60 + " 1/1"]
+PIECES = (HEADER + BROKEN_HEADER + SCALES + HARMONIES + INSTRUMENTS + MISC + SEPARATED + LONG
           + [e.format(w=w) for e in ALL_EVENTS for w in ("tone", "note")])
 
 

@@ -924,19 +924,19 @@ class TestWarmEqualsCold:
         assert table == expected
         assert shared(region_rows(first), region_rows(table))
 
-    @pytest.mark.parametrize("edit", ["base", "scale key"])
+    @pytest.mark.parametrize("edit", ["base", "scale key", "tempo", "ppq"])
     def test_a_changed_base_or_scale_takes_nothing_over(self, edit):
-        """An instrument whose base or scale keys changed reuses none of
-        its events or table rows, and gets what a cold call gets."""
+        """After an edit of the base, a scale's keys, the tempo or the ppq,
+        no instrument reuses any of its events or table rows, and each gets
+        what a cold call gets."""
         rng = random.Random(82)
         checked = 0
         for _ in range(150):
             a = random_composition(rng, max_ticks=2000, min_instruments=1, min_notes=1)
             b = edited_composition(rng, a, edit)
+            if b.scales == a.scales and edit == "scale key":  # the edit changed no key
+                continue
             for inst in b.instruments:
-                keys = [comp.scales[inst.scale_name].keys for comp in (a, b)]
-                if edit == "scale key" and keys[0] == keys[1]:
-                    continue
                 expected = [outcome(cold_resolve, resolve_composition, b),
                             outcome(cold_resolve, frequency_table, b, inst.name)]
                 first = [outcome(cold_resolve, resolve_composition, a),
@@ -949,6 +949,32 @@ class TestWarmEqualsCold:
                 assert not shared(region_rows(first[1]), region_rows(got[1]))
                 checked += isinstance(got[1], list)
         assert checked > 100
+
+    @pytest.mark.parametrize("edit", ["tone key", "tone timing", "rebind", "add note",
+                                      "base", "scale key", "tempo", "ppq"])
+    def test_the_memo_is_kept_whole_or_started_afresh(self, edit):
+        """Resolve and tabulate a composition, then an edit of it: under
+        the same base, tempo, ppq and scales the sweep of every binding both
+        have is the very object it was, and under any other none is; every
+        result equals a cold call's."""
+        rng = random.Random(84)
+        checked = 0
+        for _ in range(120):
+            a = random_composition(rng, max_ticks=2000, min_instruments=1, min_notes=1)
+            b = edited_composition(rng, a, edit)
+            expected = [outcome(cold_resolve, call, b) for call in (resolve_composition,
+                                                                    export_table)]
+            outcome(cold_resolve, resolve_composition, a)
+            outcome(export_table, a)
+            before = dict(resolve_module._the_memo.sweeps)
+            assert [outcome(call, b) for call in (resolve_composition, export_table)] == expected
+            after = resolve_module._the_memo.sweeps
+            kept = [after[names] is before[names] for names in before.keys() & after.keys()]
+            settings = [(c.base_frequency_hz, c.tempo_bpm, c.ticks_per_beat, c.scales)
+                        for c in (a, b)]
+            assert kept == [settings[0] == settings[1]] * len(kept)
+            checked += bool(kept)
+        assert checked > 60
 
     def test_a_call_that_raises_keeps_no_events(self):
         rng = random.Random(75)
