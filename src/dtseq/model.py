@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .rational import Scale, check_name, value_text
+from .rational import Scale, _shown, check_name, value_text
 
 DEFAULT_VELOCITY = 96
 
@@ -47,9 +47,6 @@ class TimeInterval:
 
     def contains(self, tick: int) -> bool:
         return self.start <= tick < self.end
-
-    def overlaps(self, other: "TimeInterval") -> bool:
-        return self.start < other.end and other.start < self.end
 
 
 @dataclass(frozen=True)
@@ -98,10 +95,6 @@ class InstrumentScore:
             span = note.interval
             by_key.setdefault((span.start, note.key_index, span.duration, note.velocity), note)
         object.__setattr__(self, "notes", tuple(map(by_key.__getitem__, sorted(by_key))))
-
-    def normalized(self) -> "InstrumentScore":
-        """The score itself, which is canonical from construction."""
-        return self
 
     def __len__(self) -> int:
         return len(self.notes)
@@ -273,9 +266,11 @@ class Violation:
 # how many of them are warnings); and by harmony name, (the harmony, the
 # length and scale size, and what _harmony_findings found).  Each call fills
 # new dicts and only then puts them here, so a call running in another
-# thread reads finished ones.
+# thread reads finished ones.  With them, the inputs of _float_range's last
+# clean verdict, when it found nothing and walked no instrument; else None.
 _last_findings: dict[str, tuple[tuple, tuple[Note, ...], list[Violation], int]] = {}
 _last_harmonies: dict[str, tuple] = {}
+_last_range: tuple | None = None
 
 
 def validate_composition(composition: Composition) -> list[Violation]:
@@ -292,15 +287,19 @@ def validate_composition(composition: Composition) -> list[Violation]:
     length and scale size, takes that call's findings and timeline; the
     per-note findings of an instrument whose notes, scale name and size,
     length and bound harmony timelines equal those of the previous call
-    are that call's findings.  So a re-validation after an edit of one
-    transposition tone's key walks the tones of that harmony alone, and
-    no note; the report equals a cold call's.  Only the previous call's
+    are that call's findings; and when the previous call's check of the
+    float range found nothing and walked no instrument, a call under equal
+    base, tempo, ppq, length, scales and instrument scale names takes that
+    verdict.  So a re-validation after an edit of one transposition
+    tone's key walks the tones of that harmony alone, no note and no
+    scale; the report equals a cold call's.  Only the previous call's
     findings are kept, and sharing them is safe because a Violation is
     immutable.  Every number in a message is written by
-    :func:`value_text`, so a kept finding reads the same under any
-    ``sys.set_int_max_str_digits`` limit.
+    :func:`value_text`, and every name longer than 40 characters is shown
+    cut, so a kept finding reads the same under any
+    ``sys.set_int_max_str_digits`` limit and stays one short line.
     """
-    global _last_findings, _last_harmonies
+    global _last_findings, _last_harmonies, _last_range
     findings: dict[str, tuple] = {}
     harmonies: dict[str, tuple] = {}
     report: list[Violation] = []
@@ -320,23 +319,23 @@ def validate_composition(composition: Composition) -> list[Violation]:
     crossings = 0  # the report's warnings; every other finding is an error
     seen_instruments: set[str] = set()
     for inst in composition.instruments:
-        path = f"instrument {inst.name}"
+        path = f"instrument {_shown(inst.name, False)}"
         if inst.name in seen_instruments:
             add(Violation("duplicate-name", path, "instrument name already used"))
         seen_instruments.add(inst.name)
 
         scale = composition.scales.get(inst.scale_name)
         if scale is None:
-            add(Violation("bad-reference", path, f"unknown scale {inst.scale_name!r}"))
+            add(Violation("bad-reference", path, f"unknown scale {_shown(inst.scale_name)}"))
 
         for pos, hname in enumerate(inst.harmony_names):
             harmony = composition.harmonies.get(hname)
             if harmony is None:
-                add(Violation("bad-reference", f"{path} harmony {hname}",
-                              f"unknown harmony {hname!r}"))
+                add(Violation("bad-reference", f"{path} harmony {_shown(hname, False)}",
+                              f"unknown harmony {_shown(hname)}"))
                 continue
             if harmony.level != pos + 1:
-                add(Violation("level-gap", f"{path} harmony {hname}",
+                add(Violation("level-gap", f"{path} harmony {_shown(hname, False)}",
                               f"expected level {pos + 1} at position {pos}, "
                               f"got level {value_text(harmony.level)}"))
 
@@ -354,7 +353,7 @@ def validate_composition(composition: Composition) -> list[Violation]:
             findings[inst.name] = kept
             crossings += kept[3]
             continue
-        first = len(report)
+        first, scale_shown = len(report), scale and _shown(scale.name)
         for i, note in enumerate(notes):
             onset, end = note.interval.start, note.interval.end
             npath = None  # built at the note's first finding
@@ -362,7 +361,7 @@ def validate_composition(composition: Composition) -> list[Violation]:
                 npath = f"{path} note {i}"
                 add(Violation("range", npath,
                               f"key index {value_text(note.key_index)} outside scale "
-                              f"{scale.name!r} of {size} keys"))
+                              f"{scale_shown} of {size} keys"))
             if end > length:
                 add(Violation("range", npath or f"{path} note {i}",
                               f"interval [{value_text(onset)}, {value_text(end)}) "
@@ -380,9 +379,11 @@ def validate_composition(composition: Composition) -> list[Violation]:
         findings[inst.name] = (key, notes, found, warned)
         crossings += warned
 
+    verdict = None
     if len(report) == crossings:  # no error so far
-        report.extend(_float_range(composition))
-    _last_findings, _last_harmonies = findings, harmonies
+        found, verdict = _float_range(composition, _last_range)
+        report += found
+    _last_findings, _last_harmonies, _last_range = findings, harmonies, verdict
     return report
 
 
@@ -394,15 +395,16 @@ def _harmony_findings(harmony: HarmonicSequence, scale: Scale | None, size: int 
     error is found."""
     found: list[Violation] = []
     add = found.append
-    path = f"harmony {harmony.name}"
+    name = _shown(harmony.name, False)
+    path = f"harmony {name}"
     if scale is None:
-        add(Violation("bad-reference", path, f"unknown scale {harmony.scale_name!r}"))
-    length_text = value_text(length)
+        add(Violation("bad-reference", path, f"unknown scale {_shown(harmony.scale_name)}"))
+    length_text, scale_shown = value_text(length), scale and _shown(scale.name)
     starts = harmony._starts
     ends = [tone.interval.end for tone in harmony.tones]
     entry = None
     if (timeline := [*starts, length]) == [0, *ends]:
-        entry = (timeline, f"note sustains across the {harmony.name} boundary at tick ")
+        entry = (timeline, f"note sustains across the {name} boundary at tick ")
     if not ends:
         add(Violation("span", path, "harmony has no tones; it must span the composition"))
         return found, entry
@@ -410,7 +412,7 @@ def _harmony_findings(harmony: HarmonicSequence, scale: Scale | None, size: int 
         if tone.key_index >= size:
             add(Violation("range", f"{path} tone {i}",
                           f"key index {value_text(tone.key_index)} outside scale "
-                          f"{scale.name!r} of {size} keys"))
+                          f"{scale_shown} of {size} keys"))
         if end > length:
             add(Violation("range", f"{path} tone {i}",
                           f"interval [{value_text(start)}, {value_text(end)}) "
@@ -447,11 +449,14 @@ def _float_kind(x: Fraction) -> str | None:
 _BEYOND = {"overflow": "beyond the float range", "underflow": "below the normal float range"}
 
 
-def _float_range(composition: Composition) -> list[Violation]:
+def _float_range(composition: Composition, kept: tuple | None
+                 ) -> tuple[list[Violation], tuple | None]:
     """``overflow`` errors for a time grid beyond the float range (the
     length in seconds, or ``tempo * ppq``, which ``seconds`` divides by),
     and ``overflow`` or ``underflow`` errors for resolved frequencies
-    beyond or below the normal float range.
+    beyond or below the normal float range; and, when it found nothing and
+    walked no instrument, the inputs it read, a verdict that ``kept``, the
+    inputs of an earlier such one, gives again without a check.
 
     Needs a composition with no other error.  Every note ends within the
     length, so a length whose seconds are a finite float, over a finite
@@ -461,7 +466,15 @@ def _float_range(composition: Composition) -> list[Violation]:
     has no normal float: then every note, and every key at the regions of
     largest and smallest shift (``resolve --table``), is checked exactly.
     Every finding comes from that walk; a key no tone uses can start one.
+    So the base, tempo, ppq, length, scales and each instrument's scale
+    names are all a clean verdict reads.
     """
+    chains = [(inst.scale_name, *(composition.harmonies[h].scale_name for h in inst.harmony_names))
+              for inst in composition.instruments]
+    read = (composition.base_frequency_hz, composition.tempo_bpm, composition.ticks_per_beat,
+            composition.length_ticks, composition.scales, chains)
+    if read == kept:
+        return [], kept
     found: list[Violation] = []
     try:
         finite = math.isfinite(composition.seconds(composition.length_ticks))
@@ -473,18 +486,16 @@ def _float_range(composition: Composition) -> list[Violation]:
     elif math.isinf(composition.tempo_bpm * composition.ticks_per_beat):  # every tick is 0 s
         found.append(Violation("overflow", "tempo", "tempo * ppq is beyond the float range"))
 
-    base = Fraction(composition.base_frequency_hz)
+    base, walked = Fraction(composition.base_frequency_hz), False
     largest = {name: max(scale.keys) for name, scale in composition.scales.items()}
     smallest = {name: min(scale.keys) for name, scale in composition.scales.items()}
-    for inst in composition.instruments:
-        names = [inst.scale_name, *(composition.harmonies[h].scale_name
-                                    for h in inst.harmony_names)]
+    for inst, names in zip(composition.instruments, chains):
         high = base * math.prod(largest[name] for name in names)
         low = base * math.prod(smallest[name] for name in names)
         if _float_kind(high) is None and _float_kind(low) is None:
             continue
-        keys = composition.scales[inst.scale_name].keys
-        path = f"instrument {inst.name}"
+        walked, keys = True, composition.scales[inst.scale_name].keys
+        path = f"instrument {_shown(inst.name, False)}"
         from .resolve import _memo  # resolve imports this module
         with _memo(composition) as memo:  # held while the sweep's lists are read
             starts, ids, shifts = memo.regions(inst.harmony_names)
@@ -501,4 +512,4 @@ def _float_range(composition: Composition) -> list[Violation]:
                 if _float_kind(base * key * shift) == kind:
                     found.append(Violation(kind, f"{path} key {k}",
                                            f"frequency table entry is {_BEYOND[kind]}"))
-    return found
+    return found, None if found or walked else read

@@ -6,7 +6,8 @@ already stores values in lowest terms and multiplies exactly with
 arbitrary-precision integers, so cumulative products of scale keys never
 drift and never overflow.  :func:`ratio_text` is the one writer of a
 ratio as ``num/den`` text, and :func:`value_text` of a number in an
-error message, both at any length.
+error message, both at any length; ``_shown`` is the one writer of a
+token or name in a message, cut when long.
 """
 
 from __future__ import annotations
@@ -86,6 +87,15 @@ def value_text(value) -> str:
     except ValueError:
         num, den = ratio_text(Fraction(value)).split("/")
         return num if isinstance(value, int) else f"Fraction({num}, {den})"
+
+
+def _shown(token: object, quote: bool = True) -> str:
+    """How a message shows ``token``, as the repr of its text when
+    ``quote``: whole up to 40 characters, else its first 20, ``…`` and its
+    length, so that a message about any token or name stays one short line."""
+    text = str(token)
+    shown = (repr if quote else str)(text if len(text) <= 40 else text[:20] + "…")
+    return shown if len(text) <= 40 else f"{shown} ({len(text)} characters)"
 
 
 def octave_normalize(r: RatioLike) -> Fraction:

@@ -17,22 +17,26 @@ start, and one exact product per new tuple of active keys.  Instruments
 with the same scale and binding also share each exact pitch, each
 region's table rows and their text, all kept by shift id.
 
-Reuse: one memo keeps that work, and the events of the last
-:func:`resolve_composition` call that returned, for the composition seen
-last.  Each call holds a lock while it reads and changes the memo in
-place, so calls run one at a time.  A call on a new composition keeps
-the memo whole when the base, tempo, ppq and scales equal the last one's,
-and else starts it empty (see :meth:`_Memo.see`): every pitch and event
-depends on them, and a tone-key edit leaves them as they were.  A kept
-binding's sweep is done again on the new composition; it keeps its shift
-ids, and so the results kept by them, and walks only the regions of the
-tones that are new objects.  An instrument with the very notes of the
-kept events, under the same pitch memo and region starts, is resolved
-again only in the regions whose shift id changed; so after a parse that
-hands back each unchanged block (see :mod:`dtseq.scorefile`), an edit of
-one tone re-resolves the notes under that tone alone.  Every result
-equals a cold call's; compositions, events and rows are immutable, so
-sharing them is safe.
+Reuse: one memo keeps that work, the events of the last
+:func:`resolve_composition` call that returned with their sort keys, and
+the regions of the last :func:`frequency_table` of each instrument, for
+the composition seen last.  Each call holds a lock while it reads and
+changes the memo in place, so calls run one at a time.  A call on a new
+composition keeps the memo whole when the base, tempo, ppq and scales
+equal the last one's, and else starts it empty (see :meth:`_Memo.see`):
+every pitch and event depends on them, and a tone-key edit leaves them
+as they were.  A kept binding's sweep is done again on the new
+composition; it keeps its shift ids, and so the results kept by them,
+and walks only the regions of the tones that are new objects.  An
+instrument with the very notes of the kept events, under the same pitch
+memo and region starts, is resolved again only in the regions whose
+shift id changed; so after a parse that hands back each unchanged block
+and scale (see :mod:`dtseq.scorefile`), an edit of one tone re-resolves
+the notes under that tone alone.  The events are ordered by one sort of
+their kept keys, and a table region with the kept start, end and very
+rows is the kept region.  Every result equals a cold call's;
+compositions, events, regions and rows are immutable, so sharing them is
+safe.
 
 Listings: this module owns the two texts ``dtseq resolve`` prints,
 :func:`export_events` and :func:`export_table`; each is built with one
@@ -139,7 +143,7 @@ def _regions(composition: Composition, harmony_names: tuple[str, ...], sweep: _S
     same_keys = old is not None and [lv[2] for lv in levels] == [lv[2] for lv in old]
     walk = None  # the positions of the region starts to walk
     if same_keys and length == sweep.length and all(lv[0] == o[0] for lv, o in zip(levels, old)):
-        changed = [(tone, was) for lv, o in zip(levels, old)
+        changed = [(tone, was) for lv, o in zip(levels, old) if lv[1] is not o[1]
                    for tone, was in zip(lv[1], o[1]) if tone is not was]
         if all(tone.interval == was.interval for tone, was in changed):  # the same regions
             starts = sweep.starts
@@ -181,29 +185,35 @@ class _Memo:
     """What the resolver keeps of the composition it saw last, changed in
     place only while ``_lock`` is held: ``composition``, ``seen`` (how many
     compositions it has seen), its ``base``, the :class:`_Sweep` of each
-    binding, and ``events``, by instrument name what the last
+    binding; ``events``, by instrument name what the last
     :func:`resolve_composition` that returned read and made: the notes,
-    their events, the pitch memo, the region starts and a copy of the
-    region ids, and each note's onset."""
+    their events and each event's sort key, the pitch memo, the region
+    starts and a copy of the region ids, and each note's onset; and
+    ``tables``, by instrument name the regions the last
+    :func:`frequency_table` of it that returned gave."""
 
     composition, base, seen = None, None, 0
 
     def __init__(self):
         self.sweeps: dict[tuple[str, ...], _Sweep] = {}
         self.events: dict[str, tuple] = {}
+        self.tables: dict[str, list[TableRegion]] = {}
 
     def see(self, new: Composition) -> None:
         """Take ``new``, a new object, for the composition seen last.  Under
         the last one's base, tempo, ppq and scales the memo is kept whole,
-        but for the sweeps of bindings ``new`` does not have; else it starts
-        empty.  Either way each sweep is done again before it is read."""
+        but for the sweeps of bindings and the tables of instruments ``new``
+        does not have; else it starts empty.  Either way each sweep is done
+        again before it is read."""
         was, self.composition, self.seen = self.composition or new, new, self.seen + 1
         self.base = Fraction(new.base_frequency_hz)
         if (was.base_frequency_hz, was.tempo_bpm, was.ticks_per_beat, was.scales) != (
                 new.base_frequency_hz, new.tempo_bpm, new.ticks_per_beat, new.scales):
-            self.sweeps, self.events = {}, {}
+            self.sweeps, self.events, self.tables = {}, {}, {}
         bindings = {inst.harmony_names for inst in new.instruments}
         self.sweeps = {names: sweep for names, sweep in self.sweeps.items() if names in bindings}
+        self.tables = {i.name: self.tables[i.name] for i in new.instruments
+                       if i.name in self.tables}
 
     def regions(self, harmony_names: tuple[str, ...]
                 ) -> tuple[list[int], list[int | None], list[Fraction]]:
@@ -284,34 +294,37 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
     keys and region shifts share one factor and one float conversion,
     across instruments with the same scale and binding too.
 
-    A kept event is reused at its place in the instrument of its name when
-    that is the very note object it was built from and the note's pitch the
-    very tuple it took; every other note is resolved, and may raise, as in
-    a cold call.  When the instrument has the very notes, pitch memo and
-    region starts of the kept events, only the notes in regions whose shift
-    id changed are looked at again: every other one would keep its event.
-    A call that raises keeps no events.
+    A kept event, and its sort key, is reused at its place in the
+    instrument of its name when that is the very note object it was built
+    from and the note's pitch the very tuple it took; every other note is
+    resolved, and may raise, as in a cold call.  When the instrument has
+    the very notes, pitch memo and region starts of the kept events, only
+    the notes in regions whose shift id changed are looked at again: every
+    other one would keep its event.  The events are put in order by one
+    stable sort of their indices on their keys.  A call that raises keeps
+    no events.
     """
     with _memo(composition) as memo:
         base, seconds, last, memo.events = memo.base, composition.seconds, memo.events, {}
         per_instrument: dict[str, tuple] = {}
         events: list[ResolvedEvent] = []
+        sort_keys: list[tuple] = []  # each event's, in the order of events
         for inst in composition.instruments:
             scale = composition.scales.get(inst.scale_name)
             keys = scale.keys if scale else ()
             starts, ids, shifts = memo.regions(inst.harmony_names)
             notes = inst.score.notes
             pitches = memo.shared(inst, "pitches")  # (factor, frequency) of (key, shift id)
-            was_notes, was, was_pitches, was_starts, was_ids, onsets = last.get(
-                inst.name, ((), (), None, None, None, None))
+            was_notes, was, was_keys, was_pitches, was_starts, was_ids, onsets = last.get(
+                inst.name, ((), (), (), None, None, None, None))
             if notes is was_notes and pitches is was_pitches and starts is was_starts:
-                out, todo = list(was), []
+                out, out_keys, todo = list(was), list(was_keys), []
                 for p, (sid, was_sid) in enumerate(zip(ids, was_ids)):
                     if sid != was_sid:  # the notes with their onsets in region p
                         end = starts[p + 1] if p + 1 < len(starts) else inf
                         todo += range(bisect_left(onsets, starts[p]), bisect_left(onsets, end))
             else:
-                out = [None] * len(notes)
+                out, out_keys = [None] * len(notes), [None] * len(notes)
                 todo = range(len(notes))
                 onsets = [note.interval.start for note in notes]
             for i in todo:
@@ -329,15 +342,16 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
                         raise ResolutionError(f"note {i} of {exc}", instrument=exc.instrument,
                                               level=exc.level) from exc
                 if i < len(was_notes) and was_notes[i] is note and was[i].factor is pitch[0]:
-                    out[i] = was[i]
+                    out[i], out_keys[i] = was[i], was_keys[i]
                 else:
-                    out[i] = ResolvedEvent(inst.name, *pitch, seconds(onset),
+                    out[i] = ResolvedEvent(inst.name, *pitch, start := seconds(onset),
                                            seconds(note.interval.duration), note.velocity)
+                    out_keys[i] = (start, inst.name, pitch[1], note.velocity)
             events += out
-            per_instrument[inst.name] = (notes, out, pitches, starts, ids[:], onsets)
+            sort_keys += out_keys
+            per_instrument[inst.name] = (notes, out, out_keys, pitches, starts, ids[:], onsets)
         memo.events = per_instrument
-    events.sort(key=lambda e: (e.start_sec, e.instrument, e.frequency_hz, e.velocity))
-    return events
+    return list(map(events.__getitem__, sorted(range(len(events)), key=sort_keys.__getitem__)))
 
 
 @dataclass(frozen=True)
@@ -390,11 +404,18 @@ def frequency_table(composition: Composition, instrument_name: str) -> list[Tabl
     factor and frequency, and regions with equal shifts share their rows.
     A composition that fails validation raises :class:`ResolutionError`
     as :func:`resolve_note` does; KeyError is raised only for an unknown
-    instrument name.
+    instrument name.  A region with the start, end and very rows of the
+    region at its place in the last table of the instrument is that
+    region.
     """
     inst = composition.instrument(instrument_name)
     with _memo(composition) as memo:
-        return [TableRegion(lo, hi, rows) for lo, hi, _, rows in _table(memo, inst)]
+        regions, was = _table(memo, inst), memo.tables.get(inst.name, [])
+        table = memo.tables[inst.name] = [
+            r if r and r.rows is rows and r.start == lo and r.end == hi
+            else TableRegion(lo, hi, rows)
+            for (lo, hi, _, rows), r in zip(regions, was + [None] * (len(regions) - len(was)))]
+    return table[:]
 
 
 def export_events(events: Iterable[ResolvedEvent]) -> str:

@@ -41,17 +41,19 @@ quotes is shown whole up to 40 characters, and a longer one as its first
 20, ``…`` and its length, so that the message stays one short line.
 
 Reuse: ``parse`` keeps each block (``harmony ... end`` or ``instrument
-... end``) of the last composition it built, by kind and name.  A body
-equal to the kept one line for line is not walked but takes its events;
-in any other, a line with the text of a kept event line reuses its event.
-A block with the kept header fields and events is the kept object, and
-``serialize`` takes the text it wrote last for the very same object, so
-after an edit both redo only the blocks it changed.  What is kept is
-tagged with the digit limit of the call that made it, the one setting
-that changes how a number reads, and a call under another limit uses
-none of it; so every result equals a cold call's.  What is kept is
-immutable, so sharing it is safe, and it is one score's: each call
-replaces it.
+... end``) and each ``scale`` line of the last composition it built, by
+kind and name.  A body equal to the kept one line for line is not walked
+but takes its events; in any other, a line with the text of a kept event
+line reuses its event.  A block with the kept header fields and events
+is the kept object, and a scale line with the kept text the kept Scale.
+``serialize`` keeps the text it wrote for each block, by kind and name,
+and takes it for the very object it wrote it for; a block ``parse``
+builds from exactly that text is given it too.  So after an edit both
+redo only the blocks it changed, once.  What is kept is tagged with the
+digit limit of the call that made it, the one setting that changes how a
+number reads, and a call under another limit uses none of it; so every
+result equals a cold call's.  What is kept is immutable, so sharing it
+is safe, and it is one score's: each call replaces it.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .model import (
     TimeInterval,
     TranspositionTone,
 )
-from .rational import IDENTIFIER_RE, Scale, ratio_text
+from .rational import IDENTIFIER_RE, Scale, _shown, ratio_text
 
 PARSE_ERROR_KINDS = (
     "syntax", "unknown-directive", "bad-ratio", "bad-reference",
@@ -88,14 +90,16 @@ _RATIO_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
 # The digit limit of the last parse that built a composition (0 on a Python
 # without one), and its blocks: (kind, name) -> (body lines after the
 # header, 'end' included; its clean event lines, raw text -> the immutable
-# event built from it; header fields; events in file order; the
-# HarmonicSequence or Instrument).  Each call fills a new dict and only then
-# puts it here with its limit, in one assignment, so a parse running in
-# another thread reads a finished pair; so does serialize with the memo below.
+# event built from it; the header line; header fields; events in file order;
+# the HarmonicSequence or Instrument), and ('scale', name) -> (its line, the
+# Scale).  Each call fills a new dict and only then puts it here with its
+# limit, in one assignment, so a parse running in another thread reads a
+# finished pair; so do serialize and parse with the memo below.
 _last_blocks: tuple[int, dict[tuple[str, str], tuple]] = (0, {})
-# The digit limit of the last serialize, and its blocks: id(object) -> (object,
-# text).  Holding the object keeps its id from being given to another one.
-_last_texts: tuple[int, dict[int, tuple[HarmonicSequence | Instrument, str]]] = (0, {})
+# The digit limit of the last serialize, and its blocks: (kind, name) ->
+# (object, text), the text serialize writes for that very object; parse
+# hands a block it built from that text the text too.
+_last_texts: tuple[int, dict[tuple[str, str], tuple]] = (0, {})
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,7 @@ def parse(text: str | bytes) -> Composition | list[ParseError]:
     A re-parse walks and builds only the blocks an edit changed (see the
     module docstring); the result equals a cold parse.
     """
-    global _last_blocks
+    global _last_blocks, _last_texts
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     limit, (tag, kept) = getattr(sys, "get_int_max_str_digits", int)(), _last_blocks
@@ -132,23 +136,22 @@ def parse(text: str | bytes) -> Composition | list[ParseError]:
     if parser.errors:
         return sorted(parser.errors, key=lambda e: (e.position.line, e.position.column))
     composition, blocks = parser.build()
+    # a block built from exactly the text serialize last wrote for its kind
+    # and name, under this limit, takes that text in serialize's memo
+    tag, texts = _last_texts
+    written = {key: (block[5], text) for key, (was, text) in texts.items() if tag == limit
+               and (block := blocks.get(key)) and block[5] is not was
+               and text == "\n".join((block[2], *block[0]))}
+    if written:
+        _last_texts = limit, {**texts, **written}
     _last_blocks = limit, blocks
     return composition
-
-
-def _shown(token: object, quote: bool = True) -> str:
-    """How a parse message shows ``token``, as the repr of its text when
-    ``quote``: whole up to 40 characters, else its first 20, ``…`` and its
-    length, so that a message about any token stays one short line."""
-    text = str(token)
-    shown = (repr if quote else str)(text if len(text) <= 40 else text[:20] + "…")
-    return shown if len(text) <= 40 else f"{shown} ({len(text)} characters)"
 
 
 class _Parser:
     def __init__(self, kept: dict[tuple[str, str], tuple]):
         self.kept = kept  # the blocks of _last_blocks; self.blocks will be the next ones
-        self.blocks: dict[tuple[str, str], tuple] = {}  # (body, clean) until build
+        self.blocks: dict[tuple[str, str], tuple] = {}  # (body, clean, header) until build
         self.errors: list[ParseError] = []
         self.header: dict[str, float | int | None] = {}  # None: given, with an error
         self.scales: dict[str, Scale] = {}
@@ -234,7 +237,8 @@ class _Parser:
             if head == "end":
                 if len(toks) > 1:
                     self.fail(toks, 1, "syntax", "unexpected tokens after 'end'")
-                self.blocks[kind, name] = (self.lines[opened:self.ln], new)  # kept if all is clean
+                # kept if all is clean
+                self.blocks[kind, name] = (self.lines[opened:self.ln], new, self.lines[opened - 1])
                 self.block = None
                 return
             if head == _EVENT_WORD[kind]:
@@ -267,10 +271,10 @@ class _Parser:
 
     def open(self, kind: str, name: str, items: list | None) -> None:
         """Open a block; take the kept events where the next lines are its kept body."""
-        body, clean, _, events, *_ = self.kept.get((kind, name), ((), {}, None, ()))
+        body, clean, _, _, events, *_ = self.kept.get((kind, name), ((), {}, "", None, ()))
         if body and self.lines[self.ln:self.ln + len(body)] == body:
             items += events
-            self.blocks[kind, name] = (body, clean)
+            self.blocks[kind, name] = (body, clean, self.lines[self.ln - 1])
             self.ln += len(body)  # the walk goes on after 'end'
         else:
             self.block = (kind, name, items, self.ln, clean, {})
@@ -361,6 +365,15 @@ class _Parser:
         name = self.name_field(toks, 1, "scale name")
         if name is None:
             return
+        raw, was = self.lines[self.ln - 1], self.kept.get(("scale", name))
+        keys = None if was and was[0] == raw else self.scale_keys(toks)  # a kept line is clean
+        if name in self.scales:
+            self.fail(toks, 1, "duplicate-name", f"scale {_shown(name)} already defined")
+            return
+        self.scales[name] = scale = was[1] if keys is None else Scale(name, keys)
+        self.blocks["scale", name] = (raw, scale)
+
+    def scale_keys(self, toks: list[str]) -> list[Fraction]:
         keys: dict[Fraction, None] = {}  # ordered, with O(1) duplicate checks
         for i in range(2, len(toks)):
             key = self.ratio_field(toks, i)
@@ -373,11 +386,8 @@ class _Parser:
             keys[key] = None
         if not keys:
             self.fail(toks, 0, "syntax", "scale needs at least one key")
-            keys = {Fraction(1): None}
-        if name in self.scales:
-            self.fail(toks, 1, "duplicate-name", f"scale {_shown(name)} already defined")
-            return
-        self.scales[name] = Scale(name, list(keys))
+            return [Fraction(1)]
+        return list(keys)
 
     def harmony_line(self, toks: list[str]) -> tuple[str, list | None]:
         """The open block's name and tone list; ('?', None) when broken."""
@@ -488,14 +498,14 @@ class _Parser:
         harmonies, instruments = [], []
         for name, (scale, _, level, tones) in self.harmonies.items():
             was = self.kept.get(("harmony", name), ())
-            built = was[4] if was[2:4] == ((scale, level), tones) else HarmonicSequence(
+            built = was[5] if was[3:5] == ((scale, level), tones) else HarmonicSequence(
                 name, level, scale, sorted(tones, key=lambda t: t.interval.start))
             self.blocks["harmony", name] += ((scale, level), tones, built)
             harmonies.append(built)
         for name, (scale, _, refs, notes) in sorted(self.instruments.items()):
             names = tuple(h for h, _ in refs)
             was = self.kept.get(("instrument", name), ())
-            built = was[4] if was[2:4] == ((scale, names), notes) else Instrument(
+            built = was[5] if was[3:5] == ((scale, names), notes) else Instrument(
                 name, scale, names, InstrumentScore(notes))
             self.blocks["instrument", name] += ((scale, names), notes, built)
             instruments.append(built)
@@ -530,9 +540,10 @@ def serialize(composition: Composition) -> str:
     tones or notes.
 
     A harmony or instrument that is the very object written by the
-    previous call, under the same digit limit, takes the text written
-    then, so a re-serialize after an edit formats only the blocks the edit
-    changed; the result equals a cold call's.
+    previous call, or built by :func:`parse` from the text that call wrote
+    for it, under the same digit limit, takes that text, so a
+    re-serialize after an edit formats only the blocks the edit changed;
+    the result equals a cold call's.
     """
     global _last_texts
     limit, (tag, kept) = getattr(sys, "get_int_max_str_digits", int)(), _last_texts
@@ -540,7 +551,7 @@ def serialize(composition: Composition) -> str:
     scales = sorted(composition.scales.values(), key=lambda s: s.name)
     blocks = (*sorted(composition.harmonies.values(), key=lambda h: h.name),
               *sorted(composition.instruments, key=lambda i: i.name))
-    texts: dict[int, tuple[HarmonicSequence | Instrument, str]] = {}
+    texts: dict[tuple[str, str], tuple[HarmonicSequence | Instrument, str]] = {}
     try:
         lines = [f"base {_float_text(composition.base_frequency_hz)}",
                  f"ppq {composition.ticks_per_beat}",
@@ -552,9 +563,11 @@ def serialize(composition: Composition) -> str:
             keys = (f"{key.numerator}/{key.denominator}" for key in scale.keys)
             lines.append(f"scale {scale.name} {' '.join(keys)}")
         for block in blocks:
-            entry = kept.get(id(block)) or (block, "\n".join(_block_lines(block)))
-            texts[id(block)] = entry
-            lines += ("", entry[1])
+            key = ("harmony" if isinstance(block, HarmonicSequence) else "instrument", block.name)
+            text = was[1] if (was := kept.get(key)) and was[0] is block else "\n".join(
+                _block_lines(block))
+            texts[key] = block, text
+            lines += ("", text)
     except ValueError:  # a number longer than the digit limit
         raise ValueError(_too_long(composition, scales, blocks)) from None
     _last_texts = limit, texts

@@ -92,16 +92,17 @@ def cold_serialize(composition):
 
 def cold_validate(composition):
     """``validate_composition`` with nothing kept from an earlier call of
-    it or of the resolver, as in a fresh process."""
-    model._last_findings, model._last_harmonies = {}, {}
+    it or of the resolver, as in a fresh process: no findings, timelines
+    or range verdict kept, and no resolver memo."""
+    model._last_findings, model._last_harmonies, model._last_range = {}, {}, None
     resolve._the_memo = resolve._Memo()
     return model.validate_composition(composition)
 
 
 def cold_resolve(call, composition, *args):
     """``call(composition, *args)``, a function of :mod:`dtseq.resolve`,
-    with nothing kept from an earlier resolver call, as in a fresh
-    process."""
+    with nothing kept from an earlier resolver call (no sweeps, events or
+    tables), as in a fresh process."""
     resolve._the_memo = resolve._Memo()
     return call(composition, *args)
 
@@ -225,7 +226,7 @@ def random_composition(rng: random.Random, *, max_instruments: int = 4,
                               TimeInterval(start, duration),
                               rng.randint(1, 127)))
         instruments.append(Instrument(f"inst{i}", scale_name, bound,
-                                      InstrumentScore(notes).normalized()))
+                                      InstrumentScore(notes)))
 
     return Composition(
         base_frequency_hz=rng.choice([220.0, 261.63, 432.0, 440.0]),

@@ -155,6 +155,28 @@ class TestValidate:
         assert err == f"long.dts:{diagnostic}\n"
         assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize("name,diagnostic", [
+        ("instrument", f"range: instrument {'i' * 20}… (5000 characters) note 0: key index 3 "
+                       f"outside scale 's' of 1 keys"),
+        ("scale", f"range: instrument i note 0: key index 3 outside scale '{'s' * 20}…' "
+                  f"(5000 characters) of 1 keys"),
+        ("harmony", f"level-gap: instrument i harmony {'h' * 20}… (5000 characters): "
+                    f"expected level 1 at position 0, got level 2"),
+    ], ids=["instrument", "scale", "harmony"])
+    def test_a_long_name_in_a_finding_is_shown_cut_in_one_short_line(
+            self, tmp_path, monkeypatch, capsys, name, diagnostic):
+        i, s, h = ((c * 5000 if name.startswith(c) else c) for c in "ish")
+        level, key = (2, 0) if name == "harmony" else (1, 3)
+        monkeypatch.chdir(tmp_path)
+        Path("long.dts").write_text(
+            f"base 440\nppq 480\ntempo 120\nlength 960\nscale {s} 1/1\n"
+            f"harmony {h} level {level} scale {s}\n  tone 0 @ 0 +960\nend\n"
+            f"instrument {i} scale {s} harmonies {h}\n  note {key} @ 0 +960\nend\n")
+        assert main(["validate", "long.dts"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"long.dts:0:0: {diagnostic}\n"
+        assert len(err.encode()) < 200
+
     # read as UTF-8 bytes, where NEL and U+2028 take two and three bytes
     @pytest.mark.parametrize("sep", ["\x85", "\u2028"], ids=repr)
     def test_line_separator_in_a_comment_does_not_hide_the_error(self, tmp_path, capsys,
@@ -697,7 +719,7 @@ def forget_kept():
     """Drop what parse, serialize, validate and resolve keep for the next
     call, as a fresh process has nothing kept."""
     scorefile._last_blocks, scorefile._last_texts = (0, {}), (0, {})
-    model._last_findings, model._last_harmonies = {}, {}
+    model._last_findings, model._last_harmonies, model._last_range = {}, {}, None
     resolve._the_memo = resolve._Memo()
 
 
@@ -784,3 +806,97 @@ class TestCollector:
         out = capsys.readouterr()
         assert (code, out.out.encode(), out.err.encode(),
                 wav.exists() and hashlib.sha256(wav.read_bytes()).hexdigest()) == program
+
+
+# Two tone-key edits and a note-key edit of scores/reference.dts, made in one
+# process through the constructors as an editor makes them: each is
+# serialized, parsed, validated, resolved and tabulated, reusing what the
+# calls before it kept.  The second edit is of a tone of the first edit's
+# parse, so serialize and parse reuse the instrument block it left alone;
+# the third of one note's key, so they reuse every harmony block.  Each
+# edit's text and listings go to the directory given.  Then the last text
+# is parsed again under the digit limit 640, under which no kept block is
+# taken, and its listings go there too.
+IN_PROCESS_EDITS = """\
+import sys
+from dtseq import (Composition, HarmonicSequence, Instrument, InstrumentScore, Note,
+                   TranspositionTone, export_events, export_table, parse,
+                   resolve_composition, serialize, validate_composition)
+out, score = sys.argv[1:]
+composition = parse(open(score, "rb").read())
+validate_composition(composition)
+resolve_composition(composition)
+export_table(composition)
+for n, (block, index, key) in enumerate([("H1", 0, 1), ("H1", 1, 0), ("lead", 1, 3)],
+                                        start=1):
+    before = composition
+    harmonies, instruments = dict(before.harmonies), list(before.instruments)
+    if block == "H1":
+        h1 = harmonies["H1"]
+        tones = list(h1.tones)
+        tones[index] = TranspositionTone(key, tones[index].interval)
+        harmonies["H1"] = HarmonicSequence(h1.name, h1.level, h1.scale_name, tones)
+    else:
+        lead = instruments[0]
+        notes = list(lead.score.notes)
+        notes[index] = Note(key, notes[index].interval, notes[index].velocity)
+        instruments[0] = Instrument(lead.name, lead.scale_name, lead.harmony_names,
+                                    InstrumentScore(notes))
+    text = serialize(Composition(before.base_frequency_hz, before.ticks_per_beat,
+                                 before.tempo_bpm, before.length_ticks, before.scales,
+                                 harmonies, instruments))
+    composition = parse(text)
+    if block == "H1":
+        assert composition.instruments[0] is before.instruments[0]
+    else:
+        assert all(composition.harmonies[name] is harmony
+                   for name, harmony in before.harmonies.items())
+    assert validate_composition(composition) == []
+    events = resolve_composition(composition)
+    for kind, listing in (("dts", text), ("events", export_events(events)),
+                          ("table", export_table(composition))):
+        with open(f"{out}/edit{n}.{kind}", "w", newline="") as file:
+            file.write(listing)
+sys.set_int_max_str_digits(640)
+again = parse(text)
+assert again.instruments[0] is not composition.instruments[0]
+assert validate_composition(again) == []
+for kind, listing in (("events", export_events(resolve_composition(again))),
+                      ("table", export_table(again))):
+    with open(f"{out}/limit.{kind}", "w", newline="") as file:
+        file.write(listing)
+"""
+
+REREAD = """\
+import sys
+from dtseq import parse, serialize
+sys.stdout.write(serialize(parse(open(sys.argv[1], "rb").read())))
+"""
+
+
+def test_edits_made_in_process_read_as_in_a_fresh_process(tmp_path):
+    """The texts and listings of :data:`IN_PROCESS_EDITS` equal what fresh
+    processes make of each edit's text: it reads back byte for byte, and
+    ``resolve`` and ``resolve --table`` list it alike.  The edits change
+    the listings, so equal listings cannot come from an edit that was
+    lost."""
+
+    def python(*args):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "DTS_COLOR": "0"}
+        proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr.decode()
+        return proc.stdout
+
+    python("-c", IN_PROCESS_EDITS, str(tmp_path), str(SCORES / "reference.dts"))
+    made = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    for n in (1, 2, 3):
+        dts = str(tmp_path / f"edit{n}.dts")
+        fresh = {"dts": python("-c", REREAD, dts),
+                 "events": python("-m", "dtseq.cli", "resolve", dts),
+                 "table": python("-m", "dtseq.cli", "resolve", "--table", dts)}
+        assert {kind: made[f"edit{n}.{kind}"] for kind in fresh} == fresh
+    assert (made["limit.events"], made["limit.table"]) == (fresh["events"], fresh["table"])
+    assert made["edit1.table"] != (LISTINGS / "reference.table.tsv").read_bytes()
+    assert made["edit2.table"] != made["edit1.table"]
+    assert made["edit3.events"] != made["edit2.events"]

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import types
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -347,7 +348,7 @@ def reference_resolve_note(composition, instrument, note):
 def per_note_resolve(composition, resolve_one):
     events = []
     for inst in composition.instruments:
-        for i, note in enumerate(inst.score.normalized().notes):
+        for i, note in enumerate(inst.score.notes):
             try:
                 events.append(resolve_one(composition, inst, note))
             except ResolutionError as exc:
@@ -758,6 +759,23 @@ def test_a_tone_key_edit_walks_only_that_tones_regions(monkeypatch, call, base, 
     assert ticks == [240, 240]
 
 
+def test_a_table_after_a_tone_key_edit_keeps_the_regions_it_did_not_change():
+    """v1's table, then v1's after an edit of h1b's tone 1, which spans
+    [240, 480): every other region is the very object of the first call,
+    and the table equals a cold call's, also after a caller overwrites the
+    list it got."""
+    a = two_binding_composition()
+    b = with_tone_key(a, "h1b", 1, 2)
+    expected = cold_resolve(frequency_table, b, "v1")
+    first = cold_resolve(frequency_table, a, "v1")
+    table = frequency_table(b, "v1")
+    assert table == expected
+    assert [region is was for region, was in zip(table, first, strict=True)] == [
+        region.start != 240 for region in table]
+    table[:] = ["not a region"] * len(table)
+    assert frequency_table(b, "v1") == expected
+
+
 @SWEEPING_CALLS
 @pytest.mark.parametrize("change", ["drop", "add"])
 def test_a_tone_dropped_or_added_at_the_end_is_swept_again(call, base, bindings, change):
@@ -1031,15 +1049,16 @@ class TestWarmEqualsCold:
         """256 edits, every other one of a tone key and the rest of each
         kind of :data:`EDITS` in turn, each made to the objects of the last
         parse that validated clean, as an editor makes them.  Serialize,
-        parse, validate, resolve and ``export_table`` of every edit equal
-        cold calls, and every harmony and instrument of the last
+        parse, validate, resolve, ``export_table`` and ``frequency_table``
+        of every instrument of every edit equal cold calls, and every
+        harmony and instrument of the last
         composition parsed that the edit left as it was comes out of the
         parse as the very object it was."""
 
         def chain(calls):
             """Yield, for each edit, the edited composition, the last one
             parsed before it, its parse and every result of ``calls``, the
-            five calls cold or warm."""
+            six calls cold or warm."""
             rng = random.Random(84)
             last = clean = parse(serialize(random_composition(
                 rng, max_ticks=2000, max_notes=12, min_instruments=2, min_harmonic_levels=2)))
@@ -1060,9 +1079,13 @@ class TestWarmEqualsCold:
         cold = [got for *_, got in chain([
             cold_serialize, cold_parse, cold_validate,
             lambda comp: cold_resolve(resolve_composition, comp),
-            lambda comp: cold_resolve(export_table, comp)])]
+            lambda comp: cold_resolve(export_table, comp),
+            lambda comp: [outcome(cold_resolve, frequency_table, comp, inst.name)
+                          for inst in comp.instruments]])]
         kept = resolved = 0
-        warm = chain([serialize, parse, validate_composition, resolve_composition, export_table])
+        warm = chain([serialize, parse, validate_composition, resolve_composition, export_table,
+                      lambda comp: [outcome(frequency_table, comp, inst.name)
+                                    for inst in comp.instruments]])
         for (edited, last, parsed, got), expected in zip(warm, cold, strict=True):
             assert got == expected
             if not isinstance(parsed, Composition):
@@ -1077,6 +1100,35 @@ class TestWarmEqualsCold:
                     assert any(inst is now for now in parsed.instruments)
                     kept += 1
         assert kept > 1000 and 100 < resolved < 256
+
+    def test_a_chain_of_edits_across_the_float_bound_and_back(self):
+        """Edits that take a frequency, a table entry or the time grid past
+        the float range and back, among edits that change none of what the
+        range check reads: every warm report equals a cold one.  An
+        instrument whose keys could overflow is walked, and a walk that
+        finds nothing is no verdict for the next call, whose tone keys may
+        differ."""
+        scales = [Scale("inst", ["1/1", "5/4"]), Scale("t", ["1/1", "1000/1"]),
+                  Scale("far", ["1/1", str(10**310)])]
+        tones = [TranspositionTone(0, TimeInterval(t, 480)) for t in (0, 480)]
+        clean = Composition(440.0, 480, 120.0, 960, scales, [
+            HarmonicSequence("h", 1, "t", tones), HarmonicSequence("g", 1, "far", tones)],
+            [Instrument("v", "inst", ["h"], [Note(1, TimeInterval(0, 480))])])
+        near = replace(clean, base_frequency_hz=1e306)  # 1e306 * 5/4 * 1000 overflows
+        rebound = replace(clean, instruments=[
+            Instrument("v", "inst", ["g"], clean.instruments[0].score)])
+        chain = [clean, with_tone_key(clean, "h", 1, 1), clean, near,
+                 with_tone_key(near, "h", 1, 1), near, clean,
+                 replace(clean, base_frequency_hz=1e-309), clean,
+                 replace(clean, tempo_bpm=1e-300), clean,
+                 replace(clean, tempo_bpm=1e300, ticks_per_beat=10**10), clean,
+                 rebound, with_tone_key(rebound, "g", 0, 1), rebound, clean,
+                 replace(clean, scales=[scales[0], Scale("t", ["1/1", str(10**305)]), scales[2]]),
+                 clean]
+        expected = [cold_validate(comp) for comp in chain]
+        assert sum(report == [] for report in expected) > 8
+        assert {v.kind for report in expected for v in report} == {"overflow", "underflow"}
+        assert [validate_composition(comp) for comp in chain] == expected
 
     def test_one_resolver_call_at_a_time(self, monkeypatch):
         """A call on another composition, started in a thread while a call

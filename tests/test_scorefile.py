@@ -390,6 +390,47 @@ class TestSerialize:
         assert formatted == ["H1"]
         assert warm == cold_serialize(edited) != text
 
+    def test_a_reserialize_of_the_parse_of_its_text_formats_no_block(self, monkeypatch):
+        """Parse hands each block it built from the text serialize wrote
+        for it that text, so an edit's block is formatted once, not again
+        after its parse."""
+        formatted = self.formatting(monkeypatch)
+        comp = random_composition(random.Random(11), min_instruments=3, min_harmonic_levels=2)
+        text = cold_serialize(comp)
+        assert len(formatted) == len(comp.harmonies) + len(comp.instruments) > 4
+        parsed = cold_parse(text)
+        formatted.clear()
+        assert serialize(parsed) == text
+        assert formatted == []
+        h = sorted(parsed.harmonies)[0]
+        edited = Composition(parsed.base_frequency_hz, parsed.ticks_per_beat, parsed.tempo_bpm,
+                             parsed.length_ticks, parsed.scales,
+                             {**parsed.harmonies, h: HarmonicSequence(
+                                 h, parsed.harmonies[h].level, parsed.harmonies[h].scale_name,
+                                 parsed.harmonies[h].tones[:-1])}, parsed.instruments)
+        warm = serialize(edited)
+        assert formatted == [h]
+        again = parse(warm)
+        assert again.harmonies[h] is not edited.harmonies[h]
+        assert serialize(again) == warm
+        assert formatted == [h]
+        assert warm == cold_serialize(again)
+        with int_digit_limit(640):  # another limit than the text's: formatted again
+            formatted.clear()
+            assert serialize(cold_parse(warm)) == warm
+            assert len(formatted) == len(comp.harmonies) + len(comp.instruments)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_a_reserialize_after_a_parse_of_an_edited_text_equals_a_cold_one(self, seed):
+        """Only a block built from the very text serialize wrote for it
+        takes that text: one built from an edit of it is formatted."""
+        rng = random.Random(seed)
+        text = serialize(random_composition(rng, max_ticks=2000))
+        edited = parse(edit(rng, text))
+        if isinstance(edited, Composition):
+            assert serialize(edited) == cold_serialize(edited)
+
     def test_kept_blocks_read_the_same_under_any_digit_limit(self, monkeypatch):
         """A kept text, however long its lines, is taken only under the
         digit limit it was written under: under another limit the block is
@@ -602,8 +643,8 @@ class TestReuse:
 
     def test_only_the_last_built_scores_blocks_are_kept(self):
         """The memo is the digit limit of the last parse that built a
-        composition, and that composition's blocks, long lines and all;
-        they are taken only under that limit."""
+        composition, and that composition's blocks and scale lines, long
+        lines and all; they are taken only under that limit."""
         rng = random.Random(5)
         parse_ok(serialize(random_composition(rng, min_instruments=4, min_notes=10)))
         kept = scorefile._last_blocks
@@ -620,6 +661,7 @@ class TestReuse:
             first = parse_ok(text)
             kept = scorefile._last_blocks
             assert (kept[0], {key: block[0] for key, block in kept[1].items()}) == (0, {
+                ("scale", "just-major-7"): lines[6], ("scale", "fifths"): lines[7],
                 ("harmony", "H1"): lines[10:13], ("instrument", "lead"): lines[15:19]})
         with int_digit_limit(640):  # lowered: refused as in a cold parse
             assert outcome(parse(text)) == refused
@@ -633,6 +675,38 @@ class TestReuse:
             assert scorefile._last_blocks[0] == 4300
             assert raised.harmonies["H1"] is not first.harmonies["H1"]
             assert raised == first == cold_parse(text)
+
+    def test_a_reparse_returns_the_scales_of_unchanged_lines(self):
+        text = REFERENCE_SCORE.replace("fifths        1/1 3/2", "fifths        1/1 4/3")
+        cold = cold_parse(text)
+        first = parse_ok(REFERENCE_SCORE)
+        edited = parse_ok(text)
+        assert edited.scales["just-major-7"] is first.scales["just-major-7"]
+        assert edited.scales["fifths"] is not first.scales["fifths"]
+        assert edited == cold
+        # other spacing or a comment is another text: a new scale, an equal one
+        respaced = text.replace("just-major-7  1/1", "just-major-7 1/1")
+        again = parse_ok(respaced)
+        assert again.scales["just-major-7"] is not first.scales["just-major-7"]
+        assert again.scales["just-major-7"] == first.scales["just-major-7"]
+        assert again.scales["fifths"] is edited.scales["fifths"]
+
+    def test_a_duplicate_of_a_kept_scale_line_is_an_error_at_its_place(self):
+        parse_ok(REFERENCE_SCORE)
+        line = "scale fifths        1/1 3/2\n"
+        text = REFERENCE_SCORE.replace(line, line + line)
+        errors = parse_errors(text)
+        assert outcome(errors) == [(9, 7, "duplicate-name", "scale 'fifths' already defined")]
+        assert outcome(errors) == outcome(cold_parse(text))
+
+    def test_a_parse_under_another_digit_limit_reuses_no_scale(self):
+        with int_digit_limit(0):
+            first = parse_ok(REFERENCE_SCORE)
+            assert parse_ok(REFERENCE_SCORE).scales["fifths"] is first.scales["fifths"]
+        with int_digit_limit(640):
+            other = parse_ok(REFERENCE_SCORE)
+        assert all(other.scales[name] is not scale for name, scale in first.scales.items())
+        assert other == first
 
     def test_errors_after_reused_lines_keep_their_lines(self):
         parse_ok(REFERENCE_SCORE)
