@@ -18,12 +18,13 @@ with the same scale and binding also share each exact pitch, each
 region's table rows and their text, all kept by shift id.
 
 Reuse: one memo keeps that work, the events of the last
-:func:`resolve_composition` call that returned with their sort keys, and
-the regions of the last :func:`frequency_table` of each instrument, for
-the composition seen last.  Each call holds a lock while it reads and
-changes the memo in place, so calls run one at a time.  A call on a new
-composition keeps the memo whole when the base, tempo, ppq and scales
-equal the last one's, and else starts it empty (see :meth:`_Memo.see`):
+:func:`resolve_composition` call that returned with their sort keys and
+their order, and the regions of the last :func:`frequency_table` of each
+instrument, for the composition seen last.  Each call holds a lock while
+it reads and changes the memo in place, so calls run one at a time.  A
+call on a new composition keeps the memo whole when the base, tempo, ppq
+and scales equal the last one's, and else starts it empty (see
+:meth:`_Memo.see`):
 every pitch and event depends on them, and a tone-key edit leaves them
 as they were.  A kept binding's sweep is done again on the new
 composition; it keeps its shift ids, and so the results kept by them,
@@ -32,8 +33,9 @@ instrument with the very notes of the kept events, under the same pitch
 memo and region starts, is resolved again only in the regions whose
 shift id changed; so after a parse that hands back each unchanged block
 and scale (see :mod:`dtseq.scorefile`), an edit of one tone re-resolves
-the notes under that tone alone.  The events are ordered by one sort of
-their kept keys, and a table region with the kept start, end and very
+the notes under that tone alone, and when those events still sort
+between their neighbours in the kept order, that order is kept and
+nothing is sorted.  A table region with the kept start, end and very
 rows is the kept region.  Every result equals a cold call's;
 compositions, events, regions and rows are immutable, so sharing them is
 safe.
@@ -47,6 +49,7 @@ every exit code).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -188,11 +191,13 @@ class _Memo:
     binding; ``events``, by instrument name what the last
     :func:`resolve_composition` that returned read and made: the notes,
     their events and each event's sort key, the pitch memo, the region
-    starts and a copy of the region ids, and each note's onset; and
-    ``tables``, by instrument name the regions the last
-    :func:`frequency_table` of it that returned gave."""
+    starts and a copy of the region ids, and each note's onset; ``order``,
+    dropped with ``events``, the order in which that call returned its
+    events (see :func:`_reordered`); and ``tables``, by instrument name
+    the regions the last :func:`frequency_table` of it that returned
+    gave."""
 
-    composition, base, seen = None, None, 0
+    composition, base, seen, order = None, None, 0, None
 
     def __init__(self):
         self.sweeps: dict[tuple[str, ...], _Sweep] = {}
@@ -209,7 +214,7 @@ class _Memo:
         self.base = Fraction(new.base_frequency_hz)
         if (was.base_frequency_hz, was.tempo_bpm, was.ticks_per_beat, was.scales) != (
                 new.base_frequency_hz, new.tempo_bpm, new.ticks_per_beat, new.scales):
-            self.sweeps, self.events, self.tables = {}, {}, {}
+            self.sweeps, self.events, self.tables, self.order = {}, {}, {}, None
         bindings = {inst.harmony_names for inst in new.instruments}
         self.sweeps = {names: sweep for names, sweep in self.sweeps.items() if names in bindings}
         self.tables = {i.name: self.tables[i.name] for i in new.instruments
@@ -300,15 +305,21 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
     resolved, and may raise, as in a cold call.  When the instrument has
     the very notes, pitch memo and region starts of the kept events, only
     the notes in regions whose shift id changed are looked at again: every
-    other one would keep its event.  The events are put in order by one
-    stable sort of their indices on their keys.  A call that raises keeps
-    no events.
+    other one would keep its event.  When every instrument takes that
+    path, under the kept names in their kept sequence, the events keep the
+    kept order if those looked at again still sort between their
+    neighbours in it; else they are put in order by one stable sort of
+    their indices on their keys.  A call that raises keeps no events and
+    no order.
     """
     with _memo(composition) as memo:
         base, seconds, last, memo.events = memo.base, composition.seconds, memo.events, {}
+        kept, memo.order = memo.order, None
         per_instrument: dict[str, tuple] = {}
         events: list[ResolvedEvent] = []
         sort_keys: list[tuple] = []  # each event's, in the order of events
+        # the flat index of each event built anew, while the layout is the kept order's
+        moved = [] if list(last) == [inst.name for inst in composition.instruments] else None
         for inst in composition.instruments:
             scale = composition.scales.get(inst.scale_name)
             keys = scale.keys if scale else ()
@@ -324,7 +335,7 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
                         end = starts[p + 1] if p + 1 < len(starts) else inf
                         todo += range(bisect_left(onsets, starts[p]), bisect_left(onsets, end))
             else:
-                out, out_keys = [None] * len(notes), [None] * len(notes)
+                out, out_keys, moved = [None] * len(notes), [None] * len(notes), None
                 todo = range(len(notes))
                 onsets = [note.interval.start for note in notes]
             for i in todo:
@@ -347,11 +358,39 @@ def resolve_composition(composition: Composition) -> list[ResolvedEvent]:
                     out[i] = ResolvedEvent(inst.name, *pitch, start := seconds(onset),
                                            seconds(note.interval.duration), note.velocity)
                     out_keys[i] = (start, inst.name, pitch[1], note.velocity)
+            if moved is not None:
+                moved += [len(events) + i for i in todo if out[i] is not was[i]]
             events += out
             sort_keys += out_keys
             per_instrument[inst.name] = (notes, out, out_keys, pitches, starts, ids[:], onsets)
-        memo.events = per_instrument
-    return list(map(events.__getitem__, sorted(range(len(events)), key=sort_keys.__getitem__)))
+        order = kept and moved is not None and _reordered(events, sort_keys, moved, *kept)
+        if not order:
+            # machine ints: kept lists of int objects raised the peak RSS of a cold render
+            perm = array("l", sorted(range(len(events)), key=sort_keys.__getitem__))
+            position = array("l", perm)
+            for p, i in enumerate(perm):
+                position[i] = p
+            order = list(map(events.__getitem__, perm)), perm, position
+        memo.events, memo.order = per_instrument, order
+        return order[0][:]
+
+
+def _reordered(events: list, keys: list[tuple], moved: list[int], order: list, perm: array,
+               position: array) -> tuple[list, array, array] | None:
+    """The kept order: ``order``, the events by position, ``perm``, the
+    flat index at each position, and ``position``, its inverse.  When the
+    key of each event at a flat index in ``moved`` still sorts between
+    its neighbours', ties broken by flat index as a stable sort breaks
+    them, the event is put at its position in ``order`` and the order is
+    returned; else None."""
+    for i in moved:
+        p = position[i]
+        if (p and (keys[perm[p - 1]], perm[p - 1]) > (keys[i], i)
+                or p + 1 < len(perm) and (keys[i], i) > (keys[perm[p + 1]], perm[p + 1])):
+            return None
+    for i in moved:
+        order[position[i]] = events[i]
+    return order, perm, position
 
 
 @dataclass(frozen=True)

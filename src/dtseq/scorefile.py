@@ -200,9 +200,12 @@ class _Parser:
     def run(self, text: str) -> None:
         # Only \n, \r\n and \r end a line: the other separators that
         # str.splitlines() ends one at (\v, \x85, U+2028...) are whitespace.
+        # A text with no \r is split as it is, with no copy rewritten.
         # 'while True': CPython 3.11 specialises a function called once only
         # after unconditional backward jumps, which 'while COND' does not make.
-        self.lines = lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        self.lines = lines = text.split("\n")
         while True:  # open() moves self.ln past the bodies it reuses
             if (ln := self.ln) >= len(lines):
                 break

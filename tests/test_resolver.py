@@ -6,6 +6,7 @@ import tracemalloc
 import types
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -33,7 +34,7 @@ from dtseq import (
 )
 from dtseq import resolve as resolve_module
 from dtseq.rational import ratio_text
-from dtseq.resolve import _frequency, export_table
+from dtseq.resolve import _frequency, export_events, export_table
 from support import (
     EDITS,
     REFERENCE_SCORE,
@@ -49,6 +50,10 @@ from support import (
     random_composition,
     scaled_tone_composition,
 )
+
+
+SCORES = Path(__file__).resolve().parent.parent / "scores"
+LISTINGS = Path(__file__).resolve().parent / "listings"
 
 
 def spanning(key, length):
@@ -759,6 +764,130 @@ def test_a_tone_key_edit_walks_only_that_tones_regions(monkeypatch, call, base, 
     assert ticks == [240, 240]
 
 
+NEAR_ONE = f"{2**53 + 1}/{2**53}"  # times 512 or 768, a half and three quarters of an ulp
+
+
+@pytest.mark.parametrize("keys,velocities,edit,before,after", [
+    (["1/1", NEAR_ONE], (100, 50), (0, 1), [(512.0, 50), (512.0, 100)],
+     [(768.0, 100), (768.0000000000001, 50)]),
+    ([NEAR_ONE, "1/1"], (50, 50), (1, 0), [(768.0, 50), (768.0000000000001, 50)],
+     [(512.0, 50), (512.0, 50)]),
+], ids=["by-frequency", "by-note-index"])
+def test_a_tone_key_edit_that_swaps_two_events_sorts_them_again(keys, velocities, edit,
+                                                                  before, after):
+    """Under base 512 the keys 1/1 and (2**53+1)/2**53 round to one
+    float, 512.0, and under a 3/2 tone to two, 768.0 and
+    768.0000000000001.  So a tone edit under a chord of the two swaps its
+    events: in the first case the velocities that ordered two 512.0 give
+    way to the frequencies, in the second the frequencies give way to the
+    note index that orders two equal keys.  The kept order does not hold,
+    and the warm result equals a cold one."""
+    chord = [Note(k, TimeInterval(0, 480), velocity) for k, velocity in enumerate(velocities)]
+    a = Composition(512.0, 480, 120.0, 960,
+                    scales=[Scale("s", keys), Scale("t", ["1/1", "3/2"])],
+                    harmonies=[HarmonicSequence("h", 1, "t", spanning(edit[0], 960))],
+                    instruments=[Instrument("v", "s", ["h"], chord)])
+    b = with_tone_key(a, "h", 0, edit[1])
+    expected = cold_resolve(resolve_composition, b)
+    first = cold_resolve(resolve_composition, a)
+    assert [(ev.frequency_hz, ev.velocity) for ev in first] == before
+    assert [(ev.frequency_hz, ev.velocity) for ev in expected] == after
+    shifts = [1, Fraction(3, 2)]  # the keys of "t"
+    assert [ev.factor / shifts[edit[1]] for ev in expected] == [
+        ev.factor / shifts[edit[0]] for ev in first][::-1]
+    assert resolve_composition(b) == expected
+
+
+def test_the_caller_owns_the_list_it_gets():
+    """A caller that clears the events it got, after a tone-key edit, gets
+    a cold call's events again from the next call, and from one on a
+    further edit."""
+    a = two_binding_composition()
+    b = with_tone_key(a, "h1b", 1, 2)
+    c = with_tone_key(b, "h1b", 2, 1)
+    expected = [cold_resolve(resolve_composition, comp) for comp in (b, c)]
+    cold_resolve(resolve_composition, a)
+    resolve_composition(b).clear()
+    assert resolve_composition(b) == expected[0]
+    resolve_composition(b).clear()
+    assert resolve_composition(c) == expected[1]
+
+
+def edited_in_text(composition, edit):
+    """``composition`` after ``edit``, serialized and parsed again, as an
+    editor makes an edit: the tone key of h1b's tone 1, a note added to v1,
+    v1 renamed or v1 dropped."""
+    if edit == "tone key":
+        return parse(serialize(with_tone_key(composition, "h1b", 1, 2)))
+    instruments = list(composition.instruments)
+    v1 = instruments[1]
+    if edit == "drop instrument":
+        del instruments[1]
+        return parse(serialize(replace(composition, instruments=instruments)))
+    notes = v1.score.notes + ((Note(0, TimeInterval(700, 60)),) if edit == "add note" else ())
+    instruments[1] = Instrument("v1x" if edit == "rename instrument" else v1.name,
+                                v1.scale_name, v1.harmony_names, notes)
+    return parse(serialize(replace(composition, instruments=instruments)))
+
+
+@pytest.mark.parametrize("edit,sorts", [("tone key", 0), ("add note", 1),
+                                        ("rename instrument", 1), ("drop instrument", 1)])
+def test_only_an_edit_that_may_move_events_sorts_them(monkeypatch, edit, sorts):
+    """A first call sorts the events once.  A tone-key edit made through
+    the text keeps every note and region start, so its events keep their
+    order and are not sorted; an added note or a renamed or dropped
+    instrument moves the others, and they are sorted once.  Each result
+    equals a cold call's."""
+    first = cold_parse(serialize(two_binding_composition()))
+    then = edited_in_text(first, edit)
+    expected = cold_resolve(resolve_composition, then)
+    sorted_events = []
+
+    def counted(iterable, *, key=None, reverse=False):
+        items = sorted(iterable, key=key, reverse=reverse)
+        if key is not None:  # the region sweeps sort ticks, with no key
+            sorted_events.append(len(items))
+        return items
+
+    monkeypatch.setattr(resolve_module, "sorted", counted, raising=False)
+    cold_resolve(resolve_composition, first)
+    assert sorted_events == [sum(len(inst.score.notes) for inst in first.instruments)]
+    assert resolve_composition(then) == expected
+    assert sorted_events[1:] == [len(expected)] * sorts
+
+
+@pytest.mark.parametrize("score", ["reference", "motif-progression"])
+def test_a_reparse_of_a_checked_in_score_resolves_to_its_pinned_listings(score):
+    """A score read cold, then read again from the same bytes in the same
+    process: the re-parse takes every block body from the first parse and
+    hands back its blocks, validate and resolve on it reuse their calls on
+    the first, a second resolve takes the kept order, and the table reads
+    the resolver's pitches.  Both listings are the pinned ones, byte for
+    byte."""
+    data = (SCORES / f"{score}.dts").read_bytes()
+    first = cold_parse(data)
+    cold_validate(first)
+    resolve_composition(first)
+    export_table(first)
+    composition = parse(data)
+    assert composition is not first
+    assert all(a is b for a, b in zip(composition.instruments, first.instruments, strict=True))
+    assert not [v for v in validate_composition(composition) if v.severity == "error"]
+    events = resolve_composition(composition)
+    again = resolve_composition(composition)
+    for listing in (export_events(events), export_events(again)):
+        assert listing.encode() == (LISTINGS / f"{score}.events.tsv").read_bytes()
+    assert export_table(composition).encode() == (LISTINGS / f"{score}.table.tsv").read_bytes()
+
+
+def test_an_edit_that_drops_the_kept_events_drops_their_order():
+    """A base edit that also removes every instrument starts the memo
+    afresh: it resolves to no events, not to the kept ones."""
+    a = two_binding_composition()
+    resolve_composition(a)
+    assert resolve_composition(replace(a, base_frequency_hz=220.0, instruments=[])) == []
+
+
 def test_a_table_after_a_tone_key_edit_keeps_the_regions_it_did_not_change():
     """v1's table, then v1's after an edit of h1b's tone 1, which spans
     [240, 480): every other region is the very object of the first call,
@@ -1007,6 +1136,7 @@ class TestWarmEqualsCold:
             assert isinstance(outcome(resolve_composition, b), tuple)
             assert resolve_module._the_memo.composition is b
             assert resolve_module._the_memo.events == {}
+            assert resolve_module._the_memo.order is None
             assert outcome(resolve_composition, c) == expected
         assert raised > 50
 

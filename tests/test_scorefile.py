@@ -272,6 +272,17 @@ class TestLineEnds:
     def test_crlf_and_cr_end_lines_as_lf_does(self, end):
         text = MINIMAL_HEADER + "scale s 1/1 3/2\nharmony H level 1 scale s\n  tone 5 @ 0 x\n"
         assert parse_errors(text.replace("\n", end)) == parse_errors(text)
+        # a clean score whose lines end in turn with CRLF, CR and LF, the last
+        # with a lone CR: the CR after the base line's comment ends it
+        lines = REFERENCE_SCORE.split("\n")[:-1]
+        mixed = "".join(line + ("\r\n", "\r", "\n")[n % 3] for n, line in enumerate(lines[:-1]))
+        mixed += lines[-1] + "\r"
+        assert "# f0 in Hz\rppq" in mixed
+        assert cold_parse(mixed) == cold_parse(REFERENCE_SCORE)
+        # a re-parse of the text with other line ends, warm after the LF one
+        expected = cold_parse(REFERENCE_SCORE.replace("\n", end))
+        cold_parse(REFERENCE_SCORE)
+        assert parse(REFERENCE_SCORE.replace("\n", end)) == expected
 
 
 class TestSerialize:
