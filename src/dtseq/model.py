@@ -34,10 +34,10 @@ class TimeInterval:
     duration: int
 
     def __post_init__(self):
-        if not isinstance(self.start, int) or self.start < 0:
+        if type(self.start) is not int or self.start < 0:
             raise ValueError(f"interval start must be a non-negative tick: "
                              f"{value_text(self.start)}")
-        if not isinstance(self.duration, int) or self.duration < 1:
+        if type(self.duration) is not int or self.duration < 1:
             raise ValueError(f"interval duration must be a positive tick count: "
                              f"{value_text(self.duration)}")
 
@@ -58,10 +58,10 @@ class Note:
     velocity: int = DEFAULT_VELOCITY
 
     def __post_init__(self):
-        if not isinstance(self.key_index, int) or self.key_index < 0:
+        if type(self.key_index) is not int or self.key_index < 0:
             raise ValueError(f"key index must be a non-negative integer: "
                              f"{value_text(self.key_index)}")
-        if not isinstance(self.velocity, int) or not 1 <= self.velocity <= 127:
+        if type(self.velocity) is not int or not 1 <= self.velocity <= 127:
             raise ValueError(f"velocity must be in [1, 127]: {value_text(self.velocity)}")
 
 
@@ -73,7 +73,7 @@ class TranspositionTone:
     interval: TimeInterval
 
     def __post_init__(self):
-        if not isinstance(self.key_index, int) or self.key_index < 0:
+        if type(self.key_index) is not int or self.key_index < 0:
             raise ValueError(f"key index must be a non-negative integer: "
                              f"{value_text(self.key_index)}")
 
@@ -121,7 +121,7 @@ class HarmonicSequence:
     def __post_init__(self):
         check_name(self.name, "harmony name")
         check_name(self.scale_name, "scale name")
-        if not isinstance(self.level, int) or self.level < 1:
+        if type(self.level) is not int or self.level < 1:
             raise ValueError(f"harmony level must be an integer >= 1: {value_text(self.level)}")
         object.__setattr__(self, "tones", tuple(self.tones))
 
@@ -189,14 +189,14 @@ class Composition:
         if base == math.inf:
             raise ValueError(f"base frequency must be finite: "
                              f"{value_text(self.base_frequency_hz)}")
-        if not isinstance(self.ticks_per_beat, int) or self.ticks_per_beat < 1:
+        if type(self.ticks_per_beat) is not int or self.ticks_per_beat < 1:
             raise ValueError(f"ticks per beat must be a positive integer: "
                              f"{value_text(self.ticks_per_beat)}")
         if not tempo > 0:
             raise ValueError(f"tempo must be positive: {value_text(self.tempo_bpm)}")
         if tempo == math.inf:
             raise ValueError(f"tempo must be finite: {value_text(self.tempo_bpm)}")
-        if not isinstance(self.length_ticks, int) or self.length_ticks < 1:
+        if type(self.length_ticks) is not int or self.length_ticks < 1:
             raise ValueError(f"length must be a positive tick count: "
                              f"{value_text(self.length_ticks)}")
         object.__setattr__(self, "base_frequency_hz", base)

@@ -383,6 +383,19 @@ class TestLongFactors:
         assert [(row[2], factor(row[3])) for row in listings["--table"][1:]] == [
             ("0", k), ("1", k * k)]
 
+    def test_a_number_beyond_the_limit_is_one_short_located_error(self, tmp_path,
+                                                                  monkeypatch):
+        """validate names its place and does not quote its digits."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-string digit limit")
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+        path = tmp_path / "long.dts"
+        path.write_text(f"base 440\nppq 480\ntempo 120\nlength 1{'0' * 699}\n")
+        proc = run_cli(["validate", str(path)], capture_output=True)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == \
+            f"{path}:4:8: range: number too long for the int-string digit limit\n".encode()
+
 
 class TestResolve:
     def test_reference_events(self, ref_path, capsys):

@@ -50,11 +50,10 @@ def line(modules: str, numpy: bool) -> str:
 
 
 @pytest.mark.parametrize("args", [
-    ["validate", str(REFERENCE)],
-    ["resolve", str(REFERENCE)],
-    ["resolve", "--table", str(REFERENCE)],
+    *([*command, str(score)] for score in sorted((ROOT / "scores").glob("*.dts"))
+      for command in (["validate"], ["resolve"], ["resolve", "--table"])),
     ["scales"],
-])
+], ids=lambda args: "-".join(Path(arg).stem for arg in args))
 def test_symbolic_commands_do_not_import_numpy(args):
     """Nor any layer they do not run."""
     assert run(*args) == line(LOADS[args[0]], False)

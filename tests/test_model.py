@@ -75,7 +75,7 @@ class TestTimeInterval:
         assert any(iv.contains(t) and other.contains(t)
                    for t in range(max(iv.end, other.end) + 1)) is overlaps
 
-    @pytest.mark.parametrize("start,duration", [(-1, 10), (0, 0), (0, -5), (2.0, 1)])
+    @pytest.mark.parametrize("start,duration", [(-1, 10), (0, 0), (0, -5), (2.0, 1), (0, True)])
     def test_rejects_bad_fields(self, start, duration):
         with pytest.raises(ValueError):
             TimeInterval(start, duration)
@@ -85,13 +85,13 @@ class TestNote:
     def test_default_velocity(self):
         assert Note(0, TimeInterval(0, 1)).velocity == 96
 
-    @pytest.mark.parametrize("velocity", [0, 128, -3])
+    @pytest.mark.parametrize("velocity", [0, 128, -3, True])
     def test_velocity_bounds(self, velocity):
         with pytest.raises(ValueError):
             Note(0, TimeInterval(0, 1), velocity)
 
     @pytest.mark.parametrize("cls", [Note, TranspositionTone])
-    @pytest.mark.parametrize("key", [-1, 1.0])
+    @pytest.mark.parametrize("key", [-1, 1.0, False])
     def test_key_index_must_be_a_non_negative_int(self, cls, key):
         with pytest.raises(ValueError) as exc:
             cls(key, TimeInterval(0, 1))
@@ -540,6 +540,8 @@ class TestComposition:
         dict(tempo_bpm=float("inf")),
         dict(base_frequency_hz=10**400),
         dict(tempo_bpm=10**400),
+        dict(ticks_per_beat=True),
+        dict(length_ticks=True),
     ])
     def test_field_validation(self, kwargs):
         good = dict(base_frequency_hz=440.0, ticks_per_beat=480,
@@ -628,6 +630,8 @@ class TestConstructors:
          "harmony level must be an integer >= 1: 0"),
         (lambda: HarmonicSequence("h", 1.0, "s"), ValueError,
          "harmony level must be an integer >= 1: 1.0"),
+        (lambda: HarmonicSequence("h", True, "s"), ValueError,
+         "harmony level must be an integer >= 1: True"),
         (lambda: Instrument("1x", "2y", ["3z"]), ValueError, "invalid instrument name: '1x'"),
         (lambda: Instrument("i", "2y", ["3z"]), ValueError, "invalid scale name: '2y'"),
         (lambda: Instrument("i", "s", ["h", "3z"], [None]), ValueError,
